@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,9 +22,11 @@ import numpy as np
 
 from . import __version__
 from .catalog import (
-    ProblemInstance,
+    SolutionFile,
     Task,
+    TaskOutcome,
     Verdict,
+    _require,
     catalog_tasks,
     evaluate_solver,
     scan_catalog,
@@ -39,6 +41,7 @@ from .plots import render_latent_map
 from .qubit_features import (
     FEATURE_NAMES,
     SPIN_ORBITAL_ORDERING,
+    FeatureVector,
     compute_feature_vector,
     correlation_matrix,
 )
@@ -69,6 +72,12 @@ class RunConfig:
             raise ValueError("threshold must lie in [0, 1]")
         if self.latent not in ("pca", "nnmf"):
             raise ValueError("latent must be 'pca' or 'nnmf'")
+        if not (np.isfinite(self.df_threshold) and self.df_threshold >= 0.0):
+            raise ValueError("df_threshold must be finite and >= 0")
+        # latent_dim: the training CSV and the latent map read two latent axes
+        for name, least in (("latent_dim", 2), ("n_samples", 1), ("seed", 0), ("jobs", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
     def semantic_hash(self) -> str:
         """Hash of result-affecting settings; paths and job count excluded."""
@@ -115,81 +124,75 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
         },
         **payload,
     }
-    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _load_catalog(config: RunConfig) -> list[ProblemInstance]:
-    instances = scan_catalog(config.catalog_dir)
-    if not instances:
+def _map(jobs: int, fn, items: list) -> list:
+    """fn over items, results in order: inline, or in a pool of up to `jobs`
+    worker processes (never more than there are items)."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _load_tasks(config: RunConfig) -> list[Task]:
+    tasks = catalog_tasks(scan_catalog(config.catalog_dir))
+    if not tasks:
         raise EmptyCatalog(f"no *.problem.json under {config.catalog_dir}")
-    return instances
+    return tasks
 
 
-@dataclass(frozen=True)
-class FeatureRows:
-    """Per-task feature table for the tasks whose extraction succeeded."""
+def _load_solutions(solutions_dir: Path) -> list[SolutionFile]:
+    solutions = scan_solutions(solutions_dir)
+    if not solutions:
+        log.warning("no *.solution.json under %s", solutions_dir)
+    seen: set[str] = set()
+    for solution in solutions:
+        if solution.solver_uuid in seen:
+            raise GseeBenchError(
+                f"duplicate solver_uuid {solution.solver_uuid} in {solutions_dir}"
+            )
+        seen.add(solution.solver_uuid)
+    return solutions
 
-    task_uuids: tuple[str, ...]
-    norbs: tuple[int, ...]
-    vectors: tuple
 
-
-def _features_for_task(args: tuple[Task, float, bool]):
+def _try_features(args: tuple[Task, float, bool]) -> FeatureVector | Exception:
     task, df_threshold, df_absolute = args
-    with open(task.fcidump_path, encoding="utf-8") as fh:
-        dump = parse_fcidump(fh)
-    if dump.norb > FEATURE_NORB_CAP:
-        raise GseeBenchError(f"norb={dump.norb} exceeds feature cap {FEATURE_NORB_CAP}")
-    vector = compute_feature_vector(dump, df_threshold, df_absolute)
-    return task.task_uuid, dump.norb, vector
-
-
-def _try_features(item):
     try:
-        return _features_for_task(item)
+        with open(task.fcidump_path, encoding="utf-8") as fh:
+            dump = parse_fcidump(fh)
+        if dump.norb > FEATURE_NORB_CAP:
+            raise GseeBenchError(f"norb={dump.norb} exceeds feature cap {FEATURE_NORB_CAP}")
+        return compute_feature_vector(dump, df_threshold, df_absolute)
     except Exception as exc:  # noqa: BLE001 - per-task isolation is the contract
         return exc
 
 
-def _collect_features(config: RunConfig, tasks: list[Task]) -> FeatureRows:
-    """Extract features task by task (a worker pool when jobs > 1), merging
-    results in catalog order and logging failures without aborting."""
+def _collect_features(config: RunConfig, tasks: list[Task]) -> dict[str, FeatureVector]:
+    """Feature vectors by task_uuid, in catalog order, for the tasks whose
+    extraction succeeded (a worker pool when jobs > 1); failures are logged."""
     work = [(task, config.df_threshold, config.df_absolute) for task in tasks]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_try_features, work))
-    else:
-        results = [_try_features(item) for item in work]
-    task_uuids = []
-    norbs = []
-    vectors = []
-    for task, outcome in zip(tasks, results):
+    vectors = {}
+    for task, outcome in zip(tasks, _map(config.jobs, _try_features, work)):
         if isinstance(outcome, Exception):
             log.warning("features failed for task %s: %s", task.task_uuid, outcome)
-            continue
-        task_uuid, norb, vector = outcome
-        task_uuids.append(task_uuid)
-        norbs.append(norb)
-        vectors.append(vector)
-    return FeatureRows(tuple(task_uuids), tuple(norbs), tuple(vectors))
+        else:
+            vectors[task.task_uuid] = outcome
+    return vectors
 
 
-def run_features(config: RunConfig, feature_rows: FeatureRows | None = None) -> FeatureRows:
+def run_features(config: RunConfig, tasks: list[Task]) -> dict[str, FeatureVector]:
     """Extract per-task features; write features/correlation/histogram CSVs."""
-    instances = _load_catalog(config)
-    tasks = catalog_tasks(instances)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    if feature_rows is None:
-        feature_rows = _collect_features(config, tasks)
+    vectors = _collect_features(config, tasks)
 
-    rows = [
-        [uuid, *(float(v) for v in vector.as_array())]
-        for uuid, vector in zip(feature_rows.task_uuids, feature_rows.vectors)
-    ]
+    rows = [[uuid, *(float(v) for v in vector.as_array())] for uuid, vector in vectors.items()]
     _write_csv(config.output_dir / "features.csv", config, ["task_uuid", *FEATURE_NAMES], rows)
 
-    if len(feature_rows.vectors) >= 2:
-        corr = correlation_matrix(list(feature_rows.vectors))
+    if len(vectors) >= 2:
+        corr = correlation_matrix(list(vectors.values()))
         corr_rows = [[name, *(float(v) for v in corr[i])] for i, name in enumerate(FEATURE_NAMES)]
         _write_csv(
             config.output_dir / "correlation.csv",
@@ -200,11 +203,12 @@ def run_features(config: RunConfig, feature_rows: FeatureRows | None = None) -> 
     else:
         log.warning("fewer than 2 feature rows; correlation matrix skipped")
 
+    norbs = [int(vector.n_spin_orbitals) // 2 for vector in vectors.values()]
     hist_rows = []
-    if feature_rows.norbs:
-        top = (max(feature_rows.norbs) // HISTOGRAM_BIN_WIDTH + 1) * HISTOGRAM_BIN_WIDTH
+    if norbs:
+        top = (max(norbs) // HISTOGRAM_BIN_WIDTH + 1) * HISTOGRAM_BIN_WIDTH
         edges = np.arange(0, top + 1, HISTOGRAM_BIN_WIDTH)
-        counts, _ = np.histogram(feature_rows.norbs, bins=edges)
+        counts, _ = np.histogram(norbs, bins=edges)
         hist_rows = [
             [int(edges[i]), int(edges[i + 1]), int(c)] for i, c in enumerate(counts)
         ]
@@ -214,20 +218,17 @@ def run_features(config: RunConfig, feature_rows: FeatureRows | None = None) -> 
         ["bin_lo", "bin_hi", "count"],
         hist_rows,
     )
-    return feature_rows
+    return vectors
 
 
-def run_evaluate(config: RunConfig, solutions_dir: Path) -> dict[str, list]:
+def run_evaluate(
+    config: RunConfig, tasks: list[Task], solutions: list[SolutionFile]
+) -> dict[str, list[TaskOutcome]]:
     """Score every solver against the catalog; write per-solver outcome CSVs."""
-    instances = _load_catalog(config)
-    tasks = catalog_tasks(instances)
-    solutions = scan_solutions(solutions_dir)
-    if not solutions:
-        log.warning("no *.solution.json under %s", solutions_dir)
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     summary_rows = []
-    outcomes_by_solver: dict[str, list] = {}
+    outcomes_by_solver: dict[str, list[TaskOutcome]] = {}
     for solution in solutions:
         outcomes, summary = evaluate_solver(tasks, solution)
         outcomes_by_solver[solution.solver_uuid] = outcomes
@@ -260,30 +261,16 @@ def run_evaluate(config: RunConfig, solutions_dir: Path) -> dict[str, list]:
 
 def run_solvability(
     config: RunConfig,
-    solutions_dir: Path,
-    solver_uuid: str,
-    feature_rows: FeatureRows | None = None,
+    solution: SolutionFile,
+    outcomes: list[TaskOutcome],
+    vectors: dict[str, FeatureVector],
 ) -> Path:
     """Train the solvability model for one solver and emit report/cloud/map."""
-    instances = _load_catalog(config)
-    tasks = catalog_tasks(instances)
-    solutions = [s for s in scan_solutions(solutions_dir) if s.solver_uuid == solver_uuid]
-    if not solutions:
-        raise GseeBenchError(f"no solution file for solver {solver_uuid}")
-    solution = solutions[0]
-    outcomes, _ = evaluate_solver(tasks, solution)
+    solver_uuid = solution.solver_uuid
     verdict_by_task = {o.task_uuid: o.verdict for o in outcomes}
-
-    if feature_rows is None:
-        feature_rows = _collect_features(config, tasks)
-    features = []
-    labels = []
-    task_uuids = []
-    for uuid, vector in zip(feature_rows.task_uuids, feature_rows.vectors):
-        verdict = verdict_by_task[uuid]
-        features.append(vector.as_array())
-        labels.append(None if verdict is Verdict.UNLABELED else verdict is Verdict.SOLVED)
-        task_uuids.append(uuid)
+    features = [vector.as_array() for vector in vectors.values()]
+    verdicts = [verdict_by_task[uuid] for uuid in vectors]
+    labels = [None if v is Verdict.UNLABELED else v is Verdict.SOLVED for v in verdicts]
 
     ml_config = SolvabilityConfig(
         latent_kind=config.latent,
@@ -313,7 +300,7 @@ def run_solvability(
     )
     train_rows = [
         [uuid, *map(float, row[:2]), "" if lab is None else str(bool(lab)).lower()]
-        for uuid, row, lab in zip(task_uuids, report.training_embedding, report.training_labels)
+        for uuid, row, lab in zip(vectors, report.training_embedding, report.training_labels)
     ]
     _write_csv(
         config.output_dir / f"training_points_{solver_uuid}.csv",
@@ -330,10 +317,11 @@ def run_solvability(
     return report_path
 
 
-def run_oracle(config: RunConfig) -> Path:
-    """Exact ground-state energies for every oracle-sized task."""
-    instances = _load_catalog(config)
-    tasks = catalog_tasks(instances)
+def run_oracle(config: RunConfig, tasks: list[Task] | None = None) -> Path:
+    """Exact ground-state energies for every oracle-sized task (the catalog is
+    loaded here when no tasks are given)."""
+    if tasks is None:
+        tasks = _load_tasks(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for task in tasks:
@@ -360,35 +348,30 @@ def run_oracle(config: RunConfig) -> Path:
 
 
 def _try_solvability(args) -> str | None:
-    config, solutions_dir, solver_uuid, feature_rows = args
+    config, solution, outcomes, vectors = args
     try:
-        run_solvability(config, solutions_dir, solver_uuid, feature_rows)
+        run_solvability(config, solution, outcomes, vectors)
     except (InsufficientLabels, SingleClass) as exc:
-        return f"solvability skipped for {solver_uuid}: {exc}"
+        return f"solvability skipped for {solution.solver_uuid}: {exc}"
     return None
 
 
 def run_report(config: RunConfig, solutions_dir: Path) -> None:
     """Bundle features, evaluation, solvability per solver, and the oracle.
 
-    Features are computed once and reused; solvability runs per solver
-    (a worker pool when jobs > 1, each solver writing its own files).
+    The catalog and the solution files are loaded once and every stage works
+    on them; features are computed once and shared, and solvability runs per
+    solver (a worker pool when jobs > 1, each solver writing its own files).
     """
-    feature_rows = run_features(config)
-    run_evaluate(config, solutions_dir)
-    work = [
-        (config, solutions_dir, solution.solver_uuid, feature_rows)
-        for solution in scan_solutions(solutions_dir)
-    ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            notes = list(pool.map(_try_solvability, work))
-    else:
-        notes = [_try_solvability(item) for item in work]
-    for note in notes:
+    tasks = _load_tasks(config)
+    solutions = _load_solutions(solutions_dir)
+    vectors = run_features(config, tasks)
+    outcomes = run_evaluate(config, tasks, solutions)
+    work = [(config, s, outcomes[s.solver_uuid], vectors) for s in solutions]
+    for note in _map(config.jobs, _try_solvability, work):
         if note:
             log.warning("%s", note)
-    run_oracle(config)
+    run_oracle(config, tasks)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -425,17 +408,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# config-file key -> (RunConfig field, JSON type)
 _CONFIG_KEYS = {
-    "catalog": "catalog_dir",
-    "out": "output_dir",
-    "df_threshold": "df_threshold",
-    "df_absolute": "df_absolute",
-    "latent": "latent",
-    "latent_dim": "latent_dim",
-    "samples": "n_samples",
-    "threshold": "threshold",
-    "seed": "seed",
-    "jobs": "jobs",
+    "catalog": ("catalog_dir", str),
+    "out": ("output_dir", str),
+    "df_threshold": ("df_threshold", float),
+    "df_absolute": ("df_absolute", bool),
+    "latent": ("latent", str),
+    "latent_dim": ("latent_dim", int),
+    "samples": ("n_samples", int),
+    "threshold": ("threshold", float),
+    "seed": ("seed", int),
+    "jobs": ("jobs", int),
 }
 
 
@@ -444,10 +428,16 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             file_conf = json.load(fh)
-        for key, attr in _CONFIG_KEYS.items():
-            if key in file_conf:
-                settings[attr] = file_conf[key]
-    for key, attr in _CONFIG_KEYS.items():
+        where = f"config {args.config}"
+        if not isinstance(file_conf, dict):
+            raise GseeBenchError(f"{where}: top level is not an object")
+        unknown = sorted(set(file_conf) - set(_CONFIG_KEYS))
+        if unknown:
+            raise GseeBenchError(f"{where}: unknown keys {', '.join(unknown)}")
+        for key in file_conf:
+            attr, kind = _CONFIG_KEYS[key]
+            settings[attr] = _require(file_conf, key, kind, where)
+    for key, (attr, _) in _CONFIG_KEYS.items():
         value = getattr(args, key, None)
         if value is not None:
             settings[attr] = value
@@ -467,16 +457,22 @@ def main(argv=None) -> int:
     try:
         config = _make_config(args)
         if args.command == "features":
-            run_features(config)
+            run_features(config, _load_tasks(config))
         elif args.command == "evaluate":
-            run_evaluate(config, args.solutions)
+            run_evaluate(config, _load_tasks(config), _load_solutions(args.solutions))
         elif args.command == "solvability":
-            run_solvability(config, args.solutions, args.solver)
+            tasks = _load_tasks(config)
+            by_uuid = {s.solver_uuid: s for s in _load_solutions(args.solutions)}
+            if args.solver not in by_uuid:
+                raise GseeBenchError(f"no solution file for solver {args.solver}")
+            solution = by_uuid[args.solver]
+            outcomes, _ = evaluate_solver(tasks, solution)
+            run_solvability(config, solution, outcomes, _collect_features(config, tasks))
         elif args.command == "oracle":
             run_oracle(config)
         elif args.command == "report":
             run_report(config, args.solutions)
-    except (GseeBenchError, OSError, ValueError) as exc:
+    except (GseeBenchError, OSError, OverflowError, ValueError) as exc:
         log.error("%s", exc)
         return 1
     return 0

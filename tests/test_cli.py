@@ -1,15 +1,25 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gsee_bench import cli
+from gsee_bench.catalog import catalog_tasks, scan_catalog, scan_solutions
 from gsee_bench.cli import RunConfig, main, run_evaluate, run_features, run_oracle
+from gsee_bench.errors import GseeBenchError
 from gsee_bench.qubit_features import FEATURE_NAMES
 
 DEMO = Path(__file__).parent.parent / "demo"
 CATALOG = DEMO / "catalog"
 SOLUTIONS = DEMO / "solutions"
+
+
+def tasks_in(catalog: Path):
+    return catalog_tasks(scan_catalog(catalog))
 
 
 def read_rows(path: Path) -> list[list[str]]:
@@ -20,7 +30,7 @@ def read_rows(path: Path) -> list[list[str]]:
 
 def test_features_csv_shape(tmp_path):
     config = RunConfig(CATALOG, tmp_path)
-    run_features(config)
+    run_features(config, tasks_in(CATALOG))
     rows = read_rows(tmp_path / "features.csv")
     header, data = rows[0], rows[1:]
     assert header == ["task_uuid", *FEATURE_NAMES]
@@ -41,7 +51,7 @@ def test_features_single_instance(tmp_path):
     mini = tmp_path / "catalog"
     shutil.copytree(CATALOG / "inst-03", mini / "inst-03")
     out = tmp_path / "out"
-    run_features(RunConfig(mini, out))
+    run_features(RunConfig(mini, out), tasks_in(mini))
     rows = read_rows(out / "features.csv")
     assert len(rows) == 2  # header + one data row
     assert not (out / "correlation.csv").exists()
@@ -55,7 +65,7 @@ def test_features_resilient_to_bad_fcidump(tmp_path, caplog):
     shutil.copytree(CATALOG / "inst-03", mini / "inst-03")
     (mini / "inst-01" / "task-01-1.fcidump").write_text("garbage", encoding="utf-8")
     out = tmp_path / "out"
-    run_features(RunConfig(mini, out))
+    run_features(RunConfig(mini, out), tasks_in(mini))
     rows = read_rows(out / "features.csv")
     assert len(rows) == 3  # header + 2 surviving rows
     assert "task-01-1" not in {r[0] for r in rows[1:]}
@@ -68,7 +78,7 @@ def test_empty_catalog_is_fatal(tmp_path):
 
 def test_evaluate_outcomes(tmp_path):
     config = RunConfig(CATALOG, tmp_path)
-    run_evaluate(config, SOLUTIONS)
+    run_evaluate(config, tasks_in(CATALOG), scan_solutions(SOLUTIONS))
     rows = read_rows(tmp_path / "outcomes_size-limited.csv")
     data = {r[0]: r for r in rows[1:]}
     assert len(data) == 12
@@ -147,8 +157,8 @@ def test_config_file_with_flag_override(tmp_path):
 def test_parallel_features_match_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    run_features(RunConfig(CATALOG, serial))
-    run_features(RunConfig(CATALOG, parallel, jobs=2))
+    run_features(RunConfig(CATALOG, serial), tasks_in(CATALOG))
+    run_features(RunConfig(CATALOG, parallel, jobs=2), tasks_in(CATALOG))
     assert (serial / "features.csv").read_bytes() == (parallel / "features.csv").read_bytes()
 
 
@@ -176,3 +186,122 @@ def test_invalid_threshold_rejected(tmp_path):
         ["--catalog", str(CATALOG), "--out", str(tmp_path), "--threshold", "1.5", "features"]
     )
     assert code == 1
+
+
+def report_argv(out: Path, solutions: Path = SOLUTIONS, *flags: str) -> list[str]:
+    return [
+        "--catalog", str(CATALOG), "--out", str(out), "--samples", "400", *flags,
+        "report", "--solutions", str(solutions),
+    ]
+
+
+def test_report_loads_catalog_and_solutions_once(tmp_path, monkeypatch):
+    calls = {"scan_catalog": 0, "scan_solutions": 0}
+    for name in calls:
+        scan = getattr(cli, name)
+
+        def counted(root, _scan=scan, _name=name):
+            calls[_name] += 1
+            return _scan(root)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(report_argv(tmp_path)) == 0
+    assert calls == {"scan_catalog": 1, "scan_solutions": 1}
+
+
+def test_duplicate_solver_uuid_rejected(tmp_path, caplog):
+    solutions = tmp_path / "solutions"
+    shutil.copytree(SOLUTIONS, solutions)
+    shutil.copy(solutions / "exact-echo.solution.json", solutions / "echo-copy.solution.json")
+    out = tmp_path / "out"
+    assert main(report_argv(out, solutions)) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert "duplicate solver_uuid exact-echo" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--latent-dim", "1"), ("--latent-dim", "3", "--samples", "0"), ("--jobs", "0")],
+    ids=["latent-dim-1", "samples-0", "jobs-0"],
+)
+def test_invalid_run_setting_rejected_before_any_output(tmp_path, flags):
+    out = tmp_path / "out"
+    assert main(report_argv(out, SOLUTIONS, *flags)) == 1
+    assert not out.exists()
+
+
+def test_json_artifacts_reject_nan(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", RunConfig(CATALOG, tmp_path), {"ratio": float("nan")})
+
+
+@pytest.mark.parametrize(
+    "file_conf",
+    [{"sampels": 400}, {"seed": "7"}, [1, 2], {"threshold": 10**400}],
+    ids=["unknown-key", "str-seed", "list", "int-too-big-for-float"],
+)
+def test_bad_config_file_rejected(tmp_path, caplog, file_conf):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(file_conf))
+    out = tmp_path / "out"
+    argv = ["--config", str(conf), "--catalog", str(CATALOG), "--out", str(out), "features"]
+    assert main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert not out.exists()
+
+
+# Mostly plausible values, each of which may still break one check ...
+PLAUSIBLE = {
+    "catalog": st.text(max_size=3),
+    "out": st.text(max_size=3),
+    "df_threshold": st.floats(-0.1, 1.0),
+    "df_absolute": st.booleans(),
+    "latent": st.sampled_from(["pca", "nnmf", "umap"]),
+    "latent_dim": st.integers(1, 4),
+    "samples": st.integers(0, 4),
+    "threshold": st.floats(0.0, 1.2),
+    "seed": st.integers(-1, 2**70),
+    "jobs": st.integers(0, 3),
+}
+# ... and at most one entry of any JSON type under any key, unknown ones too.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+CONFIG_DICTS = st.builds(
+    lambda plausible, junk: {**plausible, **junk},
+    st.fixed_dictionaries({}, optional=PLAUSIBLE),
+    st.dictionaries(
+        st.sampled_from([*cli._CONFIG_KEYS, "sampels", "latent-dim"]), JUNK, max_size=1
+    ),
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(file_conf=CONFIG_DICTS)
+def test_config_file_gives_valid_config_or_exit_1(tmp_path, file_conf):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(file_conf))
+    out = tmp_path / "out"
+    argv = ["--config", str(conf), "--catalog", str(tmp_path), "--out", str(out), "oracle"]
+    try:
+        config = cli._make_config(cli._build_parser().parse_args(argv))
+    except (GseeBenchError, OverflowError, ValueError):
+        assert main(argv) == 1
+        assert not out.exists()
+        return
+    for key, (attr, kind) in cli._CONFIG_KEYS.items():
+        value = getattr(config, attr)
+        assert isinstance(value, Path) if key in ("catalog", "out") else type(value) is kind
+        if key in file_conf and key not in ("catalog", "out"):
+            assert value == file_conf[key]
+    assert config.latent in ("pca", "nnmf")
+    assert 0.0 <= config.threshold <= 1.0
+    assert np.isfinite(config.df_threshold) and config.df_threshold >= 0.0
+    assert config.latent_dim >= 2 and config.n_samples >= 1
+    assert config.seed >= 0 and config.jobs >= 1
