@@ -35,7 +35,7 @@ from .ml import (
     shapley_attribution,
     svm_fit_cv,
 )
-from .pauli import PauliString, PauliSum, jordan_wigner_hamiltonian, pauli_multiply
+from .pauli import PauliString, PauliSum, PauliTable, jordan_wigner_hamiltonian, pauli_multiply
 from .qubit_features import (
     FEATURE_NAMES,
     FeatureVector,
@@ -65,6 +65,7 @@ __all__ = [
     "Verdict",
     "PauliString",
     "PauliSum",
+    "PauliTable",
     "build_basis",
     "build_fci_matrix",
     "build_hypergraph",

@@ -37,6 +37,7 @@ from .fcidump import parse_fcidump
 from .fermionic import DEFAULT_DF_THRESHOLD
 from .fci import solve_ground_state
 from .ml.solvability import SolvabilityConfig, estimate_solvability
+from .pauli import MAX_TABLE_QUBITS
 from .plots import render_latent_map
 from .qubit_features import (
     FEATURE_NAMES,
@@ -48,9 +49,11 @@ from .qubit_features import (
 
 log = logging.getLogger(__name__)
 
-# JW term construction is quartic in orbital count; larger dumps are skipped
-# as per-task failures rather than stalling the whole run.
-FEATURE_NORB_CAP = 32
+# The JW encoder's uint64 masks hold 64 qubits, i.e. 32 spatial orbitals;
+# larger dumps are skipped as per-task failures.  The cap is reachable: on a
+# 2-core x86 machine a random norb-32 dump takes 2.0 s through
+# compute_feature_vector (1.5M Pauli terms, 238 MB peak RSS of the process).
+FEATURE_NORB_CAP = MAX_TABLE_QUBITS // 2
 HISTOGRAM_BIN_WIDTH = 10
 
 
@@ -78,6 +81,9 @@ class RunConfig:
         for name, least in (("latent_dim", 2), ("n_samples", 1), ("seed", 0), ("jobs", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
+        # a latent space has no more axes than the feature table has columns
+        if self.latent_dim > len(FEATURE_NAMES):
+            raise ValueError(f"latent_dim must be <= {len(FEATURE_NAMES)}")
 
     def semantic_hash(self) -> str:
         """Hash of result-affecting settings; paths and job count excluded."""

@@ -1,5 +1,9 @@
 """Pauli strings and sums in symplectic (bitmask) form, plus Jordan-Wigner.
 
+`PauliString`/`PauliSum` hold terms as Python objects and carry the general
+algebra; `PauliTable` holds a sum as uint64 mask arrays and is what the
+vectorized `jordan_wigner_hamiltonian` returns.
+
 A Pauli string on n qubits is a pair of n-bit masks (x_mask, z_mask); bit q of
 x_mask means X acts on qubit q, bit q of z_mask means Z, both together mean Y.
 The represented operator is the tensor product over qubits of I, X, Z, or Y
@@ -159,12 +163,6 @@ class PauliSum:
             acc[ps] = acc.get(ps, 0.0) + coeff
         return PauliSum(self.n_qubits, acc)
 
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "PauliSum":
-        return (-1.0) * self
-
     def __mul__(self, other):
         if isinstance(other, PauliSum):
             if self.n_qubits != other.n_qubits:
@@ -232,81 +230,152 @@ class PauliSum:
         return cls.from_terms(n_qubits, pairs)
 
 
-def _z_tail(p: int) -> int:
-    return (1 << p) - 1
+# uint64 masks hold one bit per qubit.
+MAX_TABLE_QUBITS = 64
 
 
-def jw_annihilation(n_spin_orbitals: int, p: int) -> PauliSum:
-    """Jordan-Wigner image of a_p: (X_p + iY_p)/2 times Z on qubits below p."""
-    x = 1 << p
-    return PauliSum(
-        n_spin_orbitals,
-        {
-            PauliString(n_spin_orbitals, x, _z_tail(p)): 0.5,
-            PauliString(n_spin_orbitals, x, _z_tail(p + 1)): 0.5j,
-        },
-    )
+@dataclass(frozen=True, eq=False)
+class PauliTable:
+    """Array-backed Pauli sum with distinct terms.
+
+    Term t is coeff[t] times the string with masks (x[t], z[t]); masks are
+    uint64, so a table spans at most 64 qubits.  len() counts every term,
+    the identity included.  `terms`, `coefficient` and `to_matrix` read it as
+    a `PauliSum`, one Python object per term, for inspection and small
+    registers.
+    """
+
+    n_qubits: int
+    x: np.ndarray
+    z: np.ndarray
+    coeff: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coeff)
+
+    @classmethod
+    def from_sum(cls, h: PauliSum) -> "PauliTable":
+        if h.n_qubits > MAX_TABLE_QUBITS:
+            raise TooLarge(f"{h.n_qubits} qubits exceeds the {MAX_TABLE_QUBITS}-bit masks")
+        strings = list(h.terms)
+        return cls(
+            h.n_qubits,
+            np.array([ps.x_mask for ps in strings], dtype=np.uint64),
+            np.array([ps.z_mask for ps in strings], dtype=np.uint64),
+            np.array(list(h.terms.values())),
+        )
+
+    def to_sum(self) -> PauliSum:
+        strings = (
+            PauliString(self.n_qubits, x, z)
+            for x, z in zip(self.x.tolist(), self.z.tolist())
+        )
+        return PauliSum(self.n_qubits, dict(zip(strings, self.coeff.tolist())))
+
+    @property
+    def terms(self) -> dict[PauliString, complex]:
+        return self.to_sum().terms
+
+    def coefficient(self, ps: PauliString) -> complex:
+        return self.to_sum().coefficient(ps)
+
+    def to_matrix(self, max_qubits: int = 14) -> np.ndarray:
+        return self.to_sum().to_matrix(max_qubits)
 
 
-def jw_creation(n_spin_orbitals: int, p: int) -> PauliSum:
-    """Jordan-Wigner image of a_p^dagger: (X_p - iY_p)/2 times the Z tail."""
-    x = 1 << p
-    return PauliSum(
-        n_spin_orbitals,
-        {
-            PauliString(n_spin_orbitals, x, _z_tail(p)): 0.5,
-            PauliString(n_spin_orbitals, x, _z_tail(p + 1)): -0.5j,
-        },
-    )
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks).astype(np.int64)
 
 
-def jordan_wigner_hamiltonian(dump: FciDump) -> PauliSum:
+def _merge(x: np.ndarray, z: np.ndarray, coeff: np.ndarray):
+    """Sum the coefficients of equal (x, z) strings: one sort, one reduceat."""
+    if not len(coeff):
+        return x, z, coeff
+    order = np.lexsort((x, z))
+    x, z, coeff = x[order], z[order], coeff[order]
+    first = np.ones(len(coeff), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    starts = np.flatnonzero(first)
+    return x[starts], z[starts], np.add.reduceat(coeff, starts)
+
+
+def _pair_operators(norb: int):
+    """Hermitian one-body operators over same-spin spin-orbital pairs.
+
+    For spatial i <= j and spin s, with p = 2i + s and q = 2j + s, the
+    operator is S = a+_p a_q + a+_q a_p when p < q and S = a+_p a_p when
+    p = q.  Jordan-Wigner maps them to two real terms each:
+    S = (X_p Z...Z X_q + Y_p Z...Z Y_q) / 2, Z on the qubits strictly between,
+    and S = (I - Z_p) / 2.  Operators run in (i, j, s) order; returns their
+    spatial indices and (n_ops, 2) arrays of x masks, z masks and coefficients.
+    """
+    i, j = np.triu_indices(norb)
+    i, j = np.repeat(i, 2), np.repeat(j, 2)
+    spin = np.tile([0, 1], len(i) // 2)
+    one = np.uint64(1)
+    bp = one << (2 * i + spin).astype(np.uint64)
+    bq = one << (2 * j + spin).astype(np.uint64)
+    between = (bq - one) & ~((bp - one) | bp)
+    diag = i == j
+    zero = np.zeros_like(bp)
+    x = np.where(diag, zero, bp | bq)
+    z = np.column_stack([between, np.where(diag, bp, between | bp | bq)])
+    coeff = np.column_stack([np.full(len(i), 0.5), np.where(diag, -0.5, 0.5)])
+    return i, j, np.column_stack([x, x]), z, coeff
+
+
+def jordan_wigner_hamiltonian(dump: FciDump) -> PauliTable:
     """Encode the second-quantized Hamiltonian as a qubit operator.
 
-    Builds sum_ij h_ij a+_i a_j + (1/2) sum_ijkl (ij|kl) a+_is a+_kt a_lt a_js
-    over 2*norb spin-orbitals (interleaved ordering, alpha on even qubits),
-    maps ladder operators through the Jordan-Wigner transformation, adds the
-    core energy on the identity, and returns the simplified (real, Hermitian)
-    result.
+    The Hamiltonian sum_ij h_ij a+_is a_js + (1/2) sum_ijkl (ij|kl)
+    a+_is a+_kt a_lt a_js over 2*norb spin-orbitals (interleaved ordering,
+    alpha on even qubits) is rewritten, by normal ordering and the 8-fold
+    symmetry of (ij|kl), over the pair operators S_a of `_pair_operators`:
+
+        H = e_core + sum_a h'_a S_a + sum_{a<=b} w_ab {S_a, S_b} / 2,
+
+    with h'_ij = h_ij - (1/2) sum_r (ir|rj), w_ab = (ij|kl) for a < b and
+    (ij|kl)/2 for a = b.  Each anticommutator of two Pauli strings is their
+    product when they commute and zero otherwise, so every coefficient is
+    real.  Products are formed in bulk with the symplectic rule, one block
+    per first spatial index to bound memory; equal strings are summed, and
+    terms below COEFF_PRUNE_TOL are dropped as in PauliSum.simplify.
     """
     n = 2 * dump.norb
-    creation = [jw_creation(n, p) for p in range(n)]
-    annihilation = [jw_annihilation(n, p) for p in range(n)]
+    if n > MAX_TABLE_QUBITS:
+        raise TooLarge(f"{n} qubits exceeds the {MAX_TABLE_QUBITS}-bit masks")
+    g = dump.two_body_tensor()
+    i, j, x_ops, z_ops, c_ops = _pair_operators(dump.norb)
+    h_eff = dump.h1 - 0.5 * np.einsum("irrj->ij", g)
 
-    acc: dict[PauliString, complex] = {}
+    xs = [np.zeros(1, dtype=np.uint64), x_ops.ravel()]
+    zs = [np.zeros(1, dtype=np.uint64), z_ops.ravel()]
+    cs = [np.array([dump.e_core]), (h_eff[i, j][:, None] * c_ops).ravel()]
 
-    def accumulate(op: PauliSum, scale: float) -> None:
-        for ps, coeff in op.terms.items():
-            acc[ps] = acc.get(ps, 0.0) + scale * coeff
+    weight = g[i[:, None], j[:, None], i[None, :], j[None, :]]
+    n_ops = len(i)
+    for first in range(dump.norb):
+        block = np.flatnonzero(i == first)
+        a, b = np.nonzero(np.arange(n_ops)[None, :] >= block[:, None])
+        a = block[a]
+        w = weight[a, b] * np.where(a == b, 0.5, 1.0)
+        live = w != 0.0
+        a, b, w = a[live], b[live], w[live]
+        # every term of S_a against every term of S_b: shape (pairs, 2, 2)
+        xa, za = x_ops[a][:, :, None], z_ops[a][:, :, None]
+        xb, zb = x_ops[b][:, None, :], z_ops[b][:, None, :]
+        x, z = xa ^ xb, za ^ zb
+        commute = (_popcount(xa & zb) + _popcount(za & xb)) % 2 == 0
+        # symplectic phase i^k of P_a P_b; k is 0 or 2 when they commute
+        k = (_popcount(xa & za) + _popcount(xb & zb) - _popcount(x & z)
+             + 2 * _popcount(za & xb)) % 4
+        coeff = (w[:, None, None] * c_ops[a][:, :, None] * c_ops[b][:, None, :]
+                 * (1 - k))
+        x, z, coeff = _merge(x[commute], z[commute], coeff[commute])
+        xs.append(x)
+        zs.append(z)
+        cs.append(coeff)
 
-    h1 = dump.h1
-    for i in range(dump.norb):
-        for j in range(dump.norb):
-            if h1[i, j] == 0.0:
-                continue
-            for spin in (0, 1):
-                accumulate(
-                    creation[2 * i + spin] * annihilation[2 * j + spin], h1[i, j]
-                )
-
-    h2 = dump.two_body_tensor()
-    for i in range(dump.norb):
-        for j in range(dump.norb):
-            for k in range(dump.norb):
-                for l in range(dump.norb):
-                    val = h2[i, j, k, l]
-                    if val == 0.0:
-                        continue
-                    for sigma in (0, 1):
-                        for tau in (0, 1):
-                            op = (
-                                creation[2 * i + sigma]
-                                * creation[2 * k + tau]
-                                * annihilation[2 * l + tau]
-                                * annihilation[2 * j + sigma]
-                            )
-                            accumulate(op, 0.5 * val)
-
-    ident = PauliString.identity(n)
-    acc[ident] = acc.get(ident, 0.0) + dump.e_core
-    return PauliSum(n, acc).simplify()
+    x, z, coeff = _merge(np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
+    keep = np.abs(coeff) >= COEFF_PRUNE_TOL
+    return PauliTable(n, x[keep], z[keep], coeff[keep])

@@ -5,6 +5,8 @@ vertices are qubits; edge order is the number of non-identity factors, edge
 weight the coefficient magnitude, and vertex degree the number of edges
 touching a qubit.  The one-norm sums |h_e| over non-identity terms only:
 constant shifts carry no simulation cost and the hypergraph has no empty edge.
+The features are computed from the arrays of a `PauliTable`; `build_hypergraph`
+gives the same hypergraph as per-edge objects.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import InsufficientRows
 from .fcidump import FciDump
 from .fermionic import DEFAULT_DF_THRESHOLD, double_factorize, size_features
-from .pauli import PauliSum, jordan_wigner_hamiltonian
+from .pauli import PauliSum, PauliTable, jordan_wigner_hamiltonian
 
 log = logging.getLogger(__name__)
 
@@ -126,30 +128,46 @@ def _stats(values: np.ndarray) -> tuple[float, float, float, float]:
     )
 
 
-def compute_qubit_features(h: PauliSum) -> QubitFeatureBlock:
-    """Derive the qubit feature block from a simplified Pauli sum.
+def _vertex_degrees(support: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Edges touching each qubit, from the uint64 support masks.
+
+    Each of the 8 mask bytes is histogrammed over its 256 values; unpacking
+    the bits of those values turns the histograms into per-qubit counts
+    (qubit 8b + k is bit k of byte b), with no per-edge unpacking.
+    """
+    byte_rows = np.asarray(support, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    counts = np.stack([np.bincount(col, minlength=256) for col in byte_rows.T])
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    return (counts @ bits).ravel()[:n_qubits].astype(float)
+
+
+def compute_qubit_features(h: PauliTable | PauliSum) -> QubitFeatureBlock:
+    """Derive the qubit feature block from a simplified Pauli sum or table.
 
     A Hamiltonian with no non-identity term is flagged empty and reports all
     statistics as zero.  Degree statistics run over every qubit, including
     isolated ones, so the register size shapes the distribution.
     """
-    graph = build_hypergraph(h)
-    if not graph.edges:
+    table = h if isinstance(h, PauliTable) else PauliTable.from_sum(h)
+    support = table.x | table.z
+    is_edge = support != 0
+    support = support[is_edge]
+    if not support.size:
         log.warning("Pauli sum has no non-identity term; emitting zero features")
         return QubitFeatureBlock(
-            h.n_qubits, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            table.n_qubits, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
             0.0, 0.0, 0.0, 0.0, empty=True,
         )
-    orders = np.array([e.order for e in graph.edges], dtype=float)
-    weights = np.array([e.weight for e in graph.edges])
-    degrees = graph.vertex_degrees()
+    orders = np.bitwise_count(support).astype(float)
+    weights = np.abs(table.coeff[is_edge])
+    degrees = _vertex_degrees(support, table.n_qubits)
     ord_stats = _stats(orders)
     deg_stats = _stats(degrees)
     wt_stats = _stats(weights)
     return QubitFeatureBlock(
-        n_qubits=h.n_qubits,
+        n_qubits=table.n_qubits,
         one_norm=float(np.sort(weights).sum()),
-        n_pauli_strings=len(graph.edges),
+        n_pauli_strings=len(support),
         edge_order_max=ord_stats[0],
         edge_order_min=ord_stats[1],
         edge_order_mean=ord_stats[2],

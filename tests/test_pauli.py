@@ -9,13 +9,13 @@ from gsee_bench.fci import build_basis, build_fci_matrix
 from gsee_bench.pauli import (
     PauliString,
     PauliSum,
+    PauliTable,
     jordan_wigner_hamiltonian,
-    jw_annihilation,
-    jw_creation,
     pauli_multiply,
 )
 
-from conftest import random_fcidump, sector_indices
+from conftest import random_eri, random_fcidump, random_symmetric, sector_indices
+from jw_reference import jordan_wigner_reference, jw_annihilation, jw_creation
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -212,3 +212,47 @@ def test_jw_rebuild_from_shuffled_terms(rng):
     rebuilt = PauliSum.from_terms(h.n_qubits, [pairs[i] for i in order]).simplify()
     assert len(rebuilt) == len(h)
     assert rebuilt.terms == h.terms
+
+
+def _reference_cases(rng):
+    """Random dumps at norb 1-5 plus the corner cases of the encoder."""
+    cases = [random_fcidump(rng, norb) for norb in range(1, 6) for _ in range(2)]
+    cases.append(random_fcidump(rng, 3, 3, 3))  # ms2 != 0
+    cases.append(random_fcidump(rng, 4, 2, -2))
+    # all-zero ERI: the two-body blocks contribute no term at all
+    cases.append(FciDump.from_tensors(3, 2, 0, 0.4, random_symmetric(rng, 3)))
+    # zero h1 entries (diagonal and off-diagonal) and no core energy
+    h1 = random_symmetric(rng, 4)
+    h1[0, 2] = h1[2, 0] = h1[1, 1] = 0.0
+    cases.append(FciDump.from_tensors(4, 4, 2, 0.0, h1, random_eri(rng, 4)))
+    cases.append(FciDump.from_tensors(2, 2, 0, 0.0, np.zeros((2, 2)), random_eri(rng, 2)))
+    cases.append(FciDump(norb=2, nelec=2))  # the zero operator: no term at all
+    return cases
+
+
+def test_jw_matches_ladder_operator_reference(rng):
+    for dump in _reference_cases(rng):
+        table = jordan_wigner_hamiltonian(dump)
+        reference = jordan_wigner_reference(dump)
+        assert table.coeff.dtype == np.float64
+        got = dict(zip(zip(table.x.tolist(), table.z.tolist()), table.coeff.tolist()))
+        want = {(ps.x_mask, ps.z_mask): c for ps, c in reference.terms.items()}
+        assert len(got) == len(table)
+        assert got.keys() == want.keys()
+        for key, coeff in want.items():
+            assert coeff.imag == 0.0
+            assert abs(got[key] - coeff.real) <= 1e-12 * abs(coeff.real)
+
+
+def test_jw_table_round_trips_through_pauli_sum(rng):
+    table = jordan_wigner_hamiltonian(random_fcidump(rng, 3))
+    h = table.to_sum()
+    assert h.terms == table.terms and len(h) == len(table)
+    back = PauliTable.from_sum(h)
+    assert np.array_equal(back.x, table.x) and np.array_equal(back.z, table.z)
+    assert np.array_equal(back.coeff, table.coeff)
+
+
+def test_jw_register_limit():
+    with pytest.raises(TooLarge):
+        jordan_wigner_hamiltonian(FciDump(norb=33, nelec=2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsee_bench.errors import InsufficientRows
-from gsee_bench.pauli import PauliString, PauliSum
+from gsee_bench.pauli import PauliString, PauliSum, PauliTable, jordan_wigner_hamiltonian
 from gsee_bench.qubit_features import (
     FEATURE_NAMES,
     build_hypergraph,
@@ -101,6 +101,50 @@ def test_cancellation_does_not_change_string_count():
         2, [*base.terms.items(), (extra, 0.7), (extra, -0.7)]
     ).simplify()
     assert compute_qubit_features(grown).n_pauli_strings == compute_qubit_features(base).n_pauli_strings
+
+
+def test_table_features_match_hypergraph(rng):
+    """The array path agrees with per-edge statistics over the hypergraph,
+    on registers whose masks span several bytes."""
+    for _ in range(20):
+        n = int(rng.integers(2, 65))
+        terms = [
+            (PauliString(n, int(rng.integers(0, 1 << n, dtype=np.uint64)),
+                         int(rng.integers(0, 1 << n, dtype=np.uint64))), float(rng.normal()))
+            for _ in range(int(rng.integers(1, 40)))
+        ]
+        h = PauliSum.from_terms(n, terms).simplify()
+        q = compute_qubit_features(PauliTable.from_sum(h))
+        graph = build_hypergraph(h)
+        degrees = graph.vertex_degrees()
+        orders = [e.order for e in graph.edges]
+        assert q.n_pauli_strings == len(graph.edges)
+        assert (q.vertex_degree_max, q.vertex_degree_min) == (degrees.max(), degrees.min())
+        assert q.vertex_degree_mean == pytest.approx(degrees.mean(), rel=1e-12)
+        assert (q.edge_order_max, q.edge_order_min) == (max(orders), min(orders))
+        assert q.edge_order_mean == pytest.approx(np.mean(orders), rel=1e-12)
+        assert q.one_norm == pytest.approx(sum(e.weight for e in graph.edges), rel=1e-12)
+
+
+def closed_form_one_norm(dump) -> float:
+    """Qubit one-norm of the JW Hamiltonian in terms of real 8-fold symmetric
+    integrals (Koridon et al., PRR 3, 033127, 2021), identity excluded."""
+    h, g = dump.h1, dump.two_body_tensor()
+    one_body = h + np.einsum("pqrr->pq", g) - 0.5 * np.einsum("prrq->pq", g)
+    p, q, r, s = np.indices(g.shape)
+    exchange = g - g.transpose(0, 3, 2, 1)  # g_pqrs - g_psrq
+    return float(
+        np.abs(one_body).sum()
+        + 0.25 * np.abs(g).sum()
+        + 0.5 * np.abs(exchange[(p > r) & (q > s)]).sum()
+    )
+
+
+@pytest.mark.parametrize("norb", range(1, 9))
+def test_one_norm_matches_closed_form(rng, norb):
+    d = random_fcidump(rng, norb)
+    q = compute_qubit_features(jordan_wigner_hamiltonian(d))
+    assert q.one_norm == pytest.approx(closed_form_one_norm(d), rel=1e-12)
 
 
 def test_feature_vector_assembly(rng):
