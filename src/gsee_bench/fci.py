@@ -1,16 +1,21 @@
 """Desk-scale exact ground-state solver over a Slater determinant basis.
 
-Determinants are (alpha, beta) occupation bitmask pairs over spatial orbitals.
-Matrix elements follow the Slater-Condon rules with chemist-notation
-integrals; fermionic phases are counted in the interleaved spin-orbital
-ordering (alpha of orbital p on index 2p, beta on 2p+1) so the matrix is
-sign-consistent with the qubit encoding in `pauli`.
+Determinants are (alpha, beta) occupation bitmask pairs over spatial orbitals,
+in alpha-major order.  The sector Hamiltonian is assembled from cached alpha
+and beta string tables, in the string-driven manner of Knowles and Handy
+(CPL 111, 315, 1984) and Olsen et al. (JCP 89, 2185, 1988): every stored
+element is a diagonal, a one-spin single or double excitation, or an
+alpha-beta double, and each class is a few array operations over the tables
+and the chemist-notation integrals.  Fermionic phases are those of the
+interleaved spin-orbital ordering (alpha of orbital p on index 2p, beta on
+2p+1), so the matrix is sign-consistent with the qubit encoding in `pauli`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -20,8 +25,17 @@ from .errors import InconsistentBasis, InvalidOccupation, TooLarge
 from .fcidump import FciDump
 
 MAX_ORBITALS = 16
-MAX_DIMENSION = 2_000_000
+# Cap on the stored elements of a sector Hamiltonian, checked on the closed
+# form before anything is allocated.  Measured on a 2-core machine with one
+# BLAS thread, one random dump (demo generator) per sector, build plus
+# two-root Davidson in a fresh process: the largest sector under the cap,
+# norb 12 with 6+2 electrons (dim 60,984, 63.9M elements), took 3.8 s + 29 s
+# (115 iterations) at 883 MB peak RSS; norb 10 with 5+5 (dim 63,504, 55.6M)
+# 2.6 s + 19 s at 797 MB.  So a sector under the cap fits about 60 s and 1 GB.
+MAX_NONZEROS = 64_000_000
 DENSE_CUTOFF = 2000
+# Elements assembled per block of alpha strings; bounds the build's scratch.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -47,174 +61,278 @@ class SpectrumResult:
     converged: bool
 
 
-def _occupation_masks(norb: int, n_occ: int) -> list[int]:
-    masks = []
-    for occ in combinations(range(norb), n_occ):
-        mask = 0
-        for orbital in occ:
-            mask |= 1 << orbital
-        masks.append(mask)
-    return masks
+@dataclass(frozen=True)
+class _Strings:
+    """Occupation strings of one spin in build_basis order, with every single
+    and double excitation of each string (one row per string, read-only).
+
+    A single a+_p a_q (q occupied, p empty) leads to string `single_to` with
+    phase `single_sign`; `single_pq` is p * norb + q.  A double
+    a+_p a+_r a_s a_q (q < s occupied, p < r empty) leads to `double_to` with
+    phase `double_sign`; `double_direct` and `double_exchange` are the flat
+    indices of (qp|sr) and (qr|sp) in the norb^4 integral tensor.
+    """
+
+    masks: np.ndarray
+    occ: np.ndarray
+    single_to: np.ndarray
+    single_pq: np.ndarray
+    single_sign: np.ndarray
+    double_to: np.ndarray
+    double_direct: np.ndarray
+    double_exchange: np.ndarray
+    double_sign: np.ndarray
+
+
+def _bit(orbital: np.ndarray) -> np.ndarray:
+    return np.int64(1) << orbital
+
+
+def _parity(bits: np.ndarray) -> np.ndarray:
+    """+1.0 or -1.0 for an even or odd number of set bits."""
+    return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
+
+
+@lru_cache(maxsize=32)
+def _strings(norb: int, n_occ: int) -> _Strings:
+    n = math.comb(norb, n_occ)
+    occupied = np.array(list(combinations(range(norb), n_occ)), dtype=np.int64).reshape(n, n_occ)
+    occ = np.zeros((n, norb))
+    occ[np.arange(n)[:, None], occupied] = 1.0
+    masks = _bit(occupied).sum(axis=1)
+    empty = np.nonzero(occ == 0.0)[1].reshape(n, norb - n_occ)
+    index = np.zeros(1 << norb, dtype=np.int32)
+    index[masks] = np.arange(n, dtype=np.int32)
+    mask = masks[:, None]
+
+    # singles a+_p a_q: the phase counts occupied orbitals strictly between
+    q = np.repeat(occupied, norb - n_occ, axis=1)
+    p = np.tile(empty, (1, n_occ))
+    between = (_bit(np.maximum(p, q)) - 1) & ~(_bit(np.minimum(p, q) + 1) - 1)
+    single_sign = _parity(mask & between)
+    single_to = index[mask ^ _bit(p) ^ _bit(q)]
+    single_pq = p * norb + q
+
+    # doubles a+_p a+_r a_s a_q; the phase is taken one operator at a time
+    oi, oj = np.triu_indices(n_occ, 1)
+    ei, ej = np.triu_indices(norb - n_occ, 1)
+    shape = (n, len(oi), len(ei))
+    q, s = (np.broadcast_to(occupied[:, o, None], shape).reshape(n, -1) for o in (oi, oj))
+    p, r = (np.broadcast_to(empty[:, None, e], shape).reshape(n, -1) for e in (ei, ej))
+    after_q = mask ^ _bit(q)
+    after_s = after_q ^ _bit(s)
+    after_r = after_s | _bit(r)
+    double_sign = (_parity(mask & (_bit(q) - 1)) * _parity(after_q & (_bit(s) - 1))
+                   * _parity(after_s & (_bit(r) - 1)) * _parity(after_r & (_bit(p) - 1)))
+    double_to = index[after_r | _bit(p)]
+
+    def flat(i, j, k, l):
+        return ((i * norb + j) * norb + k) * norb + l
+
+    tables = _Strings(masks, occ, single_to, single_pq, single_sign, double_to,
+                      flat(q, p, s, r), flat(q, r, s, p), double_sign)
+    for array in vars(tables).values():
+        array.flags.writeable = False
+    return tables
+
+
+def _row_elements(norb: int, n_alpha: int, n_beta: int) -> int:
+    """Elements stored per row before exact zeros are dropped: the diagonal,
+    each spin's singles and doubles, and the alpha-beta doubles."""
+    sa, sb = n_alpha * (norb - n_alpha), n_beta * (norb - n_beta)
+    da = math.comb(n_alpha, 2) * math.comb(norb - n_alpha, 2)
+    db = math.comb(n_beta, 2) * math.comb(norb - n_beta, 2)
+    return 1 + sa + sb + sa * sb + da + db
+
+
+def _check_size(norb: int, n_alpha: int, n_beta: int) -> None:
+    dim = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
+    stored = dim * _row_elements(norb, n_alpha, n_beta)
+    if stored > MAX_NONZEROS:
+        raise TooLarge(f"FCI sector of dimension {dim} stores {stored} elements, "
+                       f"over the cap of {MAX_NONZEROS}")
+
+
+@lru_cache(maxsize=32)
+def _sector_dets(norb: int, n_alpha: int, n_beta: int) -> tuple[tuple[int, int], ...]:
+    betas = _strings(norb, n_beta).masks.tolist()
+    return tuple((a, b) for a in _strings(norb, n_alpha).masks.tolist() for b in betas)
 
 
 def build_basis(
     norb: int,
     n_alpha: int,
     n_beta: int,
-    max_dim: int = MAX_DIMENSION,
+    max_dim: int | None = None,
 ) -> DeterminantBasis:
-    """Enumerate the sector basis in lexicographic (alpha-major) order."""
+    """Enumerate the sector basis in lexicographic (alpha-major) order.
+
+    Raises TooLarge above MAX_ORBITALS, above MAX_NONZEROS stored matrix
+    elements, or above max_dim determinants when that is given.
+    """
     if norb > MAX_ORBITALS:
         raise TooLarge(f"norb={norb} exceeds oracle cap {MAX_ORBITALS}")
     for occ in (n_alpha, n_beta):
         if not 0 <= occ <= norb:
             raise InvalidOccupation(f"{occ} electrons in {norb} orbitals")
     dim = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
-    if dim > max_dim:
+    if max_dim is not None and dim > max_dim:
         raise TooLarge(f"FCI dimension {dim} exceeds cap {max_dim}")
-    alphas = _occupation_masks(norb, n_alpha)
-    betas = _occupation_masks(norb, n_beta)
-    dets = tuple((a, b) for a in alphas for b in betas)
-    return DeterminantBasis(norb, n_alpha, n_beta, dets)
+    _check_size(norb, n_alpha, n_beta)
+    return DeterminantBasis(norb, n_alpha, n_beta, _sector_dets(norb, n_alpha, n_beta))
 
 
-def interleave(alpha_mask: int, beta_mask: int, norb: int) -> int:
-    """Spin-orbital occupation mask: bit 2p from alpha, bit 2p+1 from beta."""
-    mask = 0
-    for p in range(norb):
-        mask |= (alpha_mask >> p & 1) << (2 * p)
-        mask |= (beta_mask >> p & 1) << (2 * p + 1)
-    return mask
+def _value_table(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
+    """Every stored element is sign * (t[first] + t[second]) for two entries
+    of the table t returned here; a `_Plan` holds the signs and indices.
+
+    The regions of t, in this order: the diagonal (e_core included) per
+    determinant; per alpha string and pq, then per beta string and pq, the
+    one-spin part of a single, h_pq + sum_{r in string} (pq|rr) - (pr|rq);
+    per beta string and pq, then per alpha string and pq, the Coulomb term
+    sum_{r in string} (pq|rr) that a single of the other spin gathers; the
+    flat (pq|rs) for the alpha-beta doubles; per alpha string and double, then
+    per beta string and double, (qp|sr) - (qr|sp); and a closing zero.
+    """
+    norb = dump.norb
+    eri = dump.two_body_tensor()
+    flat = eri.ravel()
+    coulomb = np.einsum("ppqq->pq", eri)
+    same_spin_pair = coulomb - np.einsum("pqqp->pq", eri)
+    direct = np.einsum("pqrr->pqr", eri).reshape(norb * norb, norb)
+    one_spin = direct - np.einsum("prrq->pqr", eri).reshape(norb * norb, norb)
+    h_diag, h_flat = dump.h1.diagonal(), dump.h1.ravel()
+
+    def energies(t: _Strings) -> np.ndarray:
+        return t.occ @ h_diag + 0.5 * np.einsum("ip,pq,iq->i", t.occ, same_spin_pair, t.occ)
+
+    def doubles(t: _Strings) -> np.ndarray:
+        return (flat[t.double_direct] - flat[t.double_exchange]).ravel()
+
+    diag = dump.e_core + energies(a)[:, None] + energies(b)[None, :] + a.occ @ coulomb @ b.occ.T
+    return np.concatenate([
+        diag.ravel(), (a.occ @ one_spin.T + h_flat).ravel(), (b.occ @ one_spin.T + h_flat).ravel(),
+        (b.occ @ direct.T).ravel(), (a.occ @ direct.T).ravel(), flat,
+        doubles(a), doubles(b), [0.0],
+    ])
 
 
-def _annihilate(mask: int, s: int) -> tuple[int, int] | None:
-    if not mask >> s & 1:
-        return None
-    phase = -1 if (mask & ((1 << s) - 1)).bit_count() % 2 else 1
-    return mask & ~(1 << s), phase
+@dataclass(frozen=True)
+class _Plan:
+    """Integral-independent layout of the rows of a block of alpha strings
+    (all beta strings each): element e is sign[e] * (t[first[e]] + t[second[e]])
+    of `_value_table` t, in column cols[e]; every row has the same length."""
+
+    first: np.ndarray
+    second: np.ndarray
+    sign: np.ndarray
+    cols: np.ndarray
 
 
-def _create(mask: int, s: int) -> tuple[int, int] | None:
-    if mask >> s & 1:
-        return None
-    phase = -1 if (mask & ((1 << s) - 1)).bit_count() % 2 else 1
-    return mask | (1 << s), phase
-
-
-def _excitation_phase(occ: int, annihilate: tuple[int, ...], create: tuple[int, ...]) -> int:
-    """Phase of a+_{p1} a+_{p0} ... a_{m1} a_{m0} applied to |occ>."""
-    phase = 1
-    for s in annihilate:
-        occ, p = _annihilate(occ, s)  # type: ignore[misc]
-        phase *= p
-    for s in create:
-        occ, p = _create(occ, s)  # type: ignore[misc]
-        phase *= p
+@lru_cache(maxsize=32)
+def _interleave_phase(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
+    """Per determinant, the sign taking the alpha-then-beta operator order to
+    the interleaved one: -1 for an odd count of (alpha p, beta q < p) pairs."""
+    a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
+    beta_below = np.cumsum(b.occ, axis=1) - b.occ
+    phase = (1.0 - 2.0 * ((a.occ @ beta_below.T) % 2)).ravel()
+    phase.flags.writeable = False
     return phase
 
 
-def _occupied(mask: int, n_spin: int) -> list[int]:
-    return [s for s in range(n_spin) if mask >> s & 1]
+def _plan(norb: int, n_alpha: int, n_beta: int, start: int, stop: int) -> _Plan:
+    a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
+    n_a, n_b, npq = len(a.masks), len(b.masks), norb * norb
+    sa, da = a.single_to.shape[1], a.double_to.shape[1]
+    sb, db = b.single_to.shape[1], b.double_to.shape[1]
+    o_sa, o_sb, o_cb, o_ca, o_pair, o_da, o_db, zero = np.cumsum(
+        [n_a * n_b, n_a * npq, n_b * npq, n_b * npq, n_a * npq, npq * npq, n_a * da, n_b * db])
+
+    ia = np.arange(start, stop)[:, None, None]
+    ib = np.arange(n_b)[None, :, None]
+    pq_a, pq_b = a.single_pq[start:stop, None, :], b.single_pq[None]
+    to_a, to_b = a.single_to[start:stop, None, :] * n_b, b.single_to[None]
+    sign_a, sign_b = a.single_sign[start:stop, None, :], b.single_sign[None]
+    row = ia * n_b + ib
+    segments = [  # (shape per row, first, second, sign, cols), in row order, one per class
+        ((1,), row, zero, 1.0, row),
+        ((sa,), o_sa + ia * npq + pq_a, o_cb + ib * npq + pq_a, sign_a, to_a + ib),
+        ((sb,), o_sb + ib * npq + pq_b, o_ca + ia * npq + pq_b, sign_b, ia * n_b + to_b),
+        ((sa, sb), o_pair + pq_a[..., None] * npq + pq_b[:, :, None, :], zero,
+         sign_a[..., None] * sign_b[:, :, None, :], to_a[..., None] + to_b[:, :, None, :]),
+        ((da,), o_da + ia * da + np.arange(da), zero, a.double_sign[start:stop, None, :],
+         a.double_to[start:stop, None, :] * n_b + ib),
+        ((db,), o_db + ib * db + np.arange(db), zero, b.double_sign[None],
+         ia * n_b + b.double_to[None]),
+    ]
+    shape = (stop - start, n_b)
+
+    def join(field: int, dtype: type) -> np.ndarray:
+        parts = [np.broadcast_to(seg[field], shape + seg[0]).reshape(*shape, math.prod(seg[0]))
+                 for seg in segments]
+        return np.concatenate(parts, axis=2, dtype=dtype)
+
+    cols = join(4, np.int32)
+    phase = _interleave_phase(norb, n_alpha, n_beta)
+    sign = join(3, np.float64) * phase[row] * phase[cols]
+    plan = _Plan(join(1, np.int32).ravel(), join(2, np.int32).ravel(), sign.ravel(), cols.ravel())
+    for array in vars(plan).values():
+        array.flags.writeable = False
+    return plan
+
+
+# Sectors of at most this many stored elements keep their plan in a cache, so
+# a catalog of many small tasks pays the integral-independent work once.
+_CACHED_PLAN_ELEMENTS = 1 << 14
+_cached_plan = lru_cache(maxsize=32)(_plan)
 
 
 def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> scipy.sparse.csr_array:
-    """Sparse symmetric sector Hamiltonian via the Slater-Condon rules."""
-    if basis.norb != dump.norb or basis.n_alpha != dump.n_alpha or basis.n_beta != dump.n_beta:
+    """Sparse symmetric sector Hamiltonian over a build_basis basis.
+
+    The stored elements are those the Slater-Condon rules leave, less exact
+    zeros.  Rows are assembled a block of alpha strings at a time into
+    preallocated arrays, and the CSR array is made by one constructor call.
+    """
+    norb, n_alpha, n_beta = basis.norb, basis.n_alpha, basis.n_beta
+    if norb != dump.norb or n_alpha != dump.n_alpha or n_beta != dump.n_beta:
         raise InconsistentBasis(
-            f"basis sector ({basis.norb}, {basis.n_alpha}, {basis.n_beta}) does not "
+            f"basis sector ({norb}, {n_alpha}, {n_beta}) does not "
             f"match Hamiltonian ({dump.norb}, {dump.n_alpha}, {dump.n_beta})"
         )
-    norb = dump.norb
-    n_spin = 2 * norb
-    h1 = dump.h1
-    eri = dump.two_body_tensor()
+    _check_size(norb, n_alpha, n_beta)
+    dets = _sector_dets(norb, n_alpha, n_beta)
+    if basis.dets is not dets and basis.dets != dets:
+        raise InconsistentBasis("basis determinants are not in build_basis order")
+    a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
+    table = _value_table(dump, a, b)
+    n_a, n_b = len(a.masks), len(b.masks)
+    dim = n_a * n_b
+    row_len = _row_elements(norb, n_alpha, n_beta)
+    plan_of = _cached_plan if dim * row_len <= _CACHED_PLAN_ELEMENTS else _plan
+    step = max(1, _BLOCK_ELEMENTS // (n_b * row_len))
 
-    def one_body(s: int, t: int) -> float:
-        # Spin-orbital h element; spin conservation is enforced by the caller.
-        return h1[s // 2, t // 2]
-
-    occ_masks = [interleave(a, b, norb) for a, b in basis.dets]
-    index_of = {mask: i for i, mask in enumerate(occ_masks)}
-    if len(index_of) != len(occ_masks):
-        raise InconsistentBasis("duplicate determinants in basis")
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def emit(i: int, j: int, value: float) -> None:
-        if value == 0.0:
-            return
-        rows.append(i)
-        cols.append(j)
-        vals.append(value)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            vals.append(value)
-
-    for col, occ in enumerate(occ_masks):
-        occupied = _occupied(occ, n_spin)
-        virtual = [s for s in range(n_spin) if not occ >> s & 1]
-
-        # Diagonal: one-body plus Coulomb minus same-spin exchange.
-        diag = dump.e_core
-        for s in occupied:
-            diag += one_body(s, s)
-        for a, s in enumerate(occupied):
-            for t in occupied[a + 1:]:
-                diag += eri[s // 2, s // 2, t // 2, t // 2]
-                if s % 2 == t % 2:
-                    diag -= eri[s // 2, t // 2, t // 2, s // 2]
-        emit(col, col, diag)
-
-        # Single excitations m -> p within one spin channel.
-        for m in occupied:
-            for p in virtual:
-                if p % 2 != m % 2:
-                    continue
-                target = occ & ~(1 << m) | (1 << p)
-                row = index_of[target]
-                if row <= col:
-                    continue
-                value = one_body(m, p)
-                for j in occupied:
-                    if j == m:
-                        continue
-                    value += eri[m // 2, p // 2, j // 2, j // 2]
-                    if j % 2 == m % 2:
-                        value -= eri[m // 2, j // 2, j // 2, p // 2]
-                phase = _excitation_phase(occ, (m,), (p,))
-                emit(row, col, phase * value)
-
-        # Double excitations (m, n) -> (p, q); pairing carries the spin match.
-        for a, m in enumerate(occupied):
-            for n in occupied[a + 1:]:
-                for b, p in enumerate(virtual):
-                    for q in virtual[b + 1:]:
-                        spins_out = sorted((m % 2, n % 2))
-                        spins_in = sorted((p % 2, q % 2))
-                        if spins_out != spins_in:
-                            continue
-                        target = occ & ~(1 << m) & ~(1 << n) | (1 << p) | (1 << q)
-                        row = index_of[target]
-                        if row <= col:
-                            continue
-                        value = 0.0
-                        if m % 2 == p % 2 and n % 2 == q % 2:
-                            value += eri[m // 2, p // 2, n // 2, q // 2]
-                        if m % 2 == q % 2 and n % 2 == p % 2:
-                            value -= eri[m // 2, q // 2, n // 2, p // 2]
-                        if value == 0.0:
-                            continue
-                        # Phase of a+_p a+_q a_n a_m acting on the ket.
-                        phase = _excitation_phase(occ, (m, n), (q, p))
-                        emit(row, col, phase * value)
-
-    mat = scipy.sparse.coo_array(
-        (vals, (rows, cols)), shape=(len(occ_masks), len(occ_masks))
-    )
-    return mat.tocsr()
+    data = np.empty(dim * row_len)
+    indices = np.empty(dim * row_len, dtype=np.int32)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    filled = 0
+    for start in range(0, n_a, step):
+        stop = min(start + step, n_a)
+        plan = plan_of(norb, n_alpha, n_beta, start, stop)
+        vals = table[plan.first]
+        vals += table[plan.second]
+        vals *= plan.sign
+        keep = vals != 0.0
+        rows = slice(start * n_b + 1, stop * n_b + 1)
+        indptr[rows] = filled + np.cumsum(keep.reshape(-1, row_len).sum(axis=1))
+        end = int(indptr[rows.stop - 1])
+        data[filled:end] = vals[keep]
+        indices[filled:end] = plan.cols[keep]
+        filled = end
+    # shrink in place: a copy would double the peak at the size cap
+    data.resize(filled)
+    indices.resize(filled)
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
 def lowest_eigenvalues(
@@ -229,8 +347,10 @@ def lowest_eigenvalues(
 
     Small problems are solved densely; larger ones by Davidson iteration with
     a diagonal preconditioner, restarting when the subspace exceeds
-    max_subspace.  If the iteration stalls the best estimates are returned
-    with converged=False rather than raising.
+    max_subspace.  The products H @ v are kept between iterations, so H is
+    applied once to each basis direction; a restart rotates them with the
+    basis.  If the iteration stalls the best estimates are returned with
+    converged=False rather than raising.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -248,14 +368,12 @@ def lowest_eigenvalues(
     basis = np.zeros((n, n_guess))
     basis[guess_idx, np.arange(n_guess)] = 1.0
 
-    sigma = None
+    sigma = matrix @ basis
     theta = np.zeros(k_eff)
-    ritz = basis[:, :k_eff]
     converged = False
     iteration = 0
 
     for iteration in range(1, max_iterations + 1):
-        sigma = matrix @ basis
         projected = basis.T @ sigma
         projected = (projected + projected.T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(projected)
@@ -269,8 +387,10 @@ def lowest_eigenvalues(
             break
 
         if basis.shape[1] + k_eff > max_subspace:
-            keep = min(2 * k_eff + 2, eigvecs.shape[1])
-            basis = _orthonormalize(basis @ eigvecs[:, :keep])
+            rotation = eigvecs[:, :min(2 * k_eff + 2, eigvecs.shape[1])]
+            # basis @ rotation = Q R, so the products rotate by rotation @ R^-1
+            basis, r = np.linalg.qr(basis @ rotation)
+            sigma = sigma @ np.linalg.solve(r.T, rotation.T).T
             continue
 
         new_dirs = []
@@ -285,15 +405,11 @@ def lowest_eigenvalues(
             # No independent direction left; the subspace is exhausted.
             converged = bool(np.all(norms < max(tol, 1e-6)))
             break
+        sigma = np.column_stack([sigma, matrix @ grown[:, basis.shape[1]:]])
         basis = grown
 
     order = np.argsort(theta)
     return _spectrum(theta[order], k, iteration, converged)
-
-
-def _orthonormalize(block: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(block)
-    return q
 
 
 def _extend_basis(basis: np.ndarray, new_dirs: list[np.ndarray]) -> np.ndarray | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import TextIO
 
 import numpy as np
@@ -34,6 +35,10 @@ def eri_orbit(i: int, j: int, k: int, l: int) -> tuple[tuple[int, int, int, int]
         (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
         (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
     )
+
+
+# Positions in (i, j, k, l) of the 8 orbit members, one row each.
+_ORBIT = np.array(eri_orbit(0, 1, 2, 3))
 
 
 def canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
@@ -120,11 +125,23 @@ class FciDump:
         return self.h2.get(canonical_eri_index(i, j, k, l), 0.0)
 
     def two_body_tensor(self) -> np.ndarray:
-        """Dense (norb,)*4 chemist-notation tensor expanded from canonical storage."""
-        t = np.zeros((self.norb,) * 4)
-        for key, val in self.h2.items():
-            for perm in eri_orbit(*key):
-                t[perm] = val
+        """Dense (norb,)*4 chemist-notation tensor expanded from canonical storage.
+
+        Computed once per dump by one scatter over the 8 index orbits and
+        returned read-only.
+        """
+        cached = self.__dict__.get("_two_body_tensor")
+        if cached is not None:
+            return cached
+        n, count = self.norb, len(self.h2)
+        keys = np.fromiter(chain.from_iterable(self.h2), np.intp, 4 * count).reshape(count, 4)
+        # keys @ radix.T: the flat index of every orbit member of every key
+        radix = n ** (3 - np.argsort(_ORBIT, axis=1))
+        t = np.zeros(n**4)
+        t[keys @ radix.T] = np.fromiter(self.h2.values(), float, count)[:, None]
+        t = t.reshape((n,) * 4)
+        t.flags.writeable = False
+        object.__setattr__(self, "_two_body_tensor", t)
         return t
 
     @classmethod

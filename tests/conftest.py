@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gsee_bench.fcidump import FciDump
-from gsee_bench.fci import DeterminantBasis, _annihilate, _create, interleave
+from gsee_bench.fcidump import FciDump, eri_orbit
+from gsee_bench.fci import DeterminantBasis
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -43,9 +43,41 @@ def random_fcidump(
     return FciDump.from_tensors(norb, nelec, ms2, e_core, h1, h2)
 
 
+def loop_two_body_tensor(dump: FciDump) -> np.ndarray:
+    """Dense (ij|kl) expanded key by key over the 8 index orbits."""
+    t = np.zeros((dump.norb,) * 4)
+    for key, val in dump.h2.items():
+        for perm in eri_orbit(*key):
+            t[perm] = val
+    return t
+
+
+def interleave(alpha_mask: int, beta_mask: int, norb: int) -> int:
+    """Spin-orbital occupation mask: bit 2p from alpha, bit 2p+1 from beta."""
+    mask = 0
+    for p in range(norb):
+        mask |= (alpha_mask >> p & 1) << (2 * p)
+        mask |= (beta_mask >> p & 1) << (2 * p + 1)
+    return mask
+
+
+def _annihilate(mask: int, s: int) -> tuple[int, int] | None:
+    if not mask >> s & 1:
+        return None
+    phase = -1 if (mask & ((1 << s) - 1)).bit_count() % 2 else 1
+    return mask & ~(1 << s), phase
+
+
+def _create(mask: int, s: int) -> tuple[int, int] | None:
+    if mask >> s & 1:
+        return None
+    phase = -1 if (mask & ((1 << s) - 1)).bit_count() % 2 else 1
+    return mask | (1 << s), phase
+
+
 def brute_force_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> np.ndarray:
     """Dense sector Hamiltonian built by applying second-quantized terms
-    directly to occupation bitmasks; independent of the Slater-Condon path."""
+    directly to occupation bitmasks; independent of the string-table build."""
     norb = dump.norb
     occ_masks = [interleave(a, b, norb) for a, b in basis.dets]
     index = {m: i for i, m in enumerate(occ_masks)}

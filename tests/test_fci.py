@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from gsee_bench.errors import InconsistentBasis, InvalidOccupation, TooLarge
 from gsee_bench.fcidump import FciDump
 from gsee_bench.fermionic import log_fci_size
 from gsee_bench.fci import (
+    DeterminantBasis,
+    MAX_NONZEROS,
+    _row_elements,
     build_basis,
     build_fci_matrix,
-    interleave,
     lowest_eigenvalues,
     solve_ground_state,
 )
 
-from conftest import brute_force_fci_matrix, random_fcidump
+from conftest import brute_force_fci_matrix, interleave, random_fcidump, random_symmetric
 
 
 def test_basis_counts():
@@ -92,6 +95,64 @@ def test_matrix_matches_brute_force_ladder_build(rng):
         assert np.abs(fast - slow).max() < 1e-12
 
 
+def _sector_dumps(rng, norb: int, n_alpha: int, n_beta: int) -> list[FciDump]:
+    nelec, ms2 = n_alpha + n_beta, n_alpha - n_beta
+    h1 = random_symmetric(rng, norb)
+    return [
+        random_fcidump(rng, norb, nelec, ms2),
+        FciDump.from_tensors(norb, nelec, ms2, 0.375, h1, np.zeros((norb,) * 4)),
+        FciDump(norb, nelec, ms2, -1.25, h1),
+        FciDump.from_tensors(norb, nelec, ms2, 0.0, None,
+                             random_fcidump(rng, norb, nelec, ms2).two_body_tensor()),
+    ]
+
+
+def test_build_matches_brute_force_in_every_small_sector(rng):
+    # every (n_alpha, n_beta) of norb 1-4, empty and full strings included;
+    # random integrals with e_core != 0, an all-zero ERI, h1 only, ERI only
+    for norb in range(1, 5):
+        for n_alpha in range(norb + 1):
+            for n_beta in range(norb + 1):
+                basis = build_basis(norb, n_alpha, n_beta)
+                for d in _sector_dumps(rng, norb, n_alpha, n_beta):
+                    fast = build_fci_matrix(d, basis)
+                    slow = brute_force_fci_matrix(d, basis)
+                    assert np.abs(fast.toarray() - slow).max() <= 1e-12
+                    # exact zeros are not stored
+                    assert np.count_nonzero(fast.data) == fast.nnz
+
+
+def test_build_symmetry_and_stored_elements_at_dim_3136(rng):
+    d = random_fcidump(rng, 8, 6, 0, scale=0.5)
+    mat = build_fci_matrix(d, build_basis(8, 3, 3))
+    assert mat.shape == (3136, 3136)
+    assert mat.nnz == 990_976 == 3136 * _row_elements(8, 3, 3)
+    assert mat.indices.dtype == np.int32
+    assert (mat != mat.T).nnz == 0
+
+
+def test_basis_out_of_build_order_rejected():
+    d = FciDump(norb=2, nelec=2)
+    basis = build_basis(2, 1, 1)
+    shuffled = DeterminantBasis(2, 1, 1, basis.dets[::-1])
+    with pytest.raises(InconsistentBasis):
+        build_fci_matrix(d, shuffled)
+
+
+def test_oracle_cap_reachable_and_enforced_at_once():
+    # norb 12 with 6+2 electrons is the largest sector under the cap
+    assert 60_984 * _row_elements(12, 6, 2) <= MAX_NONZEROS
+    assert len(build_basis(12, 6, 2)) == 60_984
+    assert math.comb(12, 6) * math.comb(12, 3) * _row_elements(12, 6, 3) > MAX_NONZEROS
+    over = FciDump(norb=12, nelec=9, ms2=3)
+    started = time.perf_counter()
+    with pytest.raises(TooLarge):
+        solve_ground_state(over)
+    with pytest.raises(TooLarge):
+        build_fci_matrix(over, DeterminantBasis(12, 6, 3, ()))
+    assert time.perf_counter() - started < 1.0
+
+
 def test_inconsistent_basis():
     d = FciDump(norb=2, nelec=2)
     with pytest.raises(InconsistentBasis):
@@ -155,6 +216,32 @@ def test_davidson_honest_convergence_flag(rng):
     mat = _random_sparse_symmetric(rng, 300)
     result = lowest_eigenvalues(mat, k=1, tol=1e-14, max_iterations=1, dense_cutoff=0)
     assert not result.converged
+
+
+class _CountingMatrix(scipy.sparse.csr_array):
+    """CSR matrix that records the column count of every product H @ V."""
+
+    def __matmul__(self, other):
+        self.applied.append(np.shape(other)[1])
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("max_subspace", [30, 8])
+def test_davidson_applies_matrix_to_each_direction_once(rng, max_subspace):
+    mat = _CountingMatrix(_random_sparse_symmetric(rng, 400))
+    mat.applied = []
+    result = lowest_eigenvalues(mat, k=2, tol=1e-9, dense_cutoff=0, max_subspace=max_subspace)
+    assert result.converged
+    dense = np.linalg.eigvalsh(mat.toarray())
+    assert np.abs(np.array(result.energies) - dense[:2]).max() < 1e-8
+    # the initial guesses once, then only the directions each iteration adds
+    # (at most k); a restart applies nothing
+    initial, *added = mat.applied
+    assert initial == 4
+    assert all(1 <= cols <= 2 for cols in added)
+    assert len(added) < result.n_iterations
+    # a Davidson that re-applied the whole basis would apply at least this many
+    assert sum(mat.applied) < initial * result.n_iterations
 
 
 def test_davidson_on_structured_hamiltonian(rng):

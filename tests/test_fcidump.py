@@ -16,7 +16,7 @@ from gsee_bench.fcidump import (
     write_fcidump,
 )
 
-from conftest import random_eri, random_fcidump
+from conftest import loop_two_body_tensor, random_eri, random_fcidump
 
 MINIMAL = "&FCI NORB=2,NELEC=2,MS2=0,&END\n1.0 1 1 0 0\n"
 
@@ -189,3 +189,15 @@ def test_from_tensors_accepts_symmetrized(rng):
     eri = random_eri(rng, 3)
     d = FciDump.from_tensors(3, 2, 0, h2=eri)
     assert np.allclose(d.two_body_tensor(), eri)
+
+
+def test_two_body_tensor_matches_loop_expansion(rng):
+    dumps = [random_fcidump(rng, norb) for norb in range(1, 7)]
+    sparse = dumps[-1]
+    kept = dict(list(sparse.h2.items())[::3])
+    dumps += [FciDump(norb=sparse.norb, nelec=2, h2=kept), FciDump(norb=2, nelec=2)]
+    for d in dumps:
+        tensor = d.two_body_tensor()
+        assert np.array_equal(tensor, loop_two_body_tensor(d))
+        assert not tensor.flags.writeable
+        assert d.two_body_tensor() is tensor
