@@ -32,15 +32,12 @@ from .ml import (
     nnmf_fit,
     pca_fit,
     predict_proba,
-    shapley_attribution,
     svm_fit_cv,
 )
-from .pauli import PauliString, PauliSum, PauliTable, jordan_wigner_hamiltonian, pauli_multiply
+from .pauli import PauliTable, jordan_wigner_hamiltonian
 from .qubit_features import (
     FEATURE_NAMES,
     FeatureVector,
-    Hypergraph,
-    build_hypergraph,
     compute_feature_vector,
     compute_qubit_features,
     correlation_matrix,
@@ -52,7 +49,6 @@ __all__ = [
     "FEATURE_NAMES",
     "FciDump",
     "FeatureVector",
-    "Hypergraph",
     "ProblemInstance",
     "SizeFeatures",
     "SolutionFile",
@@ -63,12 +59,9 @@ __all__ = [
     "Task",
     "TaskOutcome",
     "Verdict",
-    "PauliString",
-    "PauliSum",
     "PauliTable",
     "build_basis",
     "build_fci_matrix",
-    "build_hypergraph",
     "classification_metrics",
     "compute_feature_vector",
     "compute_qubit_features",
@@ -86,10 +79,8 @@ __all__ = [
     "minmax_scale",
     "nnmf_fit",
     "parse_fcidump",
-    "pauli_multiply",
     "pca_fit",
     "predict_proba",
-    "shapley_attribution",
     "svm_fit_cv",
     "write_fcidump",
 ]

@@ -10,6 +10,7 @@ here on canonical indices only, exploiting the 8-fold permutational symmetry
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -42,8 +43,14 @@ _ORBIT = np.array(eri_orbit(0, 1, 2, 3))
 
 
 def canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
-    """Canonical representative (smallest tuple) of the 8-fold orbit of (ij|kl)."""
-    return min(eri_orbit(i, j, k, l))
+    """Canonical representative (smallest tuple) of the 8-fold orbit of (ij|kl).
+
+    Closed form of min(eri_orbit(i, j, k, l)): sort each index pair, then put
+    the smaller pair first.
+    """
+    first = (i, j) if i <= j else (j, i)
+    second = (k, l) if k <= l else (l, k)
+    return first + second if first <= second else second + first
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +95,10 @@ class FciDump:
         for key, val in self.h2.items():
             if key != canonical_eri_index(*key):
                 raise InvalidFciDump(f"h2 key {key} is not canonical")
-            if not all(0 <= x < self.norb for x in key):
+            # a canonical key's smallest index comes first, its largest is j or l
+            if key[0] < 0 or max(key[1], key[3]) >= self.norb:
                 raise InvalidFciDump(f"h2 key {key} outside basis of {self.norb} orbitals")
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise InvalidFciDump(f"non-finite h2 value at {key}")
         if len(self.orbsym) != self.norb:
             raise InvalidFciDump("orbsym length != norb")

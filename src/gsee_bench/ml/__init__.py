@@ -2,7 +2,7 @@
 
 from .latent import LatentModel, nnmf_fit, pca_fit
 from .scaling import ScaledDataset, minmax_inverse, minmax_scale
-from .shapley import exact_shapley, shapley_attribution
+from .shapley import exact_shapley
 from .solvability import SolvabilityConfig, SolvabilityReport, estimate_solvability
 from .svm import (
     ClassificationMetrics,
@@ -27,6 +27,5 @@ __all__ = [
     "nnmf_fit",
     "pca_fit",
     "predict_proba",
-    "shapley_attribution",
     "svm_fit_cv",
 ]

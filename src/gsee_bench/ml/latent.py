@@ -13,17 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RankDeficient
-from .scaling import ScaledDataset
 
 log = logging.getLogger(__name__)
 
 NNMF_EPS = 1e-12
-
-
-def _as_matrix(X) -> np.ndarray:
-    if isinstance(X, ScaledDataset):
-        X = X.X
-    return np.asarray(X, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,7 @@ def pca_fit(X, dim: int) -> LatentModel:
     Sign convention: each component's largest-magnitude coordinate is positive,
     which makes the embedding reproducible across runs and row orders.
     """
-    X = _as_matrix(X)
+    X = np.asarray(X, dtype=float)
     n, d = X.shape
     if dim > d:
         raise RankDeficient(f"latent dim {dim} exceeds feature dim {d}")
@@ -113,7 +106,7 @@ def nnmf_fit(
     Frobenius-error improvement drops below tol or max_iter is reached; a
     stalled fit is returned with converged=False.
     """
-    X = _as_matrix(X)
+    X = np.asarray(X, dtype=float)
     if np.any(X < 0):
         raise ValueError("NNMF input must be entrywise non-negative")
     n, d = X.shape

@@ -13,20 +13,17 @@ from ..errors import NonFiniteInput
 class ScaledDataset:
     """Feature matrix scaled to [0, 1] per column, with the fit parameters.
 
-    Columns that were constant map to 0.  labels is an optional per-row
-    sequence where None marks rows without a solved/unsolved label.
+    Columns that were constant map to 0.
     """
 
     X: np.ndarray
     mins: np.ndarray
     maxs: np.ndarray
-    labels: tuple | None = None
 
 
 def minmax_scale(
     X_raw,
     params: tuple[np.ndarray, np.ndarray] | None = None,
-    labels=None,
 ) -> ScaledDataset:
     """Scale columns as (x - min) / (max - min), fitting or reusing params."""
     X = np.asarray(X_raw, dtype=float)
@@ -44,7 +41,7 @@ def minmax_scale(
     safe = np.where(span == 0.0, 1.0, span)
     scaled = (X - mins) / safe
     scaled[:, span == 0.0] = 0.0
-    return ScaledDataset(scaled, mins, maxs, tuple(labels) if labels is not None else None)
+    return ScaledDataset(scaled, mins, maxs)
 
 
 def minmax_inverse(X_scaled, mins, maxs) -> np.ndarray:

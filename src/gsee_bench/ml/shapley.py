@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from ..errors import TooManyFeatures
-from .svm import SvmModel, predict_proba
 
 MAX_EXACT_FEATURES = 15
 
@@ -55,8 +54,3 @@ def exact_shapley(predict, point, background) -> np.ndarray:
                 continue
             phi[i] += weights[size] * (values[mask | (1 << i)] - values[mask])
     return phi
-
-
-def shapley_attribution(model: SvmModel, point, background) -> np.ndarray:
-    """Per-feature Shapley values of the calibrated probability output."""
-    return exact_shapley(lambda rows: predict_proba(model, rows), point, background)

@@ -34,10 +34,7 @@ class SolvabilityConfig:
     latent_dim: int = 2
     n_samples: int = 10_000
     threshold: float = 0.5
-    k_folds: int = 5
     seed: int = 0
-    c_grid: tuple[float, ...] | None = None
-    gamma_grid: tuple[float, ...] | None = None
     nnmf_max_iter: int = 2000
     attribution_points: int = 3
 
@@ -173,18 +170,11 @@ def estimate_solvability(
     if n_labeled < MIN_LABELED_ROWS:
         raise InsufficientLabels(f"{n_labeled} labeled rows < {MIN_LABELED_ROWS}")
 
-    scaled = minmax_scale(X_raw, labels=labels)
+    scaled = minmax_scale(X_raw)
     X_labeled = scaled.X[labeled_mask]
     y_labeled = np.array([bool(lab) for lab, m in zip(labels, labeled_mask) if m])
 
-    model = svm_fit_cv(
-        X_labeled,
-        y_labeled,
-        c_grid=config.c_grid,
-        gamma_grid=config.gamma_grid,
-        k=config.k_folds,
-        seed=config.seed,
-    )
+    model = svm_fit_cv(X_labeled, y_labeled, seed=config.seed)
 
     latent = _fit_latent(scaled.X, config)
     if config.latent_dim == 2:

@@ -24,7 +24,6 @@ from ..errors import (
     SingleClass,
     TooFewSamples,
 )
-from .scaling import ScaledDataset
 
 log = logging.getLogger(__name__)
 
@@ -234,10 +233,7 @@ class SvmModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise DimensionMismatch(f"query has {X.shape[1]} features, model {self.n_features}")
-        if len(self.support_x) == 0:
-            return np.full(X.shape[0], -self.bias)
-        k = rbf_kernel(X, self.support_x, self.gamma)
-        return k @ self.dual_coef - self.bias
+        return _decision(X, self.support_x, self.dual_coef, self.bias, self.gamma)
 
     def mean_cv_metrics(self) -> ClassificationMetrics:
         if not self.cv_metrics:
@@ -257,12 +253,17 @@ def _fit_smo(X: np.ndarray, y: np.ndarray, C: float, gamma: float) -> tuple[np.n
     return smo.alphas, smo.b, smo.converged
 
 
-def _decision(X_train, y, alphas, b, gamma, X_query) -> np.ndarray:
+def _support(X: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support vectors (alpha above ALPHA_EPS) and their coefficients alpha * y."""
     mask = alphas > ALPHA_EPS
-    if not mask.any():
-        return np.full(np.atleast_2d(X_query).shape[0], -b)
-    k = rbf_kernel(np.atleast_2d(X_query), X_train[mask], gamma)
-    return k @ (alphas[mask] * y[mask]) - b
+    return X[mask], alphas[mask] * y[mask]
+
+
+def _decision(X, support, dual_coef, bias, gamma) -> np.ndarray:
+    """f(x) = sum_s dual_coef[s] K(x, support[s]) - bias for each row of X."""
+    if len(support) == 0:
+        return np.full(X.shape[0], -bias)
+    return rbf_kernel(X, support, gamma) @ dual_coef - bias
 
 
 def fit_platt(decisions, labels) -> tuple[float, float]:
@@ -346,27 +347,14 @@ def stratified_folds(labels, k: int, seed: int = 0) -> np.ndarray:
     return folds
 
 
-def svm_fit_cv(
-    X,
-    labels=None,
-    c_grid: tuple[float, ...] | None = None,
-    gamma_grid: tuple[float, ...] | None = None,
-    k: int = 5,
-    seed: int = 0,
-) -> SvmModel:
+def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
     """Grid-searched, cross-validated SVM fit.
 
-    Each (C, gamma) pair is scored by mean F1 over stratified k-fold splits;
-    the best pair (first on ties) is refit on all data, and the Platt sigmoid
-    is fit on that pair's out-of-fold decision values.  X may be a raw matrix
-    or a ScaledDataset (whose labels are used when none are passed).
+    Each (C, gamma) pair of DEFAULT_C_GRID x default_gamma_grid(D) is scored
+    by mean F1 over stratified k-fold splits; the best pair (first on ties) is
+    refit on all data, and the Platt sigmoid is fit on that pair's
+    out-of-fold decision values.
     """
-    if isinstance(X, ScaledDataset):
-        if labels is None:
-            labels = X.labels
-        X = X.X
-    if labels is None:
-        raise LengthMismatch("labels are required")
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=bool)
     n, d = X.shape
@@ -379,15 +367,12 @@ def svm_fit_cv(
     if n < k:
         raise TooFewSamples(f"{n} samples for {k} folds")
 
-    if c_grid is None:
-        c_grid = DEFAULT_C_GRID
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid(d)
     y = np.where(labels, 1.0, -1.0)
     folds = stratified_folds(labels, k, seed)
 
+    grid = product(DEFAULT_C_GRID, default_gamma_grid(d))
     best = None  # (mean_f1, grid_index, params, oof_decisions, fold_metrics)
-    for grid_index, (C, gamma) in enumerate(product(c_grid, gamma_grid)):
+    for grid_index, (C, gamma) in enumerate(grid):
         oof = np.zeros(n)
         fold_metrics = []
         for f_id in range(k):
@@ -400,7 +385,8 @@ def svm_fit_cv(
                 oof[test] = 1.0 if labels[train].all() else -1.0
             else:
                 alphas, b, _ = _fit_smo(X[train], y[train], C, gamma)
-                oof[test] = _decision(X[train], y[train], alphas, b, gamma, X[test])
+                support, dual_coef = _support(X[train], y[train], alphas)
+                oof[test] = _decision(X[test], support, dual_coef, b, gamma)
             fold_metrics.append(classification_metrics(oof[test] >= 0.0, labels[test]))
         mean_f1 = float(np.mean([m.f1 for m in fold_metrics]))
         if best is None or mean_f1 > best[0]:
@@ -409,15 +395,15 @@ def svm_fit_cv(
     _, _, (C, gamma), oof, fold_metrics = best
     alphas, b, converged = _fit_smo(X, y, C, gamma)
     platt_a, platt_b = fit_platt(oof, labels)
-    mask = alphas > ALPHA_EPS
-    train_decision = _decision(X, y, alphas, b, gamma, X)
+    support, dual_coef = _support(X, y, alphas)
+    train_decision = _decision(X, support, dual_coef, b, gamma)
     train_accuracy = float(np.mean((train_decision >= 0.0) == labels))
     degenerate = bool(np.unique(X, axis=0).shape[0] == 1)
     if degenerate:
         log.warning("all training rows identical; classifier is degenerate")
     return SvmModel(
-        support_x=X[mask].copy(),
-        dual_coef=(alphas[mask] * y[mask]).copy(),
+        support_x=support,
+        dual_coef=dual_coef,
         bias=b,
         gamma=gamma,
         penalty=C,

@@ -5,8 +5,9 @@ vertices are qubits; edge order is the number of non-identity factors, edge
 weight the coefficient magnitude, and vertex degree the number of edges
 touching a qubit.  The one-norm sums |h_e| over non-identity terms only:
 constant shifts carry no simulation cost and the hypergraph has no empty edge.
-The features are computed from the arrays of a `PauliTable`; `build_hypergraph`
-gives the same hypergraph as per-edge objects.
+The features are computed from the arrays of a `PauliTable`, with no per-edge
+objects: edge orders are popcounts of the support masks and vertex degrees
+come from byte histograms of those masks.
 """
 
 from __future__ import annotations
@@ -19,33 +20,12 @@ import numpy as np
 from .errors import InsufficientRows
 from .fcidump import FciDump
 from .fermionic import DEFAULT_DF_THRESHOLD, double_factorize, size_features
-from .pauli import PauliSum, PauliTable, jordan_wigner_hamiltonian
+from .pauli import PauliTable, jordan_wigner_hamiltonian
 
 log = logging.getLogger(__name__)
 
 # Spin-orbital ordering used by the encoder; qubit-level features depend on it.
 SPIN_ORBITAL_ORDERING = "interleaved-alpha-even"
-
-
-@dataclass(frozen=True)
-class HyperEdge:
-    vertices: tuple[int, ...]
-    order: int
-    weight: float
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    """Interaction hypergraph of a Pauli sum (identity term excluded)."""
-
-    n_vertices: int
-    edges: tuple[HyperEdge, ...]
-
-    def vertex_degrees(self) -> np.ndarray:
-        degrees = np.zeros(self.n_vertices)
-        for edge in self.edges:
-            degrees[list(edge.vertices)] += 1
-        return degrees
 
 
 @dataclass(frozen=True)
@@ -102,15 +82,6 @@ class FeatureVector:
 FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(FeatureVector))
 
 
-def build_hypergraph(h: PauliSum) -> Hypergraph:
-    edges = tuple(
-        HyperEdge(ps.support, ps.weight, abs(coeff))
-        for ps, coeff in h.terms.items()
-        if not ps.is_identity
-    )
-    return Hypergraph(h.n_qubits, edges)
-
-
 def _stats(values: np.ndarray) -> tuple[float, float, float, float]:
     """(max, min, mean, population std); zeros for an empty sample.
 
@@ -141,14 +112,13 @@ def _vertex_degrees(support: np.ndarray, n_qubits: int) -> np.ndarray:
     return (counts @ bits).ravel()[:n_qubits].astype(float)
 
 
-def compute_qubit_features(h: PauliTable | PauliSum) -> QubitFeatureBlock:
-    """Derive the qubit feature block from a simplified Pauli sum or table.
+def compute_qubit_features(table: PauliTable) -> QubitFeatureBlock:
+    """Derive the qubit feature block from a Pauli table of distinct, pruned terms.
 
     A Hamiltonian with no non-identity term is flagged empty and reports all
     statistics as zero.  Degree statistics run over every qubit, including
     isolated ones, so the register size shapes the distribution.
     """
-    table = h if isinstance(h, PauliTable) else PauliTable.from_sum(h)
     support = table.x | table.z
     is_edge = support != 0
     support = support[is_edge]

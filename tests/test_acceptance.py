@@ -22,10 +22,11 @@ from gsee_bench.ml import (
     svm_fit_cv,
 )
 from gsee_bench.ml.solvability import SolvabilityConfig
-from gsee_bench.pauli import PauliString, PauliSum, jordan_wigner_hamiltonian
-from gsee_bench.qubit_features import build_hypergraph, compute_qubit_features
+from gsee_bench.pauli import jordan_wigner_hamiltonian
+from gsee_bench.qubit_features import _vertex_degrees, compute_qubit_features
 
 from conftest import random_eri, random_fcidump, random_symmetric, sector_indices
+from pauli_reference import PauliString, PauliSum, build_hypergraph, table_from_sum
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -80,6 +81,14 @@ def test_criterion_2_df_faithfulness():
             assert df.gap == 0.0
 
 
+def _edges(table):
+    """Support masks of the non-identity terms, their orders and the degrees
+    of every qubit, as the feature code computes them."""
+    support = table.x | table.z
+    support = support[support != 0]
+    return np.bitwise_count(support).astype(int), _vertex_degrees(support, table.n_qubits)
+
+
 def test_criterion_3_feature_correctness():
     rng = np.random.default_rng(103)
     with _Budget(3, "published hypergraph example and handshake identity", 5.0):
@@ -87,9 +96,12 @@ def test_criterion_3_feature_correctness():
         h = PauliSum.from_terms(
             7, [(PauliString.from_label(lab), 0.1 * (i + 1)) for i, lab in enumerate(labels)]
         ).simplify()
+        orders, degrees = _edges(table_from_sum(h))
+        assert sorted(orders.tolist()) == [2, 3, 3, 4]
+        assert degrees[2] == 3
         graph = build_hypergraph(h)
-        assert sorted(e.order for e in graph.edges) == [2, 3, 3, 4]
-        assert graph.vertex_degrees()[2] == 3
+        assert sorted(e.order for e in graph.edges) == sorted(orders.tolist())
+        assert np.array_equal(graph.vertex_degrees(), degrees)
         for _ in range(100):
             n = int(rng.integers(2, 8))
             terms = [
@@ -100,8 +112,13 @@ def test_criterion_3_feature_correctness():
                 for _ in range(int(rng.integers(1, 25)))
             ]
             sum_h = PauliSum.from_terms(n, terms).simplify()
+            table = table_from_sum(sum_h)
+            orders, degrees = _edges(table)
+            assert degrees.sum() == orders.sum()
+            assert compute_qubit_features(table).n_pauli_strings == len(orders)
             graph = build_hypergraph(sum_h)
-            assert graph.vertex_degrees().sum() == sum(e.order for e in graph.edges)
+            assert sorted(e.order for e in graph.edges) == sorted(orders.tolist())
+            assert np.array_equal(graph.vertex_degrees(), degrees)
 
 
 def test_criterion_4_one_norm_bound():
@@ -117,7 +134,7 @@ def test_criterion_4_one_norm_bound():
                 for _ in range(int(rng.integers(1, 30)))
             ]
             h = PauliSum.from_terms(n, terms).simplify()
-            features = compute_qubit_features(h)
+            features = compute_qubit_features(table_from_sum(h))
             matrix = h.to_matrix()
             traceless = matrix - np.trace(matrix) / matrix.shape[0] * np.eye(matrix.shape[0])
             radius = np.abs(np.linalg.eigvalsh(traceless)).max()

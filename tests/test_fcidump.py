@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,30 @@ def test_canonical_index_is_orbit_invariant(rng):
         assert canon in eri_orbit(*idx)
         for perm in eri_orbit(*idx):
             assert canonical_eri_index(*perm) == canon
+
+
+def test_canonical_index_closed_form_is_orbit_minimum():
+    for idx in itertools.product(range(5), repeat=4):
+        assert canonical_eri_index(*idx) == min(eri_orbit(*idx)), idx
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ((1, 0, 0, 0), 0.5, "is not canonical"),
+        ((0, 0, 1, 0), 0.5, "is not canonical"),
+        ((-1, 0, 0, 0), 0.5, "outside basis"),
+        ((0, 2, 1, 2), 0.5, "outside basis"),
+        ((0, 0, 0, 2), 0.5, "outside basis"),
+        ((0, 1, 1, 1), float("nan"), "non-finite h2 value"),
+        ((0, 0, 0, 0), float("-inf"), "non-finite h2 value"),
+    ],
+    ids=["swapped-pair", "pairs-out-of-order", "negative", "second-index",
+         "fourth-index", "nan", "-inf"],
+)
+def test_h2_key_and_value_checks(key, value, message):
+    with pytest.raises(InvalidFciDump, match=message):
+        FciDump(norb=2, nelec=2, h2={key: value})
 
 
 def test_roundtrip_minimal():

@@ -123,12 +123,3 @@ def test_nnmf_deterministic_given_seed(rng):
     b = nnmf_fit(X, 2, seed=7)
     assert np.array_equal(a.embedding, b.embedding)
     assert np.array_equal(a.h, b.h)
-
-
-def test_fits_accept_scaled_dataset(rng):
-    X = rng.normal(size=(25, 4))
-    ds = minmax_scale(X)
-    pca = pca_fit(ds, 2)
-    assert pca.embedding.shape == (25, 2)
-    nnmf = nnmf_fit(ds, 2, seed=1)
-    assert nnmf.embedding.shape == (25, 2)

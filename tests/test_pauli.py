@@ -6,16 +6,19 @@ from hypothesis import strategies as st
 from gsee_bench.errors import SizeMismatch, TooLarge
 from gsee_bench.fcidump import FciDump
 from gsee_bench.fci import build_basis, build_fci_matrix
-from gsee_bench.pauli import (
-    PauliString,
-    PauliSum,
-    PauliTable,
-    jordan_wigner_hamiltonian,
-    pauli_multiply,
-)
+from gsee_bench.pauli import PauliTable, jordan_wigner_hamiltonian
 
 from conftest import random_eri, random_fcidump, random_symmetric, sector_indices
-from jw_reference import jordan_wigner_reference, jw_annihilation, jw_creation
+from pauli_reference import (
+    PauliString,
+    PauliSum,
+    jordan_wigner_reference,
+    jw_annihilation,
+    jw_creation,
+    pauli_multiply,
+    sum_from_table,
+    table_from_sum,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -88,9 +91,9 @@ def test_weight_and_support():
 
 
 def test_to_matrix_conventions():
-    z0 = PauliSum(1, {PauliString.from_label("Z"): 1.0})
+    z0 = table_from_sum(PauliSum(1, {PauliString.from_label("Z"): 1.0}))
     assert np.allclose(z0.to_matrix(), np.diag([1.0, -1.0]))
-    x0 = PauliSum(2, {PauliString.from_label("XI"): 1.0})
+    x0 = table_from_sum(PauliSum(2, {PauliString.from_label("XI"): 1.0}))
     m = x0.to_matrix()
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = 1.0
@@ -99,7 +102,27 @@ def test_to_matrix_conventions():
 
 def test_too_large_cap():
     with pytest.raises(TooLarge):
-        PauliSum.identity(15).to_matrix()
+        table_from_sum(PauliSum.identity(15)).to_matrix()
+
+
+def random_table(rng, n_qubits: int, n_terms: int) -> PauliTable:
+    """Random masks (repeats merged by the sum) with complex coefficients."""
+    terms = [
+        (PauliString(n_qubits, int(rng.integers(0, 1 << n_qubits)),
+                     int(rng.integers(0, 1 << n_qubits))),
+         complex(rng.normal(), rng.normal()))
+        for _ in range(n_terms)
+    ]
+    return table_from_sum(PauliSum.from_terms(n_qubits, terms))
+
+
+def test_table_matrix_matches_reference_sum(rng):
+    for n in range(1, 9):
+        for _ in range(3):
+            table = random_table(rng, n, int(rng.integers(1, 30)))
+            assert table.coeff.dtype == np.complex128
+            want = sum_from_table(table).to_matrix()
+            assert np.allclose(table.to_matrix(), want, rtol=0.0, atol=1e-12)
 
 
 def test_simplify_prunes_and_is_idempotent(rng):
@@ -124,36 +147,29 @@ def test_simplify_order_independent(rng):
     assert a.terms == b.terms
 
 
-def test_text_roundtrip():
-    s = PauliSum.from_terms(
-        3,
-        [(PauliString.from_label("XZI"), 0.25), (PauliString.from_label("IIY"), -1.5)],
-    ).simplify()
-    assert PauliSum.from_text(s.to_text()).terms == s.terms
-
-
 def test_jw_number_operator():
     d = FciDump.from_tensors(1, 1, 1, h1=np.array([[0.7]]))
-    h = jordan_wigner_hamiltonian(d)
+    table = jordan_wigner_hamiltonian(d)
+    h = sum_from_table(table)
     ident = PauliString.identity(2)
     z0 = PauliString.from_label("ZI")
     z1 = PauliString.from_label("IZ")
     assert h.coefficient(ident) == pytest.approx(0.7)
     assert h.coefficient(z0) == pytest.approx(-0.35)
     assert h.coefficient(z1) == pytest.approx(-0.35)
-    assert len(h) == 3
+    assert len(table) == 3
 
 
 def test_jw_core_energy_only():
     d = FciDump(norb=1, nelec=0, e_core=-2.5)
     h = jordan_wigner_hamiltonian(d)
     assert len(h) == 1
-    assert h.coefficient(PauliString.identity(2)) == pytest.approx(-2.5)
+    assert sum_from_table(h).coefficient(PauliString.identity(2)) == pytest.approx(-2.5)
 
 
 def test_jw_coefficients_real(rng):
     d = random_fcidump(rng, 2)
-    h = jordan_wigner_hamiltonian(d)
+    h = sum_from_table(jordan_wigner_hamiltonian(d))
     for coeff in h.terms.values():
         assert coeff.imag == 0.0
 
@@ -206,7 +222,7 @@ def test_jw_term_count_scales_quartically(rng):
 
 def test_jw_rebuild_from_shuffled_terms(rng):
     d = random_fcidump(rng, 2)
-    h = jordan_wigner_hamiltonian(d)
+    h = sum_from_table(jordan_wigner_hamiltonian(d))
     pairs = list(h.terms.items())
     order = rng.permutation(len(pairs))
     rebuilt = PauliSum.from_terms(h.n_qubits, [pairs[i] for i in order]).simplify()
@@ -246,9 +262,11 @@ def test_jw_matches_ladder_operator_reference(rng):
 
 def test_jw_table_round_trips_through_pauli_sum(rng):
     table = jordan_wigner_hamiltonian(random_fcidump(rng, 3))
-    h = table.to_sum()
-    assert h.terms == table.terms and len(h) == len(table)
-    back = PauliTable.from_sum(h)
+    h = sum_from_table(table)
+    assert len(h) == len(table)
+    for x, z, coeff in zip(table.x.tolist(), table.z.tolist(), table.coeff.tolist()):
+        assert h.coefficient(PauliString(table.n_qubits, x, z)) == coeff
+    back = table_from_sum(h)
     assert np.array_equal(back.x, table.x) and np.array_equal(back.z, table.z)
     assert np.array_equal(back.coeff, table.coeff)
 

@@ -1,0 +1,69 @@
+import importlib
+
+import pytest
+
+import gsee_bench
+
+PUBLIC = [
+    "DeterminantBasis",
+    "DfResult",
+    "FEATURE_NAMES",
+    "FciDump",
+    "FeatureVector",
+    "PauliTable",
+    "ProblemInstance",
+    "SizeFeatures",
+    "SolutionFile",
+    "SolvabilityConfig",
+    "SolvabilityReport",
+    "SpectrumResult",
+    "SvmModel",
+    "Task",
+    "TaskOutcome",
+    "Verdict",
+    "build_basis",
+    "build_fci_matrix",
+    "classification_metrics",
+    "compute_feature_vector",
+    "compute_qubit_features",
+    "correlation_matrix",
+    "df_reconstruct",
+    "double_factorize",
+    "estimate_solvability",
+    "evaluate_task",
+    "exact_shapley",
+    "jordan_wigner_hamiltonian",
+    "load_instance",
+    "load_solution",
+    "log_fci_size",
+    "lowest_eigenvalues",
+    "minmax_scale",
+    "nnmf_fit",
+    "parse_fcidump",
+    "pca_fit",
+    "predict_proba",
+    "svm_fit_cv",
+    "write_fcidump",
+]
+
+
+def test_package_exports_exactly_the_public_names():
+    assert sorted(gsee_bench.__all__) == sorted(PUBLIC)
+    assert len(set(gsee_bench.__all__)) == len(gsee_bench.__all__)
+    for name in gsee_bench.__all__:
+        assert getattr(gsee_bench, name) is not None, name
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("gsee_bench.pauli", "PauliString"),
+        ("gsee_bench.pauli", "PauliSum"),
+        ("gsee_bench.pauli", "pauli_multiply"),
+        ("gsee_bench.qubit_features", "Hypergraph"),
+        ("gsee_bench.qubit_features", "build_hypergraph"),
+        ("gsee_bench.ml", "shapley_attribution"),
+    ],
+)
+def test_reference_path_not_in_package(module, name):
+    assert not hasattr(importlib.import_module(module), name)

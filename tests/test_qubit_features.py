@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from gsee_bench.errors import InsufficientRows
-from gsee_bench.pauli import PauliString, PauliSum, PauliTable, jordan_wigner_hamiltonian
+from gsee_bench.pauli import jordan_wigner_hamiltonian
 from gsee_bench.qubit_features import (
     FEATURE_NAMES,
-    build_hypergraph,
     compute_feature_vector,
     compute_qubit_features,
     correlation_matrix,
@@ -13,6 +12,7 @@ from gsee_bench.qubit_features import (
 )
 
 from conftest import random_fcidump
+from pauli_reference import PauliString, PauliSum, build_hypergraph, table_from_sum
 
 
 def sum_from_labels(pairs) -> PauliSum:
@@ -34,7 +34,7 @@ def random_pauli_sum(rng, n_qubits: int, n_terms: int) -> PauliSum:
 
 def test_two_term_hand_computation():
     h = sum_from_labels([("XX", 0.5), ("ZI", -0.25)])
-    q = compute_qubit_features(h)
+    q = compute_qubit_features(table_from_sum(h))
     assert q.one_norm == pytest.approx(0.75)
     assert q.n_pauli_strings == 2
     assert q.edge_order_mean == pytest.approx(1.5)
@@ -48,7 +48,7 @@ def test_two_term_hand_computation():
 
 def test_identity_only_is_flagged_empty():
     h = sum_from_labels([("III", 4.2)])
-    q = compute_qubit_features(h)
+    q = compute_qubit_features(table_from_sum(h))
     assert q.empty
     assert q.one_norm == 0.0
     assert q.n_pauli_strings == 0
@@ -63,7 +63,7 @@ def test_seven_qubit_interaction_hypergraph():
     assert sorted(e.order for e in graph.edges) == [2, 3, 3, 4]
     degrees = graph.vertex_degrees()
     assert degrees[2] == 3
-    q = compute_qubit_features(h)
+    q = compute_qubit_features(table_from_sum(h))
     assert q.n_pauli_strings == 4
     assert q.n_qubits == 7
 
@@ -80,7 +80,7 @@ def test_one_norm_bounds_spectral_radius(rng):
     for _ in range(25):
         n = int(rng.integers(1, 7))
         h = random_pauli_sum(rng, n, int(rng.integers(1, 25)))
-        q = compute_qubit_features(h)
+        q = compute_qubit_features(table_from_sum(h))
         m = h.to_matrix()
         traceless = m - np.trace(m) / m.shape[0] * np.eye(m.shape[0])
         radius = np.abs(np.linalg.eigvalsh(traceless)).max()
@@ -91,7 +91,9 @@ def test_features_invariant_under_term_reorder(rng):
     h = random_pauli_sum(rng, 4, 12)
     pairs = list(h.terms.items())
     shuffled = PauliSum.from_terms(4, [pairs[i] for i in rng.permutation(len(pairs))]).simplify()
-    assert compute_qubit_features(h) == compute_qubit_features(shuffled)
+    assert compute_qubit_features(table_from_sum(h)) == compute_qubit_features(
+        table_from_sum(shuffled)
+    )
 
 
 def test_cancellation_does_not_change_string_count():
@@ -100,7 +102,8 @@ def test_cancellation_does_not_change_string_count():
     grown = PauliSum.from_terms(
         2, [*base.terms.items(), (extra, 0.7), (extra, -0.7)]
     ).simplify()
-    assert compute_qubit_features(grown).n_pauli_strings == compute_qubit_features(base).n_pauli_strings
+    grown_q = compute_qubit_features(table_from_sum(grown))
+    assert grown_q.n_pauli_strings == compute_qubit_features(table_from_sum(base)).n_pauli_strings
 
 
 def test_table_features_match_hypergraph(rng):
@@ -114,7 +117,7 @@ def test_table_features_match_hypergraph(rng):
             for _ in range(int(rng.integers(1, 40)))
         ]
         h = PauliSum.from_terms(n, terms).simplify()
-        q = compute_qubit_features(PauliTable.from_sum(h))
+        q = compute_qubit_features(table_from_sum(h))
         graph = build_hypergraph(h)
         degrees = graph.vertex_degrees()
         orders = [e.order for e in graph.edges]

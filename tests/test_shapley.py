@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsee_bench.errors import TooManyFeatures
-from gsee_bench.ml import exact_shapley, predict_proba, shapley_attribution, svm_fit_cv
+from gsee_bench.ml import exact_shapley, predict_proba, svm_fit_cv
 
 
 def test_efficiency(rng):
@@ -92,7 +92,7 @@ def test_svm_attribution_dummy_feature(rng):
     labels = x0 > 0
     model = svm_fit_cv(X, labels, k=5, seed=0)
     point = np.array([0.8, 0.0])
-    phi = shapley_attribution(model, point, X)
+    phi = exact_shapley(lambda rows: predict_proba(model, rows), point, X)
     assert abs(phi[1]) < 1e-9
     expected_total = predict_proba(model, point[None, :])[0] - predict_proba(model, X).mean()
     assert phi.sum() == pytest.approx(float(expected_total), abs=1e-6)

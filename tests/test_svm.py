@@ -161,14 +161,3 @@ def test_classification_metrics_random_confusions(rng):
 def test_classification_metrics_length_mismatch():
     with pytest.raises(LengthMismatch):
         classification_metrics(np.array([True]), np.array([True, False]))
-
-
-def test_fit_accepts_scaled_dataset(rng):
-    from gsee_bench.ml import minmax_scale
-
-    X, labels = blobs(rng, n_per_class=15)
-    ds = minmax_scale(X, labels=labels)
-    model = svm_fit_cv(ds, k=3, seed=0)
-    assert model.n_features == 2
-    direct = svm_fit_cv(ds.X, labels, k=3, seed=0)
-    assert np.array_equal(model.dual_coef, direct.dual_coef)
