@@ -55,6 +55,10 @@ log = logging.getLogger(__name__)
 # compute_feature_vector (1.5M Pauli terms, 238 MB peak RSS of the process).
 FEATURE_NORB_CAP = MAX_TABLE_QUBITS // 2
 HISTOGRAM_BIN_WIDTH = 10
+# Latent samples scored per solver.  The cap is reachable: on a 2-core x86
+# machine the demo report at 1M samples takes 32 s (726 MB peak RSS, 208 MB of
+# artifacts for its one solvability report); each more solver costs about that.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,8 @@ class RunConfig:
         # a latent space has no more axes than the feature table has columns
         if self.latent_dim > len(FEATURE_NAMES):
             raise ValueError(f"latent_dim must be <= {len(FEATURE_NAMES)}")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"n_samples must be <= {MAX_SAMPLES}")
 
     def semantic_hash(self) -> str:
         """Hash of result-affecting settings; paths and job count excluded."""

@@ -1,7 +1,7 @@
 """Solvability-region estimation: scaling, latent spaces, SVM, attribution."""
 
 from .latent import LatentModel, nnmf_fit, pca_fit
-from .scaling import ScaledDataset, minmax_inverse, minmax_scale
+from .scaling import ScaledDataset, minmax_scale
 from .shapley import exact_shapley
 from .solvability import SolvabilityConfig, SolvabilityReport, estimate_solvability
 from .svm import (
@@ -22,7 +22,6 @@ __all__ = [
     "classification_metrics",
     "estimate_solvability",
     "exact_shapley",
-    "minmax_inverse",
     "minmax_scale",
     "nnmf_fit",
     "pca_fit",

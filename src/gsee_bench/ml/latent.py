@@ -40,11 +40,6 @@ class LatentModel:
     converged: bool = True
     reconstruction_error: float = 0.0
 
-    def transform(self, X) -> np.ndarray:
-        if self.kind != "pca":
-            raise NotImplementedError("only the PCA latent space embeds new points")
-        return (np.asarray(X, dtype=float) - self.mean) @ self.components.T
-
     def inverse(self, W) -> np.ndarray:
         """Map latent coordinates back into (scaled) feature space."""
         W = np.asarray(W, dtype=float)

@@ -1,4 +1,4 @@
-"""Per-column min-max scaling to [0, 1] with an exact inverse."""
+"""Per-column min-max scaling to [0, 1]."""
 
 from __future__ import annotations
 
@@ -42,9 +42,3 @@ def minmax_scale(
     scaled = (X - mins) / safe
     scaled[:, span == 0.0] = 0.0
     return ScaledDataset(scaled, mins, maxs)
-
-
-def minmax_inverse(X_scaled, mins, maxs) -> np.ndarray:
-    """Map scaled coordinates back to raw feature values."""
-    X = np.asarray(X_scaled, dtype=float)
-    return X * (np.asarray(maxs) - np.asarray(mins)) + np.asarray(mins)

@@ -224,8 +224,8 @@ def test_duplicate_solver_uuid_rejected(tmp_path, caplog):
 @pytest.mark.parametrize(
     "flags",
     [("--latent-dim", "1"), ("--latent-dim", "3", "--samples", "0"), ("--jobs", "0"),
-     ("--latent-dim", "25")],
-    ids=["latent-dim-1", "samples-0", "jobs-0", "latent-dim-25"],
+     ("--latent-dim", "25"), ("--samples", str(cli.MAX_SAMPLES + 1))],
+    ids=["latent-dim-1", "samples-0", "jobs-0", "latent-dim-25", "samples-above-cap"],
 )
 def test_invalid_run_setting_rejected_before_any_output(tmp_path, flags):
     out = tmp_path / "out"

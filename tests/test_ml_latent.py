@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gsee_bench.errors import NonFiniteInput, RankDeficient
-from gsee_bench.ml import minmax_inverse, minmax_scale, nnmf_fit, pca_fit
+from gsee_bench.ml import minmax_scale, nnmf_fit, pca_fit
 
 
 def test_minmax_basic_column():
@@ -40,7 +40,7 @@ def test_minmax_reuse_params(rng):
 )
 def test_minmax_roundtrip(X):
     scaled = minmax_scale(X)
-    restored = minmax_inverse(scaled.X, scaled.mins, scaled.maxs)
+    restored = scaled.X * (scaled.maxs - scaled.mins) + scaled.mins
     span = np.where(scaled.maxs > scaled.mins, scaled.maxs - scaled.mins, 1.0)
     # constant columns legitimately collapse to their min
     expected = np.where(scaled.maxs > scaled.mins, X, scaled.mins)
@@ -57,7 +57,7 @@ def test_pca_line_explains_all_variance(rng):
 def test_pca_full_rank_inverse_identity(rng):
     X = rng.normal(size=(30, 4))
     model = pca_fit(X, 4)
-    restored = model.inverse(model.transform(X))
+    restored = model.inverse(model.embedding)
     assert np.abs(restored - X).max() < 1e-10
 
 

@@ -63,7 +63,16 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.qubit_features", "Hypergraph"),
         ("gsee_bench.qubit_features", "build_hypergraph"),
         ("gsee_bench.ml", "shapley_attribution"),
+        ("gsee_bench.ml", "minmax_inverse"),
+        ("gsee_bench.ml.scaling", "minmax_inverse"),
+        ("gsee_bench.ml.svm", "_Smo"),
     ],
 )
 def test_reference_path_not_in_package(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_latent_model_has_no_unused_transform():
+    from gsee_bench.ml import LatentModel
+
+    assert not hasattr(LatentModel, "transform")

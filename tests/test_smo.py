@@ -1,0 +1,155 @@
+"""The second-order SMO solver against Platt's SMO and the dual's optimality conditions."""
+
+import logging
+from functools import partial
+
+import numpy as np
+import pytest
+
+from gsee_bench.ml import SolvabilityConfig, estimate_solvability, svm
+from gsee_bench.ml.svm import DEFAULT_C_GRID, SMO_TOL, _smo, default_gamma_grid, rbf_kernel
+from svm_reference import platt_smo
+
+
+def random_problem(rng, index):
+    """A labeled problem on the scaled unit box and one (C, gamma) of the grid.
+
+    Labels cycle through random, linear and noisy-ball rules; index walks
+    every (C, gamma) position of the grid.
+    """
+    n = int(rng.integers(10, 121))
+    d = int(rng.integers(2, 21))
+    X = rng.uniform(size=(n, d))
+    rule = index % 3
+    if rule == 0:
+        labels = rng.random(n) < 0.5
+    elif rule == 1:
+        labels = (X - 0.5) @ rng.normal(size=d) > 0.0
+    else:
+        labels = (np.sum((X - 0.5) ** 2, axis=1) < d / 12) ^ (rng.random(n) < 0.1)
+    if labels.all() or not labels.any():
+        labels[0] = not labels[0]
+    gammas = default_gamma_grid(d)
+    C = DEFAULT_C_GRID[index % len(DEFAULT_C_GRID)]
+    gamma = gammas[(index // len(DEFAULT_C_GRID)) % len(gammas)]
+    return rbf_kernel(X, X, gamma), np.where(labels, 1.0, -1.0), C
+
+
+def dual_objective(K, y, alpha):
+    v = alpha * y
+    return 0.5 * v @ K @ v - alpha.sum()
+
+
+def kkt_gap(K, y, C, alpha):
+    """max over the 'up' set of -y*G minus min over the 'low' set, G = Q alpha - e."""
+    F = y - K @ (alpha * y)
+    pos = y > 0
+    up = np.where(pos, alpha < C, alpha > 0)
+    low = np.where(pos, alpha > 0, alpha < C)
+    return F[up].max() - F[low].min()
+
+
+def assert_feasible_and_optimal(K, y, C, alpha):
+    assert alpha.min() >= 0.0 and alpha.max() <= C
+    assert abs(y @ alpha) <= 1e-10
+    assert kkt_gap(K, y, C, alpha) < SMO_TOL
+
+
+def test_solver_matches_platt_oracle_on_random_problems(rng):
+    for index in range(208):
+        K, y, C = random_problem(rng, index)
+        alpha, _, converged = _smo(K, y, C)
+        assert converged, index
+        assert_feasible_and_optimal(K, y, C, alpha)
+        oracle_alpha, _, oracle_converged = platt_smo(K, y, C)
+        assert oracle_converged, index
+        new, old = dual_objective(K, y, alpha), dual_objective(K, y, oracle_alpha)
+        assert new <= old + 1e-4 * abs(old), index
+
+
+def test_rho_without_free_alpha_is_calc_rho_midpoint(rng):
+    # Balanced classes and a tiny C: every alpha sits at C, none is free.
+    X = rng.uniform(size=(30, 5))
+    y = np.repeat([1.0, -1.0], 15)
+    K = rbf_kernel(X, X, 1.0)
+    C = 1e-4
+    alpha, rho, converged = _smo(K, y, C)
+    assert converged
+    assert np.all(alpha == C)
+    # LIBSVM calc_rho on yG, G = Q alpha - e.
+    yG = y * (y * (K @ (alpha * y)) - 1.0)
+    at_upper = alpha >= C
+    ub = min(yG[(at_upper & (y < 0)) | (~at_upper & (y > 0))])
+    lb = max(yG[(at_upper & (y > 0)) | (~at_upper & (y < 0))])
+    assert rho == pytest.approx((ub + lb) / 2.0, abs=1e-12)
+
+
+def test_seeded_and_cold_fits_reach_the_same_tolerance(rng):
+    for index in range(40):
+        K, y, _ = random_problem(rng, index)
+        alpha, C_prev = None, None
+        for C in DEFAULT_C_GRID:
+            if alpha is not None:
+                seed = alpha / C_prev * C
+                assert np.all(seed[alpha == C_prev] == C)
+                assert abs(y @ seed) <= 1e-10
+                alpha = seed
+            alpha, _, converged = _smo(K, y, C, alpha)
+            cold, _, cold_converged = _smo(K, y, C)
+            assert converged and cold_converged, index
+            assert_feasible_and_optimal(K, y, C, alpha)
+            assert_feasible_and_optimal(K, y, C, cold)
+            seeded_obj, cold_obj = dual_objective(K, y, alpha), dual_objective(K, y, cold)
+            assert abs(seeded_obj - cold_obj) <= 1e-4 * abs(cold_obj), index
+            C_prev = C
+
+
+def test_grid_search_seeds_each_fold_along_the_C_grid(rng, monkeypatch):
+    calls = []  # (C, seed alpha or None, y, solution alpha)
+
+    def recording_smo(K, y, C, alpha=None, **kwargs):
+        result = _smo(K, y, C, alpha, **kwargs)
+        calls.append((C, None if alpha is None else alpha.copy(), y, result[0]))
+        return result
+
+    monkeypatch.setattr(svm, "_smo", recording_smo)
+    X = rng.uniform(size=(50, 6))
+    labels = np.sum((X - 0.5) ** 2, axis=1) < 0.5
+    svm.svm_fit_cv(X, labels, k=5)
+    folds = len(default_gamma_grid(6)) * 5
+    assert len(calls) == folds * len(DEFAULT_C_GRID) + 1
+    assert sum(seed is None for _, seed, _, _ in calls) == folds + 1
+    for previous, (C, seed, y, _) in zip(calls, calls[1:]):
+        if seed is None:
+            continue
+        C_prev, _, _, solution = previous
+        assert C_prev < C
+        assert np.array_equal(seed, solution / C_prev * C)
+        assert np.all(seed[solution == C_prev] == C)
+        assert seed.min() >= 0.0 and seed.max() <= C and abs(y @ seed) <= 1e-10
+
+
+def _cap_messages(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "gsee_bench.ml.svm" and r.getMessage().startswith("SMO stopped after")]
+
+
+def test_iteration_cap_returns_unconverged_and_logs(rng, caplog):
+    K, y, C = random_problem(rng, 3)
+    with caplog.at_level(logging.WARNING, logger="gsee_bench.ml.svm"):
+        alpha, _, converged = _smo(K, y, C, max_iter=2)
+    assert not converged
+    assert alpha.min() >= 0.0 and alpha.max() <= C and abs(y @ alpha) <= 1e-10
+    assert _cap_messages(caplog) == ["SMO stopped after 2 iterations without full KKT"]
+
+
+def test_iteration_cap_reaches_the_report_flag(rng, monkeypatch, caplog):
+    X = rng.uniform(size=(60, 4))
+    labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
+    config = SolvabilityConfig(n_samples=100, attribution_points=0)
+    assert estimate_solvability(X, labels, config).flags["svm_converged"]
+    monkeypatch.setattr(svm, "_smo", partial(svm._smo, max_iter=2))
+    with caplog.at_level(logging.WARNING, logger="gsee_bench.ml.svm"):
+        report = estimate_solvability(X, labels, config)
+    assert report.flags["svm_converged"] is False
+    assert _cap_messages(caplog)
