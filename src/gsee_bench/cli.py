@@ -297,15 +297,13 @@ def run_solvability(
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.output_dir / f"solvability_{solver_uuid}.json"
-    _write_json(report_path, config, report.to_dict())
+    cloud_name = f"latent_points_{solver_uuid}.csv"
+    _write_json(report_path, config, {**report.to_dict(), "latent_points_file": cloud_name})
 
-    cloud_rows = [
-        [*map(float, pt), float(p)]
-        for pt, p in zip(report.latent_points, report.probabilities)
-    ]
+    cloud_rows = np.column_stack([report.latent_points, report.probabilities]).tolist()
     latent_cols = [f"latent_{i}" for i in range(report.latent_dim)]
     _write_csv(
-        config.output_dir / f"latent_points_{solver_uuid}.csv",
+        config.output_dir / cloud_name,
         config,
         [*latent_cols, "probability"],
         cloud_rows,

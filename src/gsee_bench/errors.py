@@ -57,10 +57,6 @@ class InsufficientRows(GseeBenchError):
 
 # --- Pauli algebra / oracle ---
 
-class SizeMismatch(GseeBenchError):
-    """Operands act on different numbers of qubits."""
-
-
 class TooLarge(GseeBenchError):
     """A dense or exact computation exceeds its configured size cap."""
 

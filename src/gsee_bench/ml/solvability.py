@@ -62,7 +62,11 @@ class SolvabilityReport:
     flags: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (deterministic float repr via json)."""
+        """JSON-ready summary (deterministic float repr via json).
+
+        The sampled cloud (latent_points, probabilities) is left out: it is
+        large, and the CLI writes it once, to its own CSV.
+        """
         return {
             "solvability_ratio": self.solvability_ratio,
             "n_samples": self.n_samples,
@@ -83,10 +87,6 @@ class SolvabilityReport:
                     "label": None if lab is None else bool(lab),
                 }
                 for row, lab in zip(self.training_embedding, self.training_labels)
-            ],
-            "latent_points": [
-                [*row.tolist(), float(p)]
-                for row, p in zip(self.latent_points, self.probabilities)
             ],
         }
 

@@ -100,13 +100,15 @@ def classification_metrics(predicted, true) -> ClassificationMetrics:
 
 
 def _smo(K: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray | None = None,
-         max_iter: int = SMO_MAX_ITER) -> tuple[np.ndarray, float, bool]:
+         max_iter: int | None = None) -> tuple[np.ndarray, float, bool]:
     """Solve min ½ (αy)ᵀK(αy) − Σα over 0 ≤ α ≤ C, yᵀα = 0 (LIBSVM's Solver).
 
     alpha is a feasible start (zeros when None).  Returns α, the bias ρ of
     f(x) = K(x, ·)(αy) − ρ, and whether the max-violating-pair gap fell
-    below SMO_TOL within max_iter steps.
+    below SMO_TOL within max_iter (default SMO_MAX_ITER) steps.
     """
+    if max_iter is None:
+        max_iter = SMO_MAX_ITER
     n = len(y)
     alpha = np.zeros(n) if alpha is None else alpha.copy()
     pos = y > 0
@@ -291,7 +293,8 @@ def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
     Each (C, gamma) pair of DEFAULT_C_GRID x default_gamma_grid(D) is scored
     by mean F1 over stratified k-fold splits; the best pair (first on ties) is
     refit on all data, and the Platt sigmoid is fit on that pair's
-    out-of-fold decision values.
+    out-of-fold decision values.  The model is converged only if every SMO
+    fit, cross-validation and final, met SMO_TOL within SMO_MAX_ITER.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=bool)
@@ -312,6 +315,7 @@ def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
 
     # Out-of-fold decisions per (C, gamma), filled one kernel at a time.
     oof = np.zeros((len(DEFAULT_C_GRID), len(gammas), n))
+    cv_converged = True
     for g_index, gamma in enumerate(gammas):
         K = np.exp(-gamma * sq)
         for f_id in range(k):
@@ -331,7 +335,8 @@ def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
                 if alphas is not None:
                     # α·C/C_prev keeps yᵀα = 0 and the box; bounded α land on C exactly.
                     alphas = alphas / C_prev * C
-                alphas, rho, _ = _smo(K_train, y_train, C, alphas)
+                alphas, rho, fold_converged = _smo(K_train, y_train, C, alphas)
+                cv_converged = cv_converged and fold_converged
                 oof[c_index, g_index, test] = K_test @ _dual_coef(alphas, y_train) - rho
                 C_prev = C
 
@@ -371,5 +376,5 @@ def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
         train_accuracy=train_accuracy,
         cv_metrics=fold_metrics,
         degenerate=degenerate,
-        converged=converged,
+        converged=converged and cv_converged,
     )

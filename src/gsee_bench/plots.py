@@ -1,13 +1,19 @@
 """Dependency-free SVG rendering of solvability latent maps.
 
 Probabilities color a red-to-blue gradient (red = likely unsolved, blue =
-likely solved); labeled training points draw as filled circles and unlabeled
-ones as stars.  Pure text emission keeps the output diffable in tests.
+likely solved).  A 2-D grid is one embedded PNG image, one pixel per grid
+point, built with the standard library; a 3-D+ sample draws as circles.
+Labeled training points draw as filled circles and unlabeled ones as stars,
+as vector elements over the image.  The output is deterministic text, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
 
+import binascii
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -30,6 +36,31 @@ def _prob_color(p: float) -> str:
         lo, hi, t = _WHITE, _BLUE, (p - 0.5) / 0.5
     rgb = tuple(round(a + (b - a) * t) for a, b in zip(lo, hi))
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+
+
+def _prob_rgb(probs: np.ndarray) -> np.ndarray:
+    """_prob_color over an array: uint8 (..., 3), the same float steps and
+    round-half-to-even as the scalar ramp, so every channel matches it."""
+    p = np.clip(probs, 0.0, 1.0)[..., None]
+    low = p < 0.5
+    t = np.where(low, p / 0.5, (p - 0.5) / 0.5)
+    lo = np.where(low, _RED, _WHITE)
+    hi = np.where(low, _WHITE, _BLUE)
+    return np.rint(lo + (hi - lo) * t).astype(np.uint8)
+
+
+def _png(rgb: np.ndarray) -> bytes:
+    """An 8-bit truecolor PNG of an (h, w, 3) uint8 array, no filtering."""
+    h, w, _ = rgb.shape
+    raw = np.zeros((h, 1 + 3 * w), dtype=np.uint8)  # filter byte 0 opens each row
+    raw[:, 1:] = rgb.reshape(h, 3 * w)
+
+    def chunk(tag: bytes, data: bytes) -> bytes:
+        return struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data))
+
+    header = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
+            + chunk(b"IDAT", zlib.compress(raw.tobytes())) + chunk(b"IEND", b""))
 
 
 def _star_path(cx: float, cy: float, r: float) -> str:
@@ -61,19 +92,25 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
-    pts = np.asarray(report.latent_points, dtype=float)
     probs = np.asarray(report.probabilities, dtype=float)
     if report.grid_resolution:
+        # Grid point (ix, iy) sits at index iy * r + ix; PNG rows run top down,
+        # so the rows flip to put latent axis 2 up.  Each pixel spans one grid
+        # cell centred on its point.
         r = report.grid_resolution
         cw = (WIDTH - 2 * MARGIN) / max(r - 1, 1)
         ch = (HEIGHT - 2 * MARGIN) / max(r - 1, 1)
-        for pt, p in zip(pts, probs):
-            x, y = to_px(pt)
-            parts.append(
-                f'<rect x="{x - cw / 2:.2f}" y="{y - ch / 2:.2f}" '
-                f'width="{cw:.2f}" height="{ch:.2f}" fill="{_prob_color(p)}"/>'
-            )
+        x0, y1 = to_px(bounds[:, 0])
+        x1, y0 = to_px(bounds[:, 1])
+        png = _png(_prob_rgb(probs.reshape(r, r)[::-1]))
+        href = "data:image/png;base64," + binascii.b2a_base64(png, newline=False).decode("ascii")
+        parts.append(
+            f'<image x="{x0 - cw / 2:.2f}" y="{y0 - ch / 2:.2f}" '
+            f'width="{x1 - x0 + cw:.2f}" height="{y1 - y0 + ch:.2f}" '
+            f'preserveAspectRatio="none" style="image-rendering:pixelated" href="{href}"/>'
+        )
     else:
+        pts = np.asarray(report.latent_points, dtype=float)
         for pt, p in zip(pts[:, :2], probs):
             x, y = to_px(pt)
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{_prob_color(p)}"/>')

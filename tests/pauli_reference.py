@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gsee_bench.errors import SizeMismatch, TooLarge
+from gsee_bench.errors import GseeBenchError, TooLarge
 from gsee_bench.fcidump import FciDump
 from gsee_bench.pauli import COEFF_PRUNE_TOL, PauliTable
 
@@ -24,6 +24,10 @@ IMAG_PRUNE_TOL = 1e-10
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _CHAR_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR_CHAR = {v: k for k, v in _CHAR_FOR_BITS.items()}
+
+
+class SizeMismatch(GseeBenchError):
+    """Operands act on different numbers of qubits."""
 
 
 @dataclass(frozen=True)

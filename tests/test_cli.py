@@ -117,6 +117,11 @@ def test_solvability_subcommand(tmp_path):
     report = json.loads((tmp_path / "solvability_size-limited.json").read_text())
     assert 0.0 <= report["solvability_ratio"] <= 1.0
     assert report["metrics"]["f1"] == 1.0
+    assert "latent_points" not in report
+    assert report["latent_points_file"] == "latent_points_size-limited.csv"
+    cloud = read_rows(tmp_path / report["latent_points_file"])
+    assert cloud[0] == ["latent_0", "latent_1", "probability"]
+    assert len(cloud) - 1 == report["n_samples"] == 900
     svg = (tmp_path / "latent_map_size-limited.svg").read_text()
     assert svg.startswith("<svg")
     assert "polygon" in svg  # guidestar star marker

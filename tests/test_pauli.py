@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsee_bench.errors import SizeMismatch, TooLarge
+from gsee_bench.errors import TooLarge
 from gsee_bench.fcidump import FciDump
 from gsee_bench.fci import build_basis, build_fci_matrix
 from gsee_bench.pauli import PauliTable, jordan_wigner_hamiltonian
@@ -12,6 +12,7 @@ from conftest import random_eri, random_fcidump, random_symmetric, sector_indice
 from pauli_reference import (
     PauliString,
     PauliSum,
+    SizeMismatch,
     jordan_wigner_reference,
     jw_annihilation,
     jw_creation,

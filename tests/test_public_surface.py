@@ -66,6 +66,7 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.ml", "minmax_inverse"),
         ("gsee_bench.ml.scaling", "minmax_inverse"),
         ("gsee_bench.ml.svm", "_Smo"),
+        ("gsee_bench.errors", "SizeMismatch"),
     ],
 )
 def test_reference_path_not_in_package(module, name):

@@ -153,3 +153,32 @@ def test_iteration_cap_reaches_the_report_flag(rng, monkeypatch, caplog):
         report = estimate_solvability(X, labels, config)
     assert report.flags["svm_converged"] is False
     assert _cap_messages(caplog)
+
+
+def test_tiny_iteration_cap_clears_the_report_flag(rng, monkeypatch):
+    X = rng.uniform(size=(60, 4))
+    labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
+    config = SolvabilityConfig(n_samples=100, attribution_points=0)
+    monkeypatch.setattr(svm, "SMO_MAX_ITER", 2)
+    assert estimate_solvability(X, labels, config).flags["svm_converged"] is False
+
+
+def test_capped_cross_validation_fit_clears_the_report_flag(rng, monkeypatch):
+    # Only the fold fits (fewer rows than the table) hit the cap; the final
+    # fit on all rows converges, and the flag must still report the folds.
+    X = rng.uniform(size=(60, 4))
+    labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
+    config = SolvabilityConfig(n_samples=100, attribution_points=0)
+    full_fit_converged = []
+
+    def fold_capped(K, y, C, alpha=None):
+        if len(y) < len(X):
+            return _smo(K, y, C, alpha, max_iter=2)
+        result = _smo(K, y, C, alpha)
+        full_fit_converged.append(result[2])
+        return result
+
+    monkeypatch.setattr(svm, "_smo", fold_capped)
+    report = estimate_solvability(X, labels, config)
+    assert full_fit_converged == [True]
+    assert report.flags["svm_converged"] is False
