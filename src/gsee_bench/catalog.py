@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,7 +97,10 @@ def _optional_number(obj: dict, key: str, where: str) -> float | None:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolation(f"{where}: field {key!r} must be a number")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):  # json.load accepts NaN and Infinity
+        raise SchemaViolation(f"{where}: field {key!r} must be finite, got {value}")
+    return value
 
 
 def _parse_task(obj: dict, base_dir: Path, where: str) -> Task:

@@ -111,20 +111,10 @@ def _header_comment(config: RunConfig) -> str:
 
 
 def _write_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
+    """Rows hold strings, ints and Python floats (str(float) == repr(float))."""
     lines = [_header_comment(config), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_render_cell(cell) for cell in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _render_cell(cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, bool):
-        return str(cell).lower()
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -245,7 +235,8 @@ def run_evaluate(
         outcomes, summary = evaluate_solver(tasks, solution)
         outcomes_by_solver[solution.solver_uuid] = outcomes
         rows = [
-            [o.task_uuid, o.verdict.value, o.abs_error, o.within_runtime, o.attempted]
+            [o.task_uuid, o.verdict.value, "" if o.abs_error is None else o.abs_error,
+             str(o.within_runtime).lower(), str(o.attempted).lower()]
             for o in outcomes
         ]
         _write_csv(

@@ -1,16 +1,16 @@
-"""FCIDUMP integral file parsing, canonical storage, and writing.
+"""FCIDUMP integral file parsing, dense storage, and writing.
 
 An FCIDUMP file carries the one- and two-electron integrals of an electronic
 structure Hamiltonian over spatial molecular orbitals, plus a constant core
 energy.  Two-electron integrals use chemist notation (ij|kl) and are stored
-here on canonical indices only, exploiting the 8-fold permutational symmetry
-(ij|kl) = (ji|kl) = (ij|lk) = (ji|lk) = (kl|ij) = (lk|ij) = (kl|ji) = (lk|ji).
+here as one dense, read-only (norb,)*4 tensor with the 8-fold permutational
+symmetry (ij|kl) = (ji|kl) = (ij|lk) = (ji|lk) = (kl|ij) = (lk|ij) = (kl|ji)
+= (lk|ji); a file lists each orbit once, under its canonical index tuple.
 """
 
 from __future__ import annotations
 
 import io
-import math
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -28,38 +28,46 @@ from .errors import (
 
 # Two symmetry-equivalent entries in one file must agree to this tolerance.
 DUPLICATE_TOL = 1e-10
-
-
-def eri_orbit(i: int, j: int, k: int, l: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All 8 index permutations equivalent to (ij|kl) under real-orbital symmetry."""
-    return (
-        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
-    )
-
-
-# Positions in (i, j, k, l) of the 8 orbit members, one row each.
-_ORBIT = np.array(eri_orbit(0, 1, 2, 3))
+# The dense tensor holds norb**4 floats, 128 MB at this cap: twice the feature
+# cap and four times the oracle cap, so no stage accepts a larger dump.
+MAX_NORB = 64
+# Positions in (i, j, k, l) of the 8 orbit members of (ij|kl), one row each:
+# (ij|kl), (ji|kl), (ij|lk), (ji|lk), (kl|ij), (lk|ij), (kl|ji), (lk|ji).
+_ORBIT = np.array([
+    (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+    (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
+])
+# (ji|kl), (ij|lk) and (kl|ij): the transposes that generate the orbit.
+_ORBIT_GENERATORS = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
 
 
 def canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
-    """Canonical representative (smallest tuple) of the 8-fold orbit of (ij|kl).
-
-    Closed form of min(eri_orbit(i, j, k, l)): sort each index pair, then put
-    the smaller pair first.
-    """
+    """Canonical representative (smallest tuple) of the 8-fold orbit of (ij|kl):
+    sort each index pair, then put the smaller pair first."""
     first = (i, j) if i <= j else (j, i)
     second = (k, l) if k <= l else (l, k)
     return first + second if first <= second else second + first
+
+
+def _canonical_flat(n: int) -> np.ndarray:
+    """canonical_eri_index over a whole (n,)*4 tensor, as C-order flat indices.
+
+    A sorted pair (a, b) ranks as a*n + b, so the canonical member of
+    (ij|kl) sits at min(rank)*n**2 + max(rank) of its two pairs.
+    """
+    r = np.arange(n)
+    rank = (np.minimum.outer(r, r) * n + np.maximum.outer(r, r)).ravel()
+    flat = np.minimum.outer(rank, rank) * n * n + np.maximum.outer(rank, rank)
+    return flat.reshape((n,) * 4)
 
 
 @dataclass(frozen=True, eq=False)
 class FciDump:
     """One FCIDUMP worth of integral data over spatial orbitals.
 
-    h1 is the full symmetric norb x norb one-electron table; h2 maps canonical
-    (i, j, k, l) indices (0-based) to chemist-notation values, unset entries
-    being zero.  Spin enters only downstream (encodings and the exact solver).
+    h1 is the symmetric norb x norb one-electron table and h2 the 8-fold
+    symmetric (norb,)*4 chemist-notation tensor, both 0-based, copied in and
+    read-only.  Spin enters only downstream (encodings and the exact solver).
     """
 
     norb: int
@@ -67,40 +75,38 @@ class FciDump:
     ms2: int = 0
     e_core: float = 0.0
     h1: np.ndarray = None  # type: ignore[assignment]
-    h2: dict[tuple[int, int, int, int], float] = None  # type: ignore[assignment]
+    h2: np.ndarray = None  # type: ignore[assignment]
     orbsym: tuple[int, ...] = None  # type: ignore[assignment]
     isym: int = 1
 
     def __post_init__(self):
-        if self.h1 is None:
-            object.__setattr__(self, "h1", np.zeros((self.norb, self.norb)))
-        if self.h2 is None:
-            object.__setattr__(self, "h2", {})
-        if self.orbsym is None:
-            object.__setattr__(self, "orbsym", (1,) * self.norb)
-        if self.norb < 1:
-            raise InvalidFciDump(f"norb must be >= 1, got {self.norb}")
-        if not 0 <= self.nelec <= 2 * self.norb:
-            raise InvalidFciDump(f"nelec={self.nelec} outside [0, {2 * self.norb}]")
+        n = self.norb
+        if n < 1:
+            raise InvalidFciDump(f"norb must be >= 1, got {n}")
+        if not 0 <= self.nelec <= 2 * n:
+            raise InvalidFciDump(f"nelec={self.nelec} outside [0, {2 * n}]")
         if abs(self.ms2) > self.nelec or (self.nelec + self.ms2) % 2 != 0:
             raise InvalidFciDump(f"ms2={self.ms2} incompatible with nelec={self.nelec}")
-        h1 = np.asarray(self.h1, dtype=float)
-        if h1.shape != (self.norb, self.norb):
-            raise InvalidFciDump(f"h1 shape {h1.shape} != ({self.norb}, {self.norb})")
+        h1 = np.zeros((n, n)) if self.h1 is None else np.array(self.h1, dtype=float)
+        h2 = np.zeros((n,) * 4) if self.h2 is None else np.array(self.h2, dtype=float)
+        if h1.shape != (n, n):
+            raise InvalidFciDump(f"h1 shape {h1.shape} != ({n}, {n})")
+        if h2.shape != (n,) * 4:
+            raise InvalidFciDump(f"h2 shape {h2.shape} != {(n,) * 4}")
+        if not (np.isfinite(h1).all() and np.isfinite(h2).all() and np.isfinite(self.e_core)):
+            raise InvalidFciDump("non-finite integral value")
         if not np.array_equal(h1, h1.T):
             raise InvalidFciDump("h1 is not symmetric")
-        if not np.all(np.isfinite(h1)) or not np.isfinite(self.e_core):
-            raise InvalidFciDump("non-finite integral value")
+        for axes in _ORBIT_GENERATORS:
+            if not np.array_equal(h2, h2.transpose(axes)):
+                raise InvalidFciDump(f"h2 is not symmetric under the transpose {axes}")
+        h1.flags.writeable = False
+        h2.flags.writeable = False
         object.__setattr__(self, "h1", h1)
-        for key, val in self.h2.items():
-            if key != canonical_eri_index(*key):
-                raise InvalidFciDump(f"h2 key {key} is not canonical")
-            # a canonical key's smallest index comes first, its largest is j or l
-            if key[0] < 0 or max(key[1], key[3]) >= self.norb:
-                raise InvalidFciDump(f"h2 key {key} outside basis of {self.norb} orbitals")
-            if not math.isfinite(val):
-                raise InvalidFciDump(f"non-finite h2 value at {key}")
-        if len(self.orbsym) != self.norb:
+        object.__setattr__(self, "h2", h2)
+        if self.orbsym is None:
+            object.__setattr__(self, "orbsym", (1,) * n)
+        if len(self.orbsym) != n:
             raise InvalidFciDump("orbsym length != norb")
 
     def __eq__(self, other) -> bool:
@@ -112,7 +118,7 @@ class FciDump:
             and self.ms2 == other.ms2
             and self.e_core == other.e_core
             and np.array_equal(self.h1, other.h1)
-            and self.h2 == other.h2
+            and np.array_equal(self.h2, other.h2)
             and self.orbsym == other.orbsym
             and self.isym == other.isym
         )
@@ -125,32 +131,9 @@ class FciDump:
     def n_beta(self) -> int:
         return (self.nelec - self.ms2) // 2
 
-    def h2_at(self, i: int, j: int, k: int, l: int) -> float:
-        """Chemist-notation (ij|kl), 0-based indices, any of the 8 orderings."""
-        for x in (i, j, k, l):
-            if not 0 <= x < self.norb:
-                raise IndexOutOfRange(f"orbital index {x} outside [0, {self.norb})")
-        return self.h2.get(canonical_eri_index(i, j, k, l), 0.0)
-
     def two_body_tensor(self) -> np.ndarray:
-        """Dense (norb,)*4 chemist-notation tensor expanded from canonical storage.
-
-        Computed once per dump by one scatter over the 8 index orbits and
-        returned read-only.
-        """
-        cached = self.__dict__.get("_two_body_tensor")
-        if cached is not None:
-            return cached
-        n, count = self.norb, len(self.h2)
-        keys = np.fromiter(chain.from_iterable(self.h2), np.intp, 4 * count).reshape(count, 4)
-        # keys @ radix.T: the flat index of every orbit member of every key
-        radix = n ** (3 - np.argsort(_ORBIT, axis=1))
-        t = np.zeros(n**4)
-        t[keys @ radix.T] = np.fromiter(self.h2.values(), float, count)[:, None]
-        t = t.reshape((n,) * 4)
-        t.flags.writeable = False
-        object.__setattr__(self, "_two_body_tensor", t)
-        return t
+        """The dense (norb,)*4 chemist-notation tensor h2 (read-only)."""
+        return self.h2
 
     @classmethod
     def from_tensors(
@@ -163,31 +146,24 @@ class FciDump:
         h2: np.ndarray | None = None,
         orbsym: tuple[int, ...] | None = None,
         isym: int = 1,
-        sym_tol: float = DUPLICATE_TOL,
     ) -> "FciDump":
-        """Build from dense tensors, verifying 8-fold symmetry of h2."""
-        if h1 is None:
-            h1 = np.zeros((norb, norb))
-        h1 = np.asarray(h1, dtype=float)
-        h1 = (h1 + h1.T) / 2.0
-        table: dict[tuple[int, int, int, int], float] = {}
+        """Build from dense tensors: h1 is symmetrized, and every h2 entry must
+        agree with its orbit's canonical entry to DUPLICATE_TOL and takes its value."""
+        if h1 is not None:
+            h1 = np.asarray(h1, dtype=float)
+            h1 = (h1 + h1.T) / 2.0
         if h2 is not None:
             h2 = np.asarray(h2, dtype=float)
             if h2.shape != (norb,) * 4:
                 raise InvalidFciDump(f"h2 shape {h2.shape} != {(norb,) * 4}")
-            for key in np.ndindex(h2.shape):
-                canon = canonical_eri_index(*key)
-                if canon != key:
-                    continue
-                val = h2[key]
-                for perm in eri_orbit(*key):
-                    if abs(h2[perm] - val) > sym_tol:
-                        raise InvalidFciDump(
-                            f"h2 violates 8-fold symmetry at {key} vs {perm}"
-                        )
-                if val != 0.0:
-                    table[canon] = float(val)
-        return cls(norb, nelec, ms2, float(e_core), h1, table, orbsym, isym)
+            # + 0.0 stores a canonical -0.0 as the 0.0 an unset entry is
+            canon = h2.ravel()[_canonical_flat(norb)] + 0.0
+            off = np.abs(h2 - canon) > DUPLICATE_TOL
+            if off.any():
+                key = tuple(int(x) for x in np.argwhere(off)[0])
+                raise InvalidFciDump(f"h2 violates 8-fold symmetry at {key}")
+            h2 = canon
+        return cls(norb, nelec, ms2, float(e_core), h1, h2, orbsym, isym)
 
 
 _HEADER_ITEM = re.compile(
@@ -230,7 +206,7 @@ def _split_header(text: str) -> tuple[str, str]:
 
 
 def parse_fcidump(source: str | TextIO) -> FciDump:
-    """Parse FCIDUMP text into canonical integral storage.
+    """Parse FCIDUMP text into an FciDump.
 
     Accepts both &END and / namelist terminators and D-style exponents.
     External indices are 1-based; storage is 0-based.
@@ -246,15 +222,14 @@ def parse_fcidump(source: str | TextIO) -> FciDump:
     ms2 = fields.get("MS2", [0])[0]
     orbsym = tuple(fields["ORBSYM"]) if fields.get("ORBSYM") else None
     isym = fields.get("ISYM", [1])[0]
-    if norb < 1:
-        raise InvalidFciDump(f"NORB must be >= 1, got {norb}")
+    if not 1 <= norb <= MAX_NORB:
+        raise InvalidFciDump(f"NORB must be in [1, {MAX_NORB}], got {norb}")
     if orbsym is not None and len(orbsym) != norb:
         raise InvalidFciDump(f"ORBSYM has {len(orbsym)} entries for NORB={norb}")
 
     h1 = np.zeros((norb, norb))
     h1_seen: set[tuple[int, int]] = set()
-    h2: dict[tuple[int, int, int, int], float] = {}
-    h2_seen: set[tuple[int, int, int, int]] = set()
+    h2: dict[tuple[int, int, int, int], float] = {}  # by canonical index
     e_core = 0.0
     core_seen = False
 
@@ -297,30 +272,39 @@ def parse_fcidump(source: str | TextIO) -> FciDump:
             raise MalformedLine(f"bad index pattern in line {line!r}")
         else:
             key = canonical_eri_index(i - 1, j - 1, k - 1, l - 1)
-            if key in h2_seen:
-                if abs(h2.get(key, 0.0) - value) > DUPLICATE_TOL:
+            if key in h2:
+                if abs(h2[key] - value) > DUPLICATE_TOL:
                     raise ConflictingDuplicate(f"conflicting h2 entries at {key}")
             else:
-                h2_seen.add(key)
-                if value != 0.0:
-                    h2[key] = value
+                h2[key] = value
 
-    return FciDump(norb, nelec, ms2, e_core, h1, h2, orbsym, isym)
+    # keys @ radix.T: the flat index of every orbit member of every key;
+    # + 0.0 stores a listed -0.0 as the 0.0 of an unset entry
+    count = len(h2)
+    keys = np.fromiter(chain.from_iterable(h2), np.intp, 4 * count).reshape(count, 4)
+    radix = norb ** (3 - np.argsort(_ORBIT, axis=1))
+    eri = np.zeros(norb**4)
+    eri[keys @ radix.T] = np.fromiter(h2.values(), float, count)[:, None] + 0.0
+    return FciDump(norb, nelec, ms2, e_core, h1, eri.reshape((norb,) * 4), orbsym, isym)
 
 
 def write_fcidump(dump: FciDump) -> str:
-    """Render canonical storage back to FCIDUMP text.
+    """Render an FciDump as FCIDUMP text.
 
-    Emits one line per unique nonzero integral (canonical indices only) and
-    always ends with the core-energy line; parse(write(d)) == d.
+    Emits one line per nonzero canonical two-electron integral, in index
+    order, then the nonzero lower-triangle h1 entries, and always ends with
+    the core-energy line; parse(write(d)) == d.
     """
     out = io.StringIO()
     out.write(f"&FCI NORB={dump.norb},NELEC={dump.nelec},MS2={dump.ms2},\n")
     out.write(f" ORBSYM={','.join(str(s) for s in dump.orbsym)},\n")
     out.write(f" ISYM={dump.isym},\n")
     out.write("&END\n")
-    for (i, j, k, l) in sorted(dump.h2):
-        out.write(f" {float(dump.h2[(i, j, k, l)])!r} {i + 1} {j + 1} {k + 1} {l + 1}\n")
+    canon = _canonical_flat(dump.norb).ravel()
+    flat = np.flatnonzero((canon == np.arange(canon.size)) & (dump.h2.ravel() != 0.0))
+    keys = np.column_stack(np.unravel_index(flat, dump.h2.shape)) + 1
+    for (i, j, k, l), value in zip(keys.tolist(), dump.h2.ravel()[flat].tolist()):
+        out.write(f" {value!r} {i} {j} {k} {l}\n")
     for i in range(dump.norb):
         for j in range(i + 1):
             if dump.h1[i, j] != 0.0:

@@ -35,7 +35,6 @@ class SolvabilityConfig:
     n_samples: int = 10_000
     threshold: float = 0.5
     seed: int = 0
-    nnmf_max_iter: int = 2000
     attribution_points: int = 3
 
 
@@ -110,7 +109,7 @@ def _fit_latent(X: np.ndarray, config: SolvabilityConfig) -> LatentModel:
     if config.latent_kind == "pca":
         return pca_fit(X, config.latent_dim)
     if config.latent_kind == "nnmf":
-        return nnmf_fit(X, config.latent_dim, max_iter=config.nnmf_max_iter, seed=config.seed)
+        return nnmf_fit(X, config.latent_dim, seed=config.seed)
     raise ValueError(f"unknown latent kind {config.latent_kind!r}")
 
 

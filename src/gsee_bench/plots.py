@@ -28,19 +28,9 @@ HEIGHT = 560
 MARGIN = 60
 
 
-def _prob_color(p: float) -> str:
-    p = min(max(p, 0.0), 1.0)
-    if p < 0.5:
-        lo, hi, t = _RED, _WHITE, p / 0.5
-    else:
-        lo, hi, t = _WHITE, _BLUE, (p - 0.5) / 0.5
-    rgb = tuple(round(a + (b - a) * t) for a, b in zip(lo, hi))
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
-
-
 def _prob_rgb(probs: np.ndarray) -> np.ndarray:
-    """_prob_color over an array: uint8 (..., 3), the same float steps and
-    round-half-to-even as the scalar ramp, so every channel matches it."""
+    """The red-white-blue ramp as uint8 (..., 3): a channel blends linearly
+    between its end colours and rounds half to even."""
     p = np.clip(probs, 0.0, 1.0)[..., None]
     low = p < 0.5
     t = np.where(low, p / 0.5, (p - 0.5) / 0.5)
@@ -111,9 +101,9 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
         )
     else:
         pts = np.asarray(report.latent_points, dtype=float)
-        for pt, p in zip(pts[:, :2], probs):
+        for pt, (r, g, b) in zip(pts[:, :2], _prob_rgb(probs).tolist()):
             x, y = to_px(pt)
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{_prob_color(p)}"/>')
+            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="rgb({r},{g},{b})"/>')
 
     for row, label in zip(report.training_embedding, report.training_labels):
         x, y = to_px(np.asarray(row, dtype=float)[:2])

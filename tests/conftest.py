@@ -5,8 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gsee_bench.fcidump import FciDump, eri_orbit
+from gsee_bench.fcidump import FciDump
 from gsee_bench.fci import DeterminantBasis
+
+
+def eri_orbit(i: int, j: int, k: int, l: int) -> tuple[tuple[int, int, int, int], ...]:
+    """All 8 index permutations equivalent to (ij|kl) under real-orbital symmetry."""
+    return (
+        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
+    )
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -41,15 +49,6 @@ def random_fcidump(
     h2 = scale * random_eri(rng, norb)
     e_core = float(scale * rng.normal())
     return FciDump.from_tensors(norb, nelec, ms2, e_core, h1, h2)
-
-
-def loop_two_body_tensor(dump: FciDump) -> np.ndarray:
-    """Dense (ij|kl) expanded key by key over the 8 index orbits."""
-    t = np.zeros((dump.norb,) * 4)
-    for key, val in dump.h2.items():
-        for perm in eri_orbit(*key):
-            t[perm] = val
-    return t
 
 
 def interleave(alpha_mask: int, beta_mask: int, norb: int) -> int:

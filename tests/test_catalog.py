@@ -137,6 +137,28 @@ def test_solution_attempted_needs_energy(tmp_path):
         load_solution(path)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["accuracy_tol", "runtime_limit", "reference_energy"])
+def test_non_finite_task_number_rejected(tmp_path, field, value):
+    # json.dumps writes NaN/Infinity, which json.load reads back as floats
+    path = make_instance(tmp_path, [labeled_task(**{field: value})])
+    with pytest.raises(SchemaViolation, match=f"{field}' must be finite"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["energy", "run_time"])
+def test_non_finite_result_number_rejected(tmp_path, field, value):
+    path = tmp_path / "s.solution.json"
+    entry = {"task_uuid": "a", "energy": -1.0, "run_time": 3.0, field: value}
+    write_json(path, {"solver_uuid": "s", "solver_short_name": "s", "results": [entry]})
+    with pytest.raises(SchemaViolation, match=f"{field}' must be finite"):
+        load_solution(path)
+
+
 TASK = Task("t", fcidump_path=None, reference_energy=-1.0, runtime_limit=10.0)
 GUIDESTAR = Task("t", fcidump_path=None, reference_energy=None, is_guidestar=True, runtime_limit=10.0)
 

@@ -226,6 +226,21 @@ def test_duplicate_solver_uuid_rejected(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_non_finite_solution_energy_rejected_before_any_output(tmp_path, caplog):
+    solutions = tmp_path / "solutions"
+    shutil.copytree(SOLUTIONS, solutions)
+    path = solutions / "exact-echo.solution.json"
+    solution = json.loads(path.read_text())
+    solution["results"][0]["energy"] = float("nan")  # json.dumps writes it as NaN
+    path.write_text(json.dumps(solution))
+    out = tmp_path / "out"
+    assert main(report_argv(out, solutions)) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert "'energy' must be finite" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--latent-dim", "1"), ("--latent-dim", "3", "--samples", "0"), ("--jobs", "0"),

@@ -11,14 +11,16 @@ from gsee_bench.errors import (
     MissingHeaderField,
 )
 from gsee_bench.fcidump import (
+    DUPLICATE_TOL,
+    MAX_NORB,
     FciDump,
+    _canonical_flat,
     canonical_eri_index,
-    eri_orbit,
     parse_fcidump,
     write_fcidump,
 )
 
-from conftest import loop_two_body_tensor, random_eri, random_fcidump
+from conftest import eri_orbit, random_eri, random_fcidump
 
 MINIMAL = "&FCI NORB=2,NELEC=2,MS2=0,&END\n1.0 1 1 0 0\n"
 
@@ -30,7 +32,8 @@ def test_parse_minimal_header_and_h1():
     assert d.ms2 == 0
     assert d.h1[0, 0] == 1.0
     assert np.count_nonzero(d.h1) == 1
-    assert d.h2 == {}
+    assert d.h2.shape == (2, 2, 2, 2)
+    assert not d.h2.any()
     assert d.e_core == 0.0
 
 
@@ -59,10 +62,11 @@ def test_parse_accepts_file_object(tmp_path):
 
 
 def test_h2_symmetry_lookup_example():
-    # storing (00|11) makes the (11|00) lookup see the same value
+    # the one line (11|22) sets (00|11) and (11|00) of the 0-based tensor
     d = parse_fcidump("&FCI NORB=2,NELEC=2,&END\n0.3 1 1 2 2\n")
-    assert d.h2_at(0, 0, 1, 1) == 0.3
-    assert d.h2_at(1, 1, 0, 0) == 0.3
+    assert d.h2[0, 0, 1, 1] == 0.3
+    assert d.h2[1, 1, 0, 0] == 0.3
+    assert np.count_nonzero(d.h2) == 2
 
 
 def test_multiline_header_with_orbsym():
@@ -95,7 +99,6 @@ def test_two_orbital_h2_expands_by_symmetry():
     for key, v in values.items():
         for perm in eri_orbit(*key):
             assert tensor[perm] == v
-            assert d.h2_at(*perm) == v
     assert np.count_nonzero(tensor) == 16
 
 
@@ -135,22 +138,30 @@ def test_invalid_spin():
         parse_fcidump("&FCI NORB=2,NELEC=2,MS2=1,&END\n0.0 0 0 0 0\n")
 
 
-def test_h2_at_canonical_orbit(rng):
+def test_tensor_is_constant_on_orbits(rng):
     # exhaustive over every index tuple for norb <= 4
     for norb in (2, 3, 4):
-        d = random_fcidump(rng, norb)
-        tensor = d.two_body_tensor()
+        tensor = random_fcidump(rng, norb).two_body_tensor()
         for idx in np.ndindex((norb,) * 4):
-            expected = tensor[idx]
             for perm in eri_orbit(*idx):
-                assert d.h2_at(*perm) == expected
+                assert tensor[perm] == tensor[idx]
 
 
-def test_h2_at_unset_is_zero():
+def test_tensors_are_read_only_copies(rng):
     d = FciDump(norb=2, nelec=2)
-    assert d.h2_at(0, 1, 1, 0) == 0.0
-    with pytest.raises(IndexOutOfRange):
-        d.h2_at(0, 0, 0, 2)
+    assert d.h1.shape == (2, 2) and d.h2.shape == (2, 2, 2, 2)
+    assert not d.h1.any() and not d.h2.any()
+    h1 = np.eye(3)
+    h2 = random_eri(rng, 3)
+    d = FciDump(3, 2, 0, 0.0, h1, h2)
+    h1[0, 0] = 5.0
+    h2[0, 0, 0, 0] = 5.0
+    assert d.h1[0, 0] == 1.0 and d.h2[0, 0, 0, 0] != 5.0
+    assert d.two_body_tensor() is d.h2
+    for array in (d.h1, d.h2):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
 
 
 def test_canonical_index_is_orbit_invariant(rng):
@@ -163,27 +174,62 @@ def test_canonical_index_is_orbit_invariant(rng):
 
 
 def test_canonical_index_closed_form_is_orbit_minimum():
-    for idx in itertools.product(range(5), repeat=4):
-        assert canonical_eri_index(*idx) == min(eri_orbit(*idx)), idx
+    # vectorized rule == scalar rule == smallest orbit member, for every tuple
+    for norb in range(1, 6):
+        shape = (norb,) * 4
+        flat = _canonical_flat(norb)
+        for idx in np.ndindex(shape):
+            canon = min(eri_orbit(*idx))
+            assert canonical_eri_index(*idx) == canon, idx
+            assert np.unravel_index(flat[idx], shape) == canon, idx
 
 
+@pytest.mark.parametrize("norb", [1, 2, 3, 4, 5])
+def test_writer_emits_the_nonzero_orbit_minima_in_order(rng, norb):
+    minima = {min(eri_orbit(*idx)) for idx in np.ndindex((norb,) * 4)}
+    d = random_fcidump(rng, norb)
+    sparse = d.h2 * (np.abs(d.h2) > np.median(np.abs(d.h2)))
+    for dump in (d, FciDump.from_tensors(norb, d.nelec, d.ms2, d.e_core, d.h1, sparse)):
+        lines = [line.split() for line in write_fcidump(dump).splitlines()[4:]]
+        keys = [tuple(int(x) - 1 for x in line[1:]) for line in lines if line[3] != "0"]
+        assert keys == sorted(k for k in minima if dump.h2[k] != 0.0)
+        for key, line in zip(keys, lines):
+            assert float(line[0]) == dump.h2[key]
+        assert parse_fcidump(write_fcidump(dump)) == dump
+
+
+def _lone(*entries: tuple[int, int, int, int]) -> np.ndarray:
+    h2 = np.zeros((2,) * 4)
+    for key in entries:
+        h2[key] = 0.5
+    return h2
+
+
+# An entry set without its whole orbit breaks one generating transpose; an
+# index outside the basis is a wrong shape.
 @pytest.mark.parametrize(
-    "key, value, message",
+    "h2, message",
     [
-        ((1, 0, 0, 0), 0.5, "is not canonical"),
-        ((0, 0, 1, 0), 0.5, "is not canonical"),
-        ((-1, 0, 0, 0), 0.5, "outside basis"),
-        ((0, 2, 1, 2), 0.5, "outside basis"),
-        ((0, 0, 0, 2), 0.5, "outside basis"),
-        ((0, 1, 1, 1), float("nan"), "non-finite h2 value"),
-        ((0, 0, 0, 0), float("-inf"), "non-finite h2 value"),
+        (_lone((1, 0, 0, 0)), r"transpose \(1, 0, 2, 3\)"),
+        (_lone((0, 0, 0, 1)), r"transpose \(0, 1, 3, 2\)"),
+        (_lone((0, 0, 0, 1), (0, 0, 1, 0)), r"transpose \(2, 3, 0, 1\)"),
+        (np.zeros((3, 3, 3, 3)), "h2 shape"),
+        (np.zeros((2, 2, 2, 3)), "h2 shape"),
+        (np.full((2,) * 4, np.nan), "non-finite"),
+        (np.full((2,) * 4, np.inf), "non-finite"),
+        (np.full((2,) * 4, -np.inf), "non-finite"),
     ],
-    ids=["swapped-pair", "pairs-out-of-order", "negative", "second-index",
-         "fourth-index", "nan", "-inf"],
+    ids=["swapped-pair", "swapped-second-pair", "pairs-out-of-order", "second-index",
+         "fourth-index", "nan", "inf", "-inf"],
 )
-def test_h2_key_and_value_checks(key, value, message):
+def test_h2_key_and_value_checks(h2, message):
     with pytest.raises(InvalidFciDump, match=message):
-        FciDump(norb=2, nelec=2, h2={key: value})
+        FciDump(norb=2, nelec=2, h2=h2)
+
+
+def test_norb_above_cap_rejected():
+    with pytest.raises(InvalidFciDump, match="NORB must be in"):
+        parse_fcidump(f"&FCI NORB={MAX_NORB + 1},NELEC=2,&END\n")
 
 
 def test_roundtrip_minimal():
@@ -207,7 +253,7 @@ def test_roundtrip_random_property(rng):
 
 def test_from_tensors_rejects_asymmetric_h2(rng):
     bad = rng.normal(size=(2, 2, 2, 2))
-    with pytest.raises(InvalidFciDump):
+    with pytest.raises(InvalidFciDump, match="violates 8-fold symmetry"):
         FciDump.from_tensors(2, 2, 0, h2=bad)
 
 
@@ -217,13 +263,38 @@ def test_from_tensors_accepts_symmetrized(rng):
     assert np.allclose(d.two_body_tensor(), eri)
 
 
+def test_from_tensors_snaps_to_canonical_entry_within_tolerance(rng):
+    eri = random_eri(rng, 3)
+    near = eri.copy()
+    near[2, 1, 0, 1] += 0.5 * DUPLICATE_TOL  # orbit minimum is (0, 1, 1, 2)
+    d = FciDump.from_tensors(3, 2, 0, h2=near)
+    assert d.h2[2, 1, 0, 1] == d.h2[0, 1, 1, 2] == eri[0, 1, 1, 2]
+    far = eri.copy()
+    far[2, 1, 0, 1] += 2 * DUPLICATE_TOL
+    with pytest.raises(InvalidFciDump, match=r"at \(2, 1, 0, 1\)"):
+        FciDump.from_tensors(3, 2, 0, h2=far)
+    # a canonical -0.0 is stored as the 0.0 of an unset entry
+    zero = np.zeros((2,) * 4)
+    zero[0, 1, 0, 1] = zero[1, 0, 0, 1] = zero[0, 1, 1, 0] = zero[1, 0, 1, 0] = -0.0
+    assert not np.signbit(FciDump.from_tensors(2, 2, 0, h2=zero).h2).any()
+
+
 def test_two_body_tensor_matches_loop_expansion(rng):
-    dumps = [random_fcidump(rng, norb) for norb in range(1, 7)]
-    sparse = dumps[-1]
-    kept = dict(list(sparse.h2.items())[::3])
-    dumps += [FciDump(norb=sparse.norb, nelec=2, h2=kept), FciDump(norb=2, nelec=2)]
-    for d in dumps:
-        tensor = d.two_body_tensor()
-        assert np.array_equal(tensor, loop_two_body_tensor(d))
-        assert not tensor.flags.writeable
-        assert d.two_body_tensor() is tensor
+    # lines list random orbit members of a sparse canonical set; the tensor
+    # equals a key-by-key expansion over the 8 index orbits
+    for norb in range(1, 7):
+        canonical = sorted({min(eri_orbit(*idx)) for idx in np.ndindex((norb,) * 4)})
+        kept = [key for key in canonical if rng.random() < 0.5]
+        values = {key: float(rng.normal()) for key in kept}
+        expected = np.zeros((norb,) * 4)
+        lines = []
+        for key, value in values.items():
+            for perm in eri_orbit(*key):
+                expected[perm] = value
+            member = eri_orbit(*key)[rng.integers(8)]
+            lines.append(f"{value!r} " + " ".join(str(x + 1) for x in member))
+        if (0, 0, 0, 0) not in values:
+            lines.append("-0.0 1 1 1 1")  # stored as the 0.0 of an unset entry
+        d = parse_fcidump(f"&FCI NORB={norb},NELEC=1,MS2=1,&END\n" + "\n".join(lines) + "\n")
+        assert np.array_equal(d.two_body_tensor(), expected)
+        assert not np.signbit(d.h2[d.h2 == 0.0]).any()

@@ -13,11 +13,22 @@ import numpy as np
 import pytest
 
 from gsee_bench.cli import main
-from gsee_bench.plots import HEIGHT, MARGIN, WIDTH, _prob_color, _prob_rgb
+from gsee_bench.plots import _BLUE, _RED, _WHITE, HEIGHT, MARGIN, WIDTH, _prob_rgb
 
 DEMO = Path(__file__).parent.parent / "demo"
 SOLVER = "size-limited"
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _prob_color(p: float) -> str:
+    """Scalar oracle of the ramp: Python floats and round()."""
+    p = min(max(p, 0.0), 1.0)
+    if p < 0.5:
+        lo, hi, t = _RED, _WHITE, p / 0.5
+    else:
+        lo, hi, t = _WHITE, _BLUE, (p - 0.5) / 0.5
+    rgb = tuple(round(a + (b - a) * t) for a, b in zip(lo, hi))
+    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
 def run_solvability(out: Path, *flags: str) -> dict:

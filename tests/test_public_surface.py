@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import pytest
 
@@ -67,10 +68,23 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.ml.scaling", "minmax_inverse"),
         ("gsee_bench.ml.svm", "_Smo"),
         ("gsee_bench.errors", "SizeMismatch"),
+        ("gsee_bench.fcidump", "eri_orbit"),
+        ("gsee_bench.plots", "_prob_color"),
+        ("gsee_bench.cli", "_render_cell"),
     ],
 )
 def test_reference_path_not_in_package(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_fcidump_keeps_one_integral_store():
+    from gsee_bench.fcidump import FciDump
+
+    assert not hasattr(FciDump, "h2_at")
+    assert "sym_tol" not in inspect.signature(FciDump.from_tensors).parameters
+    dump = FciDump(norb=2, nelec=2)
+    assert dump.two_body_tensor() is dump.h2
+    assert "_two_body_tensor" not in vars(dump)
 
 
 def test_latent_model_has_no_unused_transform():
