@@ -19,7 +19,7 @@ from .catalog import (
     load_solution,
 )
 from .fcidump import FciDump, parse_fcidump, write_fcidump
-from .fermionic import DfResult, SizeFeatures, df_reconstruct, double_factorize, log_fci_size
+from .fermionic import DfResult, df_reconstruct, double_factorize, log_fci_size
 from .fci import DeterminantBasis, SpectrumResult, build_basis, build_fci_matrix, lowest_eigenvalues
 from .ml import (
     SolvabilityConfig,
@@ -37,7 +37,6 @@ from .ml import (
 from .pauli import PauliTable, jordan_wigner_hamiltonian
 from .qubit_features import (
     FEATURE_NAMES,
-    FeatureVector,
     compute_feature_vector,
     compute_qubit_features,
     correlation_matrix,
@@ -48,9 +47,7 @@ __all__ = [
     "DfResult",
     "FEATURE_NAMES",
     "FciDump",
-    "FeatureVector",
     "ProblemInstance",
-    "SizeFeatures",
     "SolutionFile",
     "SolvabilityConfig",
     "SolvabilityReport",

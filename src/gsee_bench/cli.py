@@ -10,6 +10,7 @@ semantic configuration, JSON files carry the same data under "_meta".
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -42,7 +43,6 @@ from .plots import render_latent_map
 from .qubit_features import (
     FEATURE_NAMES,
     SPIN_ORBITAL_ORDERING,
-    FeatureVector,
     compute_feature_vector,
     correlation_matrix,
 )
@@ -111,10 +111,13 @@ def _header_comment(config: RunConfig) -> str:
 
 
 def _write_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
-    """Rows hold strings, ints and Python floats (str(float) == repr(float))."""
-    lines = [_header_comment(config), ",".join(columns)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Rows hold strings, ints and Python floats; a cell holding a comma, a
+    quote or a line break is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_header_comment(config) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -160,7 +163,7 @@ def _load_solutions(solutions_dir: Path) -> list[SolutionFile]:
     return solutions
 
 
-def _try_features(args: tuple[Task, float, bool]) -> FeatureVector | Exception:
+def _try_features(args: tuple[Task, float, bool]) -> np.ndarray | Exception:
     task, df_threshold, df_absolute = args
     try:
         with open(task.fcidump_path, encoding="utf-8") as fh:
@@ -172,29 +175,32 @@ def _try_features(args: tuple[Task, float, bool]) -> FeatureVector | Exception:
         return exc
 
 
-def _collect_features(config: RunConfig, tasks: list[Task]) -> dict[str, FeatureVector]:
-    """Feature vectors by task_uuid, in catalog order, for the tasks whose
-    extraction succeeded (a worker pool when jobs > 1); failures are logged."""
+def _collect_features(config: RunConfig, tasks: list[Task]) -> tuple[list[str], np.ndarray]:
+    """(task_uuids, table): the tasks whose extraction succeeded, in catalog
+    order, and their (n, len(FEATURE_NAMES)) feature table (a worker pool
+    when jobs > 1); failures are logged."""
     work = [(task, config.df_threshold, config.df_absolute) for task in tasks]
-    vectors = {}
+    task_uuids, rows = [], []
     for task, outcome in zip(tasks, _map(config.jobs, _try_features, work)):
         if isinstance(outcome, Exception):
             log.warning("features failed for task %s: %s", task.task_uuid, outcome)
         else:
-            vectors[task.task_uuid] = outcome
-    return vectors
+            task_uuids.append(task.task_uuid)
+            rows.append(outcome)
+    return task_uuids, np.array(rows).reshape(len(rows), len(FEATURE_NAMES))
 
 
-def run_features(config: RunConfig, tasks: list[Task]) -> dict[str, FeatureVector]:
-    """Extract per-task features; write features/correlation/histogram CSVs."""
+def run_features(config: RunConfig, tasks: list[Task]) -> tuple[list[str], np.ndarray]:
+    """Extract per-task features; write features/correlation/histogram CSVs.
+    Returns (task_uuids, table) as `_collect_features` does."""
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    vectors = _collect_features(config, tasks)
+    task_uuids, table = _collect_features(config, tasks)
 
-    rows = [[uuid, *(float(v) for v in vector.as_array())] for uuid, vector in vectors.items()]
+    rows = [[uuid, *row] for uuid, row in zip(task_uuids, table.tolist())]
     _write_csv(config.output_dir / "features.csv", config, ["task_uuid", *FEATURE_NAMES], rows)
 
-    if len(vectors) >= 2:
-        corr = correlation_matrix(list(vectors.values()))
+    if len(task_uuids) >= 2:
+        corr = correlation_matrix(table)
         corr_rows = [[name, *(float(v) for v in corr[i])] for i, name in enumerate(FEATURE_NAMES)]
         _write_csv(
             config.output_dir / "correlation.csv",
@@ -205,7 +211,7 @@ def run_features(config: RunConfig, tasks: list[Task]) -> dict[str, FeatureVecto
     else:
         log.warning("fewer than 2 feature rows; correlation matrix skipped")
 
-    norbs = [int(vector.n_spin_orbitals) // 2 for vector in vectors.values()]
+    norbs = [int(n) // 2 for n in table[:, FEATURE_NAMES.index("n_spin_orbitals")]]
     hist_rows = []
     if norbs:
         top = (max(norbs) // HISTOGRAM_BIN_WIDTH + 1) * HISTOGRAM_BIN_WIDTH
@@ -220,7 +226,7 @@ def run_features(config: RunConfig, tasks: list[Task]) -> dict[str, FeatureVecto
         ["bin_lo", "bin_hi", "count"],
         hist_rows,
     )
-    return vectors
+    return task_uuids, table
 
 
 def run_evaluate(
@@ -266,13 +272,14 @@ def run_solvability(
     config: RunConfig,
     solution: SolutionFile,
     outcomes: list[TaskOutcome],
-    vectors: dict[str, FeatureVector],
+    features: tuple[list[str], np.ndarray],
 ) -> Path:
-    """Train the solvability model for one solver and emit report/cloud/map."""
+    """Train the solvability model for one solver on the (task_uuids, table)
+    pair of the feature stage and emit report/cloud/map."""
     solver_uuid = solution.solver_uuid
+    task_uuids, table = features
     verdict_by_task = {o.task_uuid: o.verdict for o in outcomes}
-    features = [vector.as_array() for vector in vectors.values()]
-    verdicts = [verdict_by_task[uuid] for uuid in vectors]
+    verdicts = [verdict_by_task[uuid] for uuid in task_uuids]
     labels = [None if v is Verdict.UNLABELED else v is Verdict.SOLVED for v in verdicts]
 
     ml_config = SolvabilityConfig(
@@ -282,9 +289,7 @@ def run_solvability(
         threshold=config.threshold,
         seed=config.seed,
     )
-    report = estimate_solvability(
-        np.array(features), labels, ml_config, feature_names=FEATURE_NAMES
-    )
+    report = estimate_solvability(table, labels, ml_config, feature_names=FEATURE_NAMES)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.output_dir / f"solvability_{solver_uuid}.json"
@@ -301,7 +306,7 @@ def run_solvability(
     )
     train_rows = [
         [uuid, *map(float, row[:2]), "" if lab is None else str(bool(lab)).lower()]
-        for uuid, row, lab in zip(vectors, report.training_embedding, report.training_labels)
+        for uuid, row, lab in zip(task_uuids, report.training_embedding, report.training_labels)
     ]
     _write_csv(
         config.output_dir / f"training_points_{solver_uuid}.csv",
@@ -349,9 +354,9 @@ def run_oracle(config: RunConfig, tasks: list[Task] | None = None) -> Path:
 
 
 def _try_solvability(args) -> str | None:
-    config, solution, outcomes, vectors = args
+    config, solution, outcomes, features = args
     try:
-        run_solvability(config, solution, outcomes, vectors)
+        run_solvability(config, solution, outcomes, features)
     except (InsufficientLabels, SingleClass) as exc:
         return f"solvability skipped for {solution.solver_uuid}: {exc}"
     return None
@@ -366,9 +371,9 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
     """
     tasks = _load_tasks(config)
     solutions = _load_solutions(solutions_dir)
-    vectors = run_features(config, tasks)
+    features = run_features(config, tasks)
     outcomes = run_evaluate(config, tasks, solutions)
-    work = [(config, s, outcomes[s.solver_uuid], vectors) for s in solutions]
+    work = [(config, s, outcomes[s.solver_uuid], features) for s in solutions]
     for note in _map(config.jobs, _try_solvability, work):
         if note:
             log.warning("%s", note)

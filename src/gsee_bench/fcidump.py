@@ -196,6 +196,14 @@ def _parse_header(header: str) -> dict[str, list[int]]:
     return fields
 
 
+def _header_scalar(fields: dict[str, list[int]], key: str, default: int) -> int:
+    """First value of an optional header field; present but empty is malformed."""
+    values = fields.get(key, [default])
+    if not values:
+        raise MalformedLine(f"header field {key} has no value")
+    return values[0]
+
+
 def _split_header(text: str) -> tuple[str, str]:
     """Split raw text into (namelist header, integral body)."""
     for terminator in ("&END", "/END", "/"):
@@ -219,9 +227,9 @@ def parse_fcidump(source: str | TextIO) -> FciDump:
             raise MissingHeaderField(f"header field {required} is missing")
     norb = fields["NORB"][0]
     nelec = fields["NELEC"][0]
-    ms2 = fields.get("MS2", [0])[0]
+    ms2 = _header_scalar(fields, "MS2", 0)
     orbsym = tuple(fields["ORBSYM"]) if fields.get("ORBSYM") else None
-    isym = fields.get("ISYM", [1])[0]
+    isym = _header_scalar(fields, "ISYM", 1)
     if not 1 <= norb <= MAX_NORB:
         raise InvalidFciDump(f"NORB must be in [1, {MAX_NORB}], got {norb}")
     if orbsym is not None and len(orbsym) != norb:

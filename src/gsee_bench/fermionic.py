@@ -21,17 +21,6 @@ DEFAULT_DF_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
-class SizeFeatures:
-    """Electron/orbital counts and the log10 dimension of the FCI space."""
-
-    n_elec: int
-    n_spin_orbitals: int
-    n_alpha: int
-    n_beta: int
-    log_fci_size: float
-
-
-@dataclass(frozen=True)
 class DfResult:
     """Double-factorization of a two-electron tensor.
 
@@ -43,8 +32,6 @@ class DfResult:
     g_matrices: np.ndarray
     rank: int
     gap: float
-    truncation_threshold: float
-    absolute: bool = False
 
 
 def _log10_binomial(n: int, k: int) -> float:
@@ -62,16 +49,6 @@ def log_fci_size(norb: int, n_alpha: int, n_beta: int) -> float:
         if not 0 <= occ <= norb:
             raise InvalidOccupation(f"{occ} electrons in {norb} orbitals")
     return _log10_binomial(norb, n_alpha) + _log10_binomial(norb, n_beta)
-
-
-def size_features(dump: FciDump) -> SizeFeatures:
-    return SizeFeatures(
-        n_elec=dump.nelec,
-        n_spin_orbitals=2 * dump.norb,
-        n_alpha=dump.n_alpha,
-        n_beta=dump.n_beta,
-        log_fci_size=log_fci_size(dump.norb, dump.n_alpha, dump.n_beta),
-    )
 
 
 def double_factorize(
@@ -119,8 +96,6 @@ def double_factorize(
         g_matrices=np.array(gs).reshape(rank, n, n),
         rank=rank,
         gap=gap,
-        truncation_threshold=threshold,
-        absolute=absolute,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import binascii
 import math
+import re
 import struct
 import zlib
 
@@ -63,7 +64,11 @@ def _star_path(cx: float, cy: float, r: float) -> str:
 
 
 def render_latent_map(report: SolvabilityReport, title: str) -> str:
-    """Render the sampled latent map and training markers as an SVG document."""
+    """Render the sampled latent map and training markers as an SVG document.
+
+    The title is XML-escaped, and in the leading comment each "--" is split,
+    since a comment may not contain one.
+    """
     bounds = np.asarray(report.bounds, dtype=float)
     span = bounds[:, 1] - bounds[:, 0]
     span = np.where(span == 0.0, 1.0, span)
@@ -73,10 +78,11 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
         y = HEIGHT - MARGIN - (pt[1] - bounds[1, 0]) / span[1] * (HEIGHT - 2 * MARGIN)
         return x, y
 
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f"<!-- {title} -->",
+        f"<!-- {re.sub('-(?=-)', '- ', title)} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',

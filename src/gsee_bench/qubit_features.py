@@ -1,4 +1,4 @@
-"""Qubit-representation features and the assembled per-task feature vector.
+"""Qubit-representation features and the assembled per-task feature row.
 
 Each non-identity Pauli term is an edge of an interaction hypergraph whose
 vertices are qubits; edge order is the number of non-identity factors, edge
@@ -13,13 +13,12 @@ come from byte histograms of those masks.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InsufficientRows
 from .fcidump import FciDump
-from .fermionic import DEFAULT_DF_THRESHOLD, double_factorize, size_features
+from .fermionic import DEFAULT_DF_THRESHOLD, double_factorize, log_fci_size
 from .pauli import PauliTable, jordan_wigner_hamiltonian
 
 log = logging.getLogger(__name__)
@@ -27,59 +26,16 @@ log = logging.getLogger(__name__)
 # Spin-orbital ordering used by the encoder; qubit-level features depend on it.
 SPIN_ORBITAL_ORDERING = "interleaved-alpha-even"
 
-
-@dataclass(frozen=True)
-class QubitFeatureBlock:
-    """Qubit-side feature slice of one Hamiltonian."""
-
-    n_qubits: int
-    one_norm: float
-    n_pauli_strings: int
-    edge_order_max: float
-    edge_order_min: float
-    edge_order_mean: float
-    edge_order_std: float
-    vertex_degree_max: float
-    vertex_degree_min: float
-    vertex_degree_mean: float
-    vertex_degree_std: float
-    edge_weight_max: float
-    edge_weight_min: float
-    edge_weight_mean: float
-    edge_weight_std: float
-    empty: bool = False
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """All numeric features of one task, in the canonical column order."""
-
-    n_elec: float
-    n_spin_orbitals: float
-    log_fci_size: float
-    df_rank: float
-    df_gap: float
-    one_norm: float
-    n_pauli_strings: float
-    n_qubits: float
-    edge_order_max: float
-    edge_order_min: float
-    edge_order_mean: float
-    edge_order_std: float
-    vertex_degree_max: float
-    vertex_degree_min: float
-    vertex_degree_mean: float
-    vertex_degree_std: float
-    edge_weight_max: float
-    edge_weight_min: float
-    edge_weight_mean: float
-    edge_weight_std: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES])
-
-
-FEATURE_NAMES: tuple[str, ...] = tuple(f.name for f in fields(FeatureVector))
+# One task's features are one float row in this column order: the fermionic
+# columns (sizes, DF rank and gap) and then the qubit columns.
+FEATURE_NAMES: tuple[str, ...] = (
+    "n_elec", "n_spin_orbitals", "log_fci_size", "df_rank", "df_gap",
+    "one_norm", "n_pauli_strings", "n_qubits",
+    "edge_order_max", "edge_order_min", "edge_order_mean", "edge_order_std",
+    "vertex_degree_max", "vertex_degree_min", "vertex_degree_mean", "vertex_degree_std",
+    "edge_weight_max", "edge_weight_min", "edge_weight_mean", "edge_weight_std",
+)
+_QUBIT_NAMES = FEATURE_NAMES[5:]
 
 
 def _stats(values: np.ndarray) -> tuple[float, float, float, float]:
@@ -112,94 +68,52 @@ def _vertex_degrees(support: np.ndarray, n_qubits: int) -> np.ndarray:
     return (counts @ bits).ravel()[:n_qubits].astype(float)
 
 
-def compute_qubit_features(table: PauliTable) -> QubitFeatureBlock:
-    """Derive the qubit feature block from a Pauli table of distinct, pruned terms.
+def compute_qubit_features(table: PauliTable) -> dict[str, float]:
+    """The qubit columns of the feature row, by name in FEATURE_NAMES order,
+    from a Pauli table of distinct, pruned terms.
 
-    A Hamiltonian with no non-identity term is flagged empty and reports all
-    statistics as zero.  Degree statistics run over every qubit, including
-    isolated ones, so the register size shapes the distribution.
+    A Hamiltonian with no non-identity term reports all statistics as zero.
+    Degree statistics run over every qubit, including isolated ones, so the
+    register size shapes the distribution.
     """
     support = table.x | table.z
     is_edge = support != 0
     support = support[is_edge]
     if not support.size:
         log.warning("Pauli sum has no non-identity term; emitting zero features")
-        return QubitFeatureBlock(
-            table.n_qubits, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            0.0, 0.0, 0.0, 0.0, empty=True,
-        )
-    orders = np.bitwise_count(support).astype(float)
+        return {**dict.fromkeys(_QUBIT_NAMES, 0.0), "n_qubits": float(table.n_qubits)}
     weights = np.abs(table.coeff[is_edge])
-    degrees = _vertex_degrees(support, table.n_qubits)
-    ord_stats = _stats(orders)
-    deg_stats = _stats(degrees)
-    wt_stats = _stats(weights)
-    return QubitFeatureBlock(
-        n_qubits=table.n_qubits,
-        one_norm=float(np.sort(weights).sum()),
-        n_pauli_strings=len(support),
-        edge_order_max=ord_stats[0],
-        edge_order_min=ord_stats[1],
-        edge_order_mean=ord_stats[2],
-        edge_order_std=ord_stats[3],
-        vertex_degree_max=deg_stats[0],
-        vertex_degree_min=deg_stats[1],
-        vertex_degree_mean=deg_stats[2],
-        vertex_degree_std=deg_stats[3],
-        edge_weight_max=wt_stats[0],
-        edge_weight_min=wt_stats[1],
-        edge_weight_mean=wt_stats[2],
-        edge_weight_std=wt_stats[3],
+    values = (
+        float(np.sort(weights).sum()),
+        float(len(support)),
+        float(table.n_qubits),
+        *_stats(np.bitwise_count(support).astype(float)),
+        *_stats(_vertex_degrees(support, table.n_qubits)),
+        *_stats(weights),
     )
+    return dict(zip(_QUBIT_NAMES, values))
 
 
 def compute_feature_vector(
     dump: FciDump,
     df_threshold: float = DEFAULT_DF_THRESHOLD,
     df_absolute: bool = False,
-) -> FeatureVector:
-    """Full feature vector of one Hamiltonian: sizes, DF block, qubit block."""
-    sizes = size_features(dump)
+) -> np.ndarray:
+    """One task's features as a float row in FEATURE_NAMES order: sizes, the
+    DF rank and gap, and the qubit columns."""
+    sizes = (dump.nelec, 2 * dump.norb, log_fci_size(dump.norb, dump.n_alpha, dump.n_beta))
     df = double_factorize(dump, df_threshold, absolute=df_absolute)
     qubit = compute_qubit_features(jordan_wigner_hamiltonian(dump))
-    return FeatureVector(
-        n_elec=float(sizes.n_elec),
-        n_spin_orbitals=float(sizes.n_spin_orbitals),
-        log_fci_size=sizes.log_fci_size,
-        df_rank=float(df.rank),
-        df_gap=df.gap,
-        one_norm=qubit.one_norm,
-        n_pauli_strings=float(qubit.n_pauli_strings),
-        n_qubits=float(qubit.n_qubits),
-        edge_order_max=qubit.edge_order_max,
-        edge_order_min=qubit.edge_order_min,
-        edge_order_mean=qubit.edge_order_mean,
-        edge_order_std=qubit.edge_order_std,
-        vertex_degree_max=qubit.vertex_degree_max,
-        vertex_degree_min=qubit.vertex_degree_min,
-        vertex_degree_mean=qubit.vertex_degree_mean,
-        vertex_degree_std=qubit.vertex_degree_std,
-        edge_weight_max=qubit.edge_weight_max,
-        edge_weight_min=qubit.edge_weight_min,
-        edge_weight_mean=qubit.edge_weight_mean,
-        edge_weight_std=qubit.edge_weight_std,
-    )
+    return np.array([*sizes, df.rank, df.gap, *qubit.values()], dtype=float)
 
 
-def feature_table(rows) -> np.ndarray:
-    """Stack FeatureVector rows (or arrays) into an (n, D) matrix."""
-    return np.array(
-        [r.as_array() if isinstance(r, FeatureVector) else np.asarray(r) for r in rows]
-    )
-
-
-def correlation_matrix(table) -> np.ndarray:
-    """Pearson correlation between feature columns across rows.
+def correlation_matrix(table: np.ndarray) -> np.ndarray:
+    """Pearson correlation between the columns of an (n, D) feature table.
 
     Constant columns correlate as 0 with everything (flagged in the log);
     the diagonal is 1 by definition.
     """
-    x = feature_table(table) if not isinstance(table, np.ndarray) else np.asarray(table, dtype=float)
+    x = np.asarray(table, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InsufficientRows("correlation needs at least 2 rows")
     centered = x - x.mean(axis=0)

@@ -115,7 +115,7 @@ def test_criterion_3_feature_correctness():
             table = table_from_sum(sum_h)
             orders, degrees = _edges(table)
             assert degrees.sum() == orders.sum()
-            assert compute_qubit_features(table).n_pauli_strings == len(orders)
+            assert compute_qubit_features(table)["n_pauli_strings"] == len(orders)
             graph = build_hypergraph(sum_h)
             assert sorted(e.order for e in graph.edges) == sorted(orders.tolist())
             assert np.array_equal(graph.vertex_degrees(), degrees)
@@ -138,7 +138,7 @@ def test_criterion_4_one_norm_bound():
             matrix = h.to_matrix()
             traceless = matrix - np.trace(matrix) / matrix.shape[0] * np.eye(matrix.shape[0])
             radius = np.abs(np.linalg.eigvalsh(traceless)).max()
-            assert features.one_norm >= radius - 1e-10
+            assert features["one_norm"] >= radius - 1e-10
 
 
 def _planted_dataset(rng, n, frac):

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -89,6 +90,22 @@ def test_evaluate_outcomes(tmp_path):
     assert summary["exact-echo"][2:] == ["11", "12"]
     assert summary["perturbed"][2:] == ["0", "12"]
     assert summary["size-limited"][2:] == ["6", "11"]
+
+
+def test_solver_name_with_csv_delimiters_round_trips(tmp_path):
+    solutions = tmp_path / "solutions"
+    shutil.copytree(SOLUTIONS, solutions)
+    path = solutions / "perturbed.solution.json"
+    solution = json.loads(path.read_text())
+    solution["solver_short_name"] = name = 'SHCI, opt "v2"\nrerun'
+    path.write_text(json.dumps(solution))
+    run_evaluate(RunConfig(CATALOG, tmp_path), tasks_in(CATALOG), scan_solutions(solutions))
+    with open(tmp_path / "solver_summary.csv", newline="", encoding="utf-8") as fh:
+        assert fh.readline().startswith("# gsee-bench")
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["solver_uuid", "solver_short_name", "tasks_solved", "tasks_attempted"]
+    assert all(len(row) == 4 for row in rows)
+    assert {row[0]: row[1] for row in rows[1:]}["perturbed"] == name
 
 
 def test_oracle_outputs_match_references(tmp_path):
@@ -184,6 +201,29 @@ def test_report_byte_identical_reruns(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+
+def test_subcommands_write_the_files_of_report(tmp_path):
+    settings = ["--catalog", str(CATALOG), "--samples", "400", "--seed", "5"]
+    solutions = ["--solutions", str(SOLUTIONS)]
+    report = tmp_path / "report"
+    assert main([*settings, "--out", str(report), "report", *solutions]) == 0
+    stages = {
+        "features": [],
+        "evaluate": solutions,
+        "oracle": [],
+        "solvability": [*solutions, "--solver", "size-limited"],
+    }
+    written = set()
+    for stage, args in stages.items():
+        out = tmp_path / stage
+        assert main([*settings, "--out", str(out), stage, *args]) == 0
+        files = sorted(p.name for p in out.iterdir())
+        assert files, stage
+        for name in files:
+            assert (out / name).read_bytes() == (report / name).read_bytes(), (stage, name)
+        written.update(files)
+    assert written == {p.name for p in report.iterdir()}
 
 
 def test_invalid_threshold_rejected(tmp_path):

@@ -133,6 +133,12 @@ def test_malformed_lines():
         parse_fcidump("no header here")
 
 
+@pytest.mark.parametrize("field", ["MS2", "ISYM"])
+def test_empty_header_value_is_malformed(field):
+    with pytest.raises(MalformedLine, match=f"{field} has no value"):
+        parse_fcidump(f"&FCI NORB=1, NELEC=2, {field}=, &END\n")
+
+
 def test_invalid_spin():
     with pytest.raises(InvalidFciDump):
         parse_fcidump("&FCI NORB=2,NELEC=2,MS2=1,&END\n0.0 0 0 0 0\n")

@@ -9,8 +9,8 @@ from gsee_bench.fermionic import (
     df_reconstruct,
     double_factorize,
     log_fci_size,
-    size_features,
 )
+from gsee_bench.qubit_features import FEATURE_NAMES, compute_feature_vector
 
 from conftest import random_eri, random_symmetric
 
@@ -44,11 +44,12 @@ def test_invalid_occupation():
 
 def test_size_features():
     d = FciDump(norb=4, nelec=3, ms2=1)
-    s = size_features(d)
-    assert s.n_spin_orbitals == 8
-    assert s.n_alpha == 2
-    assert s.n_beta == 1
-    assert s.n_alpha + s.n_beta == s.n_elec
+    s = dict(zip(FEATURE_NAMES, compute_feature_vector(d)))
+    assert s["n_spin_orbitals"] == 8
+    assert d.n_alpha == 2
+    assert d.n_beta == 1
+    assert d.n_alpha + d.n_beta == s["n_elec"]
+    assert s["log_fci_size"] == log_fci_size(4, 2, 1)
 
 
 def test_rank_one_tensor():

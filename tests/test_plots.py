@@ -31,11 +31,11 @@ def _prob_color(p: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
-def run_solvability(out: Path, *flags: str) -> dict:
+def run_solvability(out: Path, *flags: str, solutions: Path = DEMO / "solutions") -> dict:
     code = main(
         [
             "--catalog", str(DEMO / "catalog"), "--out", str(out), "--seed", "3", *flags,
-            "solvability", "--solutions", str(DEMO / "solutions"), "--solver", SOLVER,
+            "solvability", "--solutions", str(solutions), "--solver", SOLVER,
         ]
     )
     assert code == 0
@@ -151,3 +151,15 @@ def test_array_ramp_matches_scalar_ramp():
     got = _prob_rgb(probs)
     assert got.dtype == np.uint8
     assert got.tolist() == [rgb(_prob_color(float(p))) for p in probs]
+
+
+def test_markup_in_solver_name_gives_well_formed_svg(tmp_path):
+    solutions = tmp_path / "solutions"
+    solutions.mkdir()
+    solution = json.loads((DEMO / "solutions" / f"{SOLVER}.solution.json").read_text())
+    solution["solver_short_name"] = name = "DMRG <bond 64> & -- x"
+    (solutions / f"{SOLVER}.solution.json").write_text(json.dumps(solution))
+    run_solvability(tmp_path / "out", "--samples", "100", solutions=solutions)
+    root = ET.parse(tmp_path / "out" / f"latent_map_{SOLVER}.svg").getroot()
+    titles = [t.text for t in root.findall(f"{SVG}text") if t.get("font-size") == "16"]
+    assert titles == [f"{name} solvability"]

@@ -10,10 +10,8 @@ PUBLIC = [
     "DfResult",
     "FEATURE_NAMES",
     "FciDump",
-    "FeatureVector",
     "PauliTable",
     "ProblemInstance",
-    "SizeFeatures",
     "SolutionFile",
     "SolvabilityConfig",
     "SolvabilityReport",
@@ -63,6 +61,11 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.pauli", "pauli_multiply"),
         ("gsee_bench.qubit_features", "Hypergraph"),
         ("gsee_bench.qubit_features", "build_hypergraph"),
+        ("gsee_bench.qubit_features", "FeatureVector"),
+        ("gsee_bench.qubit_features", "QubitFeatureBlock"),
+        ("gsee_bench.qubit_features", "feature_table"),
+        ("gsee_bench.fermionic", "SizeFeatures"),
+        ("gsee_bench.fermionic", "size_features"),
         ("gsee_bench.ml", "shapley_attribution"),
         ("gsee_bench.ml", "minmax_inverse"),
         ("gsee_bench.ml.scaling", "minmax_inverse"),

@@ -8,7 +8,6 @@ from gsee_bench.qubit_features import (
     compute_feature_vector,
     compute_qubit_features,
     correlation_matrix,
-    feature_table,
 )
 
 from conftest import random_fcidump
@@ -35,24 +34,26 @@ def random_pauli_sum(rng, n_qubits: int, n_terms: int) -> PauliSum:
 def test_two_term_hand_computation():
     h = sum_from_labels([("XX", 0.5), ("ZI", -0.25)])
     q = compute_qubit_features(table_from_sum(h))
-    assert q.one_norm == pytest.approx(0.75)
-    assert q.n_pauli_strings == 2
-    assert q.edge_order_mean == pytest.approx(1.5)
-    assert q.edge_order_max == 2
-    assert q.edge_order_min == 1
-    assert q.vertex_degree_max == 2
-    assert q.vertex_degree_min == 1
-    assert q.edge_weight_max == pytest.approx(0.5)
-    assert q.edge_weight_min == pytest.approx(0.25)
+    assert list(q) == list(FEATURE_NAMES[5:])
+    assert q["one_norm"] == pytest.approx(0.75)
+    assert q["n_pauli_strings"] == 2
+    assert q["edge_order_mean"] == pytest.approx(1.5)
+    assert q["edge_order_max"] == 2
+    assert q["edge_order_min"] == 1
+    assert q["vertex_degree_max"] == 2
+    assert q["vertex_degree_min"] == 1
+    assert q["edge_weight_max"] == pytest.approx(0.5)
+    assert q["edge_weight_min"] == pytest.approx(0.25)
 
 
-def test_identity_only_is_flagged_empty():
+def test_identity_only_is_flagged_empty(caplog):
     h = sum_from_labels([("III", 4.2)])
     q = compute_qubit_features(table_from_sum(h))
-    assert q.empty
-    assert q.one_norm == 0.0
-    assert q.n_pauli_strings == 0
-    assert q.edge_order_max == 0.0
+    assert "no non-identity term" in caplog.text
+    assert q == {**dict.fromkeys(FEATURE_NAMES[5:], 0.0), "n_qubits": 3.0}
+    assert q["one_norm"] == 0.0
+    assert q["n_pauli_strings"] == 0
+    assert q["edge_order_max"] == 0.0
 
 
 def test_seven_qubit_interaction_hypergraph():
@@ -64,8 +65,8 @@ def test_seven_qubit_interaction_hypergraph():
     degrees = graph.vertex_degrees()
     assert degrees[2] == 3
     q = compute_qubit_features(table_from_sum(h))
-    assert q.n_pauli_strings == 4
-    assert q.n_qubits == 7
+    assert q["n_pauli_strings"] == 4
+    assert q["n_qubits"] == 7
 
 
 def test_handshake_identity(rng):
@@ -84,7 +85,7 @@ def test_one_norm_bounds_spectral_radius(rng):
         m = h.to_matrix()
         traceless = m - np.trace(m) / m.shape[0] * np.eye(m.shape[0])
         radius = np.abs(np.linalg.eigvalsh(traceless)).max()
-        assert q.one_norm >= radius - 1e-10
+        assert q["one_norm"] >= radius - 1e-10
 
 
 def test_features_invariant_under_term_reorder(rng):
@@ -103,7 +104,8 @@ def test_cancellation_does_not_change_string_count():
         2, [*base.terms.items(), (extra, 0.7), (extra, -0.7)]
     ).simplify()
     grown_q = compute_qubit_features(table_from_sum(grown))
-    assert grown_q.n_pauli_strings == compute_qubit_features(table_from_sum(base)).n_pauli_strings
+    base_q = compute_qubit_features(table_from_sum(base))
+    assert grown_q["n_pauli_strings"] == base_q["n_pauli_strings"]
 
 
 def test_table_features_match_hypergraph(rng):
@@ -121,12 +123,12 @@ def test_table_features_match_hypergraph(rng):
         graph = build_hypergraph(h)
         degrees = graph.vertex_degrees()
         orders = [e.order for e in graph.edges]
-        assert q.n_pauli_strings == len(graph.edges)
-        assert (q.vertex_degree_max, q.vertex_degree_min) == (degrees.max(), degrees.min())
-        assert q.vertex_degree_mean == pytest.approx(degrees.mean(), rel=1e-12)
-        assert (q.edge_order_max, q.edge_order_min) == (max(orders), min(orders))
-        assert q.edge_order_mean == pytest.approx(np.mean(orders), rel=1e-12)
-        assert q.one_norm == pytest.approx(sum(e.weight for e in graph.edges), rel=1e-12)
+        assert q["n_pauli_strings"] == len(graph.edges)
+        assert (q["vertex_degree_max"], q["vertex_degree_min"]) == (degrees.max(), degrees.min())
+        assert q["vertex_degree_mean"] == pytest.approx(degrees.mean(), rel=1e-12)
+        assert (q["edge_order_max"], q["edge_order_min"]) == (max(orders), min(orders))
+        assert q["edge_order_mean"] == pytest.approx(np.mean(orders), rel=1e-12)
+        assert q["one_norm"] == pytest.approx(sum(e.weight for e in graph.edges), rel=1e-12)
 
 
 def closed_form_one_norm(dump) -> float:
@@ -147,22 +149,24 @@ def closed_form_one_norm(dump) -> float:
 def test_one_norm_matches_closed_form(rng, norb):
     d = random_fcidump(rng, norb)
     q = compute_qubit_features(jordan_wigner_hamiltonian(d))
-    assert q.one_norm == pytest.approx(closed_form_one_norm(d), rel=1e-12)
+    assert q["one_norm"] == pytest.approx(closed_form_one_norm(d), rel=1e-12)
 
 
 def test_feature_vector_assembly(rng):
     d = random_fcidump(rng, 2)
-    v = compute_feature_vector(d)
-    arr = v.as_array()
+    arr = compute_feature_vector(d)
+    v = dict(zip(FEATURE_NAMES, arr))
     assert arr.shape == (len(FEATURE_NAMES),)
     assert np.all(np.isfinite(arr))
     assert np.all(arr >= 0.0)
-    assert v.n_spin_orbitals == 4.0
-    assert v.n_qubits == 4.0
-    assert v.edge_order_min <= v.edge_order_mean <= v.edge_order_max
-    assert v.vertex_degree_min <= v.vertex_degree_mean <= v.vertex_degree_max
-    assert v.edge_weight_min <= v.edge_weight_mean <= v.edge_weight_max
-    assert v.edge_order_std >= 0.0
+    assert v["n_spin_orbitals"] == 4.0
+    assert v["n_qubits"] == 4.0
+    assert v["edge_order_min"] <= v["edge_order_mean"] <= v["edge_order_max"]
+    assert v["vertex_degree_min"] <= v["vertex_degree_mean"] <= v["vertex_degree_max"]
+    assert v["edge_weight_min"] <= v["edge_weight_mean"] <= v["edge_weight_max"]
+    assert v["edge_order_std"] >= 0.0
+    qubit = compute_qubit_features(jordan_wigner_hamiltonian(d))
+    assert arr[5:].tolist() == list(qubit.values())
 
 
 def test_correlation_duplicated_and_negated_columns(rng):
@@ -195,10 +199,3 @@ def test_correlation_constant_column_convention(rng):
 def test_correlation_insufficient_rows():
     with pytest.raises(InsufficientRows):
         correlation_matrix(np.ones((1, 3)))
-
-
-def test_feature_table_accepts_vectors(rng):
-    d = random_fcidump(rng, 2)
-    v = compute_feature_vector(d)
-    table = feature_table([v, v])
-    assert table.shape == (2, len(FEATURE_NAMES))
