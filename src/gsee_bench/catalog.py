@@ -178,7 +178,15 @@ def load_solution(path: str | Path) -> SolutionFile:
     if not isinstance(obj, dict):
         raise SchemaViolation(f"{where}: top level is not an object")
     solver_uuid = _require(obj, "solver_uuid", str, where)
+    # The ID names output files, so it must be one plain path component.
+    if solver_uuid in ("", ".", "..") or any(c in solver_uuid for c in "/\\\0"):
+        raise SchemaViolation(f"{where}: solver_uuid {solver_uuid!r} is not a plain file name")
     solver_short_name = _require(obj, "solver_short_name", str, where)
+    # XML 1.0 cannot carry C0 controls other than tab, LF and CR, even escaped.
+    if any(ord(c) < 0x20 and c not in "\t\n\r" for c in solver_short_name):
+        raise SchemaViolation(
+            f"{where}: solver_short_name {solver_short_name!r} holds a control character"
+        )
     raw_results = _require(obj, "results", list, where)
     results = []
     seen: set[str] = set()

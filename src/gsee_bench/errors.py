@@ -91,10 +91,6 @@ class LengthMismatch(GseeBenchError):
     """Paired sequences have different lengths."""
 
 
-class TooManyFeatures(GseeBenchError):
-    """Exact coalition enumeration is infeasible at this dimensionality."""
-
-
 # --- CLI / pipeline ---
 
 class EmptyCatalog(GseeBenchError):

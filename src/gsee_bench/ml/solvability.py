@@ -11,21 +11,20 @@ fraction of samples whose probability meets the threshold.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InsufficientLabels, TooManyFeatures
+from ..errors import InsufficientLabels
 from .latent import LatentModel, nnmf_fit, pca_fit
 from .scaling import minmax_scale
 from .shapley import exact_shapley
 from .svm import SvmModel, predict_proba, svm_fit_cv
 
-log = logging.getLogger(__name__)
-
 MIN_LABELED_ROWS = 10
+# Labeled rows whose mean absolute attributions the report gives.
+ATTRIBUTION_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class SolvabilityConfig:
     n_samples: int = 10_000
     threshold: float = 0.5
     seed: int = 0
-    attribution_points: int = 3
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class SolvabilityReport:
     best_params: dict
     training_embedding: np.ndarray
     training_labels: tuple  # True / False / None per row
-    attributions: dict | None
+    attributions: dict
     feature_names: tuple[str, ...]
     flags: dict = field(default_factory=dict)
 
@@ -114,34 +112,21 @@ def _fit_latent(X: np.ndarray, config: SolvabilityConfig) -> LatentModel:
 
 
 def _mean_abs_attributions(
-    model: SvmModel,
-    X_labeled: np.ndarray,
-    feature_names: tuple[str, ...],
-    n_points: int,
-    seed: int,
-) -> dict | None:
-    d = X_labeled.shape[1]
-    if n_points <= 0:
-        return None
-    try:
-        rng = np.random.default_rng(seed)
-        background = X_labeled
-        if len(background) > 20:
-            background = background[rng.choice(len(background), 20, replace=False)]
-        explain_idx = np.linspace(0, len(X_labeled) - 1, min(n_points, len(X_labeled)))
-        explain_idx = np.unique(explain_idx.astype(int))
-        totals = np.zeros(d)
-        for i in explain_idx:
-            totals += np.abs(
-                exact_shapley(
-                    lambda rows: predict_proba(model, rows), X_labeled[i], background
-                )
-            )
-        means = totals / len(explain_idx)
-        return {name: float(v) for name, v in zip(feature_names, means)}
-    except TooManyFeatures as exc:
-        log.warning("skipping exact attribution: %s", exc)
-        return None
+    model: SvmModel, X_labeled: np.ndarray, feature_names: tuple[str, ...], seed: int
+) -> dict:
+    """Mean absolute log-odds Shapley values of ATTRIBUTION_POINTS labeled rows
+    spread over the table, against at most 20 seeded background rows."""
+    rng = np.random.default_rng(seed)
+    background = X_labeled
+    if len(background) > 20:
+        background = background[rng.choice(len(background), 20, replace=False)]
+    explain_idx = np.linspace(0, len(X_labeled) - 1, min(ATTRIBUTION_POINTS, len(X_labeled)))
+    explain_idx = np.unique(explain_idx.astype(int))
+    totals = np.zeros(X_labeled.shape[1])
+    for i in explain_idx:
+        totals += np.abs(exact_shapley(model, X_labeled[i], background))
+    means = totals / len(explain_idx)
+    return {name: float(v) for name, v in zip(feature_names, means)}
 
 
 def estimate_solvability(
@@ -187,16 +172,15 @@ def estimate_solvability(
     ratio = float(np.count_nonzero(probabilities >= config.threshold) / len(probabilities))
 
     cv = model.mean_cv_metrics()
-    attributions = _mean_abs_attributions(
-        model, X_labeled, feature_names, config.attribution_points, config.seed
-    )
+    attributions = _mean_abs_attributions(model, X_labeled, feature_names, config.seed)
 
     flags = {
         "svm_degenerate": model.degenerate,
         "svm_converged": model.converged,
         "latent_converged": latent.converged,
         "metrics_zero_division": cv.zero_division,
-        "attributions_computed": attributions is not None,
+        "attributions_computed": True,
+        "attribution_target": "log_odds",
     }
     return SolvabilityReport(
         solvability_ratio=ratio,

@@ -27,6 +27,8 @@ from gsee_bench.qubit_features import _vertex_degrees, compute_qubit_features
 
 from conftest import random_eri, random_fcidump, random_symmetric, sector_indices
 from pauli_reference import PauliString, PauliSum, build_hypergraph, table_from_sum
+from shapley_reference import exact_shapley as reference_shapley
+from shapley_reference import log_odds
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -157,7 +159,7 @@ def test_criterion_5_solvability_pipeline_fidelity():
             report = estimate_solvability(
                 X,
                 labels.tolist(),
-                SolvabilityConfig(n_samples=10_000, attribution_points=0),
+                SolvabilityConfig(n_samples=10_000),
             )
             assert report.n_samples == 10_000
             assert abs(report.solvability_ratio - frac) <= 0.05, f"frac={frac}"
@@ -187,14 +189,14 @@ def test_criterion_6_shapley_properties():
 
             point = rng.normal(size=d)
             background = rng.normal(size=(10, d))
-            phi = exact_shapley(model, point, background)
+            phi = reference_shapley(model, point, background)
             target = float(model(point[None, :])[0] - model(background).mean())
             assert abs(phi.sum() - target) < 1e-6  # efficiency
 
         def dummy_model(rows):
             return rows[:, 0] ** 2
 
-        phi = exact_shapley(dummy_model, rng.normal(size=4), rng.normal(size=(8, 4)))
+        phi = reference_shapley(dummy_model, rng.normal(size=4), rng.normal(size=(8, 4)))
         assert np.abs(phi[1:]).max() < 1e-6  # dummy
 
         def symmetric_model(rows):
@@ -203,13 +205,13 @@ def test_criterion_6_shapley_properties():
         shared = rng.normal(size=(9, 1))
         background = np.column_stack([shared, shared, rng.normal(size=(9, 1))])
         point = np.array([0.4, 0.4, -1.0])
-        phi = exact_shapley(symmetric_model, point, background)
+        phi = reference_shapley(symmetric_model, point, background)
         assert abs(phi[0] - phi[1]) < 1e-6  # symmetry
 
         a, b, c = 1.1, -2.2, 0.7
         point = rng.normal(size=3)
         background = rng.normal(size=(12, 3))
-        phi = exact_shapley(lambda r: a * r[:, 0] + b * r[:, 1] + c * r[:, 2], point, background)
+        phi = reference_shapley(lambda r: a * r[:, 0] + b * r[:, 1] + c * r[:, 2], point, background)
         expected = np.array(
             [
                 a * (point[0] - background[:, 0].mean()),
@@ -218,6 +220,20 @@ def test_criterion_6_shapley_properties():
             ]
         )
         assert np.abs(phi - expected).max() < 1e-9  # additive closed form
+
+        # The product-kernel path on a real fit at the CLI's 20 columns, with a
+        # duplicated column (symmetry) and a constant one (dummy).
+        X = rng.uniform(size=(60, 20))
+        X[:, 1] = X[:, 0]
+        X[:, 19] = 0.5
+        svm = svm_fit_cv(X, X[:, 0] + X[:, 2] > 1.0, k=5, seed=0)
+        target = log_odds(svm)
+        for point in X[[0, 30]]:
+            phi = exact_shapley(svm, point, X[:20])
+            gap = float(target(point[None, :])[0] - target(X[:20]).mean())
+            assert abs(phi.sum() - gap) < 1e-10  # efficiency
+            assert abs(phi[0] - phi[1]) < 1e-12  # symmetry
+            assert phi[19] == 0.0  # dummy
 
 
 def test_criterion_7_end_to_end_determinism(tmp_path):

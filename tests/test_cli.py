@@ -282,6 +282,47 @@ def test_non_finite_solution_energy_rejected_before_any_output(tmp_path, caplog)
 
 
 @pytest.mark.parametrize(
+    "solver_uuid",
+    ["team/perturbed", "../escaped", "..", ".", "", "team\\perturbed", "nul\0byte"],
+    ids=["slash", "dotdot-component", "dotdot", "dot", "empty", "backslash", "nul"],
+)
+def test_solver_uuid_not_a_file_name_rejected_before_any_output(tmp_path, caplog, solver_uuid):
+    solutions = tmp_path / "solutions"
+    shutil.copytree(SOLUTIONS, solutions)
+    path = solutions / "perturbed.solution.json"
+    solution = json.loads(path.read_text())
+    solution["solver_uuid"] = solver_uuid
+    path.write_text(json.dumps(solution))
+    out = tmp_path / "out"
+    assert main(report_argv(out, solutions)) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert "is not a plain file name" in errors[0]
+    assert not out.exists()
+    assert not (tmp_path / "escaped.csv").exists()
+
+
+def test_solver_name_with_control_character_rejected(tmp_path, caplog):
+    # XML 1.0 has no escape for U+0001, so the latent-map SVG could not carry it.
+    solutions = tmp_path / "solutions"
+    shutil.copytree(SOLUTIONS, solutions)
+    path = solutions / "size-limited.solution.json"
+    solution = json.loads(path.read_text())
+    solution["solver_short_name"] = "DMRG\u0001v2"
+    path.write_text(json.dumps(solution))
+    out = tmp_path / "out"
+    argv = [
+        "--catalog", str(CATALOG), "--out", str(out), "--samples", "400",
+        "solvability", "--solutions", str(solutions), "--solver", "size-limited",
+    ]
+    assert main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert "control character" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags",
     [("--latent-dim", "1"), ("--latent-dim", "3", "--samples", "0"), ("--jobs", "0"),
      ("--latent-dim", "25"), ("--samples", str(cli.MAX_SAMPLES + 1))],

@@ -67,6 +67,8 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fermionic", "SizeFeatures"),
         ("gsee_bench.fermionic", "size_features"),
         ("gsee_bench.ml", "shapley_attribution"),
+        ("gsee_bench.ml.shapley", "MAX_EXACT_FEATURES"),
+        ("gsee_bench.errors", "TooManyFeatures"),
         ("gsee_bench.ml", "minmax_inverse"),
         ("gsee_bench.ml.scaling", "minmax_inverse"),
         ("gsee_bench.ml.svm", "_Smo"),

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gsee_bench.errors import TooManyFeatures
-from gsee_bench.ml import exact_shapley, predict_proba, svm_fit_cv
+from gsee_bench.ml import exact_shapley, svm_fit_cv
+from gsee_bench.ml.svm import default_gamma_grid
+
+from shapley_reference import exact_shapley as reference_shapley
+from shapley_reference import log_odds
 
 
 def test_efficiency(rng):
@@ -12,7 +17,7 @@ def test_efficiency(rng):
 
     point = rng.normal(size=4)
     background = rng.normal(size=(15, 4))
-    phi = exact_shapley(f, point, background)
+    phi = reference_shapley(f, point, background)
     assert phi.sum() == pytest.approx(float(f(point[None, :])[0] - f(background).mean()), abs=1e-9)
 
 
@@ -22,7 +27,7 @@ def test_dummy_feature_gets_zero(rng):
 
     point = rng.normal(size=3)
     background = rng.normal(size=(10, 3))
-    phi = exact_shapley(f, point, background)
+    phi = reference_shapley(f, point, background)
     assert abs(phi[0]) < 1e-9
     assert abs(phi[2]) < 1e-9
     assert phi.sum() == pytest.approx(float(f(point[None, :])[0] - f(background).mean()), abs=1e-9)
@@ -36,7 +41,7 @@ def test_symmetry_of_exchangeable_features(rng):
     point = np.array([value, value, rng.normal()])
     base = rng.normal(size=(12, 1))
     background = np.column_stack([base, base, rng.normal(size=(12, 1))])
-    phi = exact_shapley(f, point, background)
+    phi = reference_shapley(f, point, background)
     assert phi[0] == pytest.approx(phi[1], abs=1e-9)
 
 
@@ -48,7 +53,7 @@ def test_additive_closed_form(rng):
 
     point = rng.normal(size=3)
     background = rng.normal(size=(20, 3))
-    phi = exact_shapley(f, point, background)
+    phi = reference_shapley(f, point, background)
     expected = np.array(
         [
             a * (point[0] - background[:, 0].mean()),
@@ -73,15 +78,60 @@ def test_properties_on_enumerated_models(rng):
 
         point = rng.normal(size=d)
         background = rng.normal(size=(8, d))
-        phi = exact_shapley(f, point, background)
+        phi = reference_shapley(f, point, background)
         assert phi.sum() == pytest.approx(
             float(f(point[None, :])[0] - f(background).mean()), abs=1e-6
         )
 
 
-def test_too_many_features():
-    with pytest.raises(TooManyFeatures):
-        exact_shapley(lambda r: r[:, 0], np.zeros(16), np.zeros((2, 16)))
+def _fit(rng, n, d):
+    X = rng.uniform(size=(n, d))
+    labels = X[:, 0] + 0.5 * X[:, -1] > 0.75
+    return X, svm_fit_cv(X, labels, k=5, seed=0)
+
+
+def _log_odds_gap(model, point, background):
+    target = log_odds(model)
+    return float(target(point[None, :])[0] - target(background).mean())
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_product_path_matches_reference(rng, d):
+    X, model = _fit(rng, 40, d)
+    background = X[:20]
+    for gamma in default_gamma_grid(d):
+        # the closed form holds for any dual coefficients, so one fit serves every gamma
+        model_g = dataclasses.replace(model, gamma=gamma)
+        for point in X[[0, 25, 39]]:
+            phi = exact_shapley(model_g, point, background)
+            expected = reference_shapley(log_odds(model_g), point, background)
+            assert phi.shape == (d,)
+            assert np.abs(phi - expected).max() < 1e-10, f"gamma={gamma}"
+
+
+def test_product_path_axioms_at_d20(rng):
+    X = rng.uniform(size=(60, 20))
+    X[:, 7] = X[:, 3]  # symmetric pair: a duplicated column
+    X[:, 12] = 0.4  # dummy: a constant column
+    labels = X[:, 3] + X[:, 7] + X[:, 0] > 1.5
+    model = svm_fit_cv(X, labels, k=5, seed=0)
+    background = X[:20]
+    for point in X[[0, 30, 59]]:
+        phi = exact_shapley(model, point, background)
+        assert phi.shape == (20,)
+        assert abs(phi.sum() - _log_odds_gap(model, point, background)) < 1e-10
+        assert phi[3] == pytest.approx(phi[7], abs=1e-12)
+        assert phi[12] == 0.0
+
+
+def test_underflowed_kernel_factors_stay_finite(rng):
+    X, model = _fit(rng, 40, 6)
+    point = np.full(6, 50.0)  # exp(-gamma * 50**2) is 0.0 in double precision
+    assert np.exp(-model.gamma * (point[0] - 1.0) ** 2) == 0.0
+    background = X[:20]
+    phi = exact_shapley(model, point, background)
+    assert np.isfinite(phi).all()
+    assert abs(phi.sum() - _log_odds_gap(model, point, background)) < 1e-10
 
 
 def test_svm_attribution_dummy_feature(rng):
@@ -92,7 +142,6 @@ def test_svm_attribution_dummy_feature(rng):
     labels = x0 > 0
     model = svm_fit_cv(X, labels, k=5, seed=0)
     point = np.array([0.8, 0.0])
-    phi = exact_shapley(lambda rows: predict_proba(model, rows), point, X)
+    phi = exact_shapley(model, point, X)
     assert abs(phi[1]) < 1e-9
-    expected_total = predict_proba(model, point[None, :])[0] - predict_proba(model, X).mean()
-    assert phi.sum() == pytest.approx(float(expected_total), abs=1e-6)
+    assert phi.sum() == pytest.approx(_log_odds_gap(model, point, X), abs=1e-6)

@@ -146,7 +146,7 @@ def test_iteration_cap_returns_unconverged_and_logs(rng, caplog):
 def test_iteration_cap_reaches_the_report_flag(rng, monkeypatch, caplog):
     X = rng.uniform(size=(60, 4))
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
-    config = SolvabilityConfig(n_samples=100, attribution_points=0)
+    config = SolvabilityConfig(n_samples=100)
     assert estimate_solvability(X, labels, config).flags["svm_converged"]
     monkeypatch.setattr(svm, "_smo", partial(svm._smo, max_iter=2))
     with caplog.at_level(logging.WARNING, logger="gsee_bench.ml.svm"):
@@ -158,7 +158,7 @@ def test_iteration_cap_reaches_the_report_flag(rng, monkeypatch, caplog):
 def test_tiny_iteration_cap_clears_the_report_flag(rng, monkeypatch):
     X = rng.uniform(size=(60, 4))
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
-    config = SolvabilityConfig(n_samples=100, attribution_points=0)
+    config = SolvabilityConfig(n_samples=100)
     monkeypatch.setattr(svm, "SMO_MAX_ITER", 2)
     assert estimate_solvability(X, labels, config).flags["svm_converged"] is False
 
@@ -168,7 +168,7 @@ def test_capped_cross_validation_fit_clears_the_report_flag(rng, monkeypatch):
     # fit on all rows converges, and the flag must still report the folds.
     X = rng.uniform(size=(60, 4))
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
-    config = SolvabilityConfig(n_samples=100, attribution_points=0)
+    config = SolvabilityConfig(n_samples=100)
     full_fit_converged = []
 
     def fold_capped(K, y, C, alpha=None):

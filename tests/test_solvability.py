@@ -21,7 +21,7 @@ def planted_dataset(rng, n, frac):
 
 
 def quick_config(**kwargs):
-    base = dict(n_samples=900, attribution_points=0)
+    base = dict(n_samples=900)
     base.update(kwargs)
     return SolvabilityConfig(**base)
 
@@ -70,7 +70,7 @@ def test_threshold_extremes_and_monotonicity(rng):
 def test_planted_fraction_recovered(rng):
     X, labels = planted_dataset(rng, 400, 0.3)
     report = estimate_solvability(
-        X, labels.tolist(), SolvabilityConfig(n_samples=10_000, attribution_points=0)
+        X, labels.tolist(), SolvabilityConfig(n_samples=10_000)
     )
     assert report.n_samples == 10_000
     assert report.grid_resolution == 100
@@ -121,27 +121,30 @@ def test_nnmf_latent_alternative(rng):
 def test_attributions_present_for_small_d(rng):
     X, labels = planted_dataset(rng, 80, 0.5)
     report = estimate_solvability(
-        X, labels.tolist(), quick_config(attribution_points=2), feature_names=("a", "b")
+        X, labels.tolist(), quick_config(), feature_names=("a", "b")
     )
     assert set(report.attributions) == {"a", "b"}
     # the boundary feature dominates the attribution mass
     assert report.attributions["a"] > report.attributions["b"]
 
 
-def test_attributions_skipped_for_large_d(rng):
-    n, d = 40, 16
+def test_attributions_at_twenty_features(rng):
+    n, d = 40, 20
     X = rng.uniform(size=(n, d))
     labels = (X[:, 0] > 0.5).tolist()
-    report = estimate_solvability(X, labels, quick_config(attribution_points=1))
-    assert report.attributions is None
-    assert not report.flags["attributions_computed"]
+    report = estimate_solvability(X, labels, quick_config())
+    assert list(report.attributions) == list(report.feature_names)
+    assert len(report.attributions) == d
+    assert all(np.isfinite(v) for v in report.attributions.values())
+    assert report.flags["attributions_computed"]
+    assert report.flags["attribution_target"] == "log_odds"
 
 
 def test_report_round_trips_to_json(rng):
     import json
 
     X, labels = planted_dataset(rng, 60, 0.5)
-    report = estimate_solvability(X, labels.tolist(), quick_config(attribution_points=1))
+    report = estimate_solvability(X, labels.tolist(), quick_config())
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["n_samples"] == report.n_samples
     assert "latent_points" not in payload  # the CLI writes the cloud to its own CSV
