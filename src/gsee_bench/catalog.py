@@ -85,6 +85,8 @@ def _require(obj: dict, key: str, kind, where: str):
         raise SchemaViolation(f"{where}: missing required field {key!r}")
     value = obj[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        if float(value) != value:  # past 2**53 the int has no exact float
+            raise SchemaViolation(f"{where}: field {key!r} = {value} is not exact as a float")
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise SchemaViolation(f"{where}: field {key!r} has wrong type {type(value).__name__}")
