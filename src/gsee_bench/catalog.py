@@ -14,6 +14,7 @@ import enum
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,6 +94,22 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
+# XML 1.0's Char production.  A name or ID reaches the SVG and CSV artifacts,
+# and a lone surrogate cannot even be encoded as UTF-8.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _check_text(value: str, key: str, where: str) -> str:
+    if _NOT_XML_CHAR.search(value):
+        raise SchemaViolation(f"{where}: {key} {value!r} holds a control character "
+                              "or another code point outside XML 1.0's Char")
+    return value
+
+
+def _require_text(obj: dict, key: str, where: str) -> str:
+    return _check_text(_require(obj, key, str, where), key, where)
+
+
 def _optional_number(obj: dict, key: str, where: str) -> float | None:
     if key not in obj or obj[key] is None:
         return None
@@ -108,7 +125,7 @@ def _optional_number(obj: dict, key: str, where: str) -> float | None:
 def _parse_task(obj: dict, base_dir: Path, where: str) -> Task:
     if not isinstance(obj, dict):
         raise SchemaViolation(f"{where}: task entry is not an object")
-    task_uuid = _require(obj, "task_uuid", str, where)
+    task_uuid = _require_text(obj, "task_uuid", where)
     fcidump_path = _require(obj, "fcidump_path", str, where)
     accuracy_tol = _optional_number(obj, "accuracy_tol", where)
     if accuracy_tol is None:
@@ -154,8 +171,8 @@ def load_instance(path: str | Path) -> ProblemInstance:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise SchemaViolation(f"{where}: top level is not an object")
-    instance_uuid = _require(obj, "instance_uuid", str, where)
-    short_name = _require(obj, "short_name", str, where)
+    instance_uuid = _require_text(obj, "instance_uuid", where)
+    short_name = _require_text(obj, "short_name", where)
     raw_tasks = _require(obj, "tasks", list, where)
     if not raw_tasks:
         raise SchemaViolation(f"{where}: an instance needs at least one task")
@@ -183,12 +200,8 @@ def load_solution(path: str | Path) -> SolutionFile:
     # The ID names output files, so it must be one plain path component.
     if solver_uuid in ("", ".", "..") or any(c in solver_uuid for c in "/\\\0"):
         raise SchemaViolation(f"{where}: solver_uuid {solver_uuid!r} is not a plain file name")
-    solver_short_name = _require(obj, "solver_short_name", str, where)
-    # XML 1.0 cannot carry C0 controls other than tab, LF and CR, even escaped.
-    if any(ord(c) < 0x20 and c not in "\t\n\r" for c in solver_short_name):
-        raise SchemaViolation(
-            f"{where}: solver_short_name {solver_short_name!r} holds a control character"
-        )
+    _check_text(solver_uuid, "solver_uuid", where)
+    solver_short_name = _require_text(obj, "solver_short_name", where)
     raw_results = _require(obj, "results", list, where)
     results = []
     seen: set[str] = set()

@@ -120,6 +120,14 @@ def _write_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_float_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
+    """Rows of Python floats only, in the bytes _write_csv gives them (each
+    float's repr, nothing quoted) from one join instead of a writer call per row."""
+    _write_csv(path, config, columns, [])
+    with open(path, "a", encoding="utf-8", newline="") as fh:
+        fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+
+
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
     payload = {
         "_meta": {
@@ -298,7 +306,7 @@ def run_solvability(
 
     cloud_rows = np.column_stack([report.latent_points, report.probabilities]).tolist()
     latent_cols = [f"latent_{i}" for i in range(report.latent_dim)]
-    _write_csv(
+    _write_float_csv(
         config.output_dir / cloud_name,
         config,
         [*latent_cols, "probability"],

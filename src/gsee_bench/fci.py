@@ -1,12 +1,17 @@
 """Desk-scale exact ground-state solver over a Slater determinant basis.
 
 Determinants are (alpha, beta) occupation bitmask pairs over spatial orbitals,
-in alpha-major order.  The sector Hamiltonian is assembled from cached alpha
-and beta string tables, in the string-driven manner of Knowles and Handy
-(CPL 111, 315, 1984) and Olsen et al. (JCP 89, 2185, 1988): every stored
-element is a diagonal, a one-spin single or double excitation, or an
-alpha-beta double, and each class is a few array operations over the tables
-and the chemist-notation integrals.  Fermionic phases are those of the
+in alpha-major order.  `build_fci_matrix` returns the sector Hamiltonian
+matrix-free.  Its product H @ c, which Davidson iterates on, is the
+string-driven direct-CI sigma of Knowles and Handy (CPL 111, 315, 1984) and
+Olsen et al. (JCP 89, 2185, 1988): with H = sum k_pq E_pq
++ 1/2 sum (pq|rs) E_pq E_rs and k = h - 1/2 sum_r (pr|rq), it forms
+D_rs = E_rs c from the cached string tables, G = k c + 1/2 (pq|rs) D as one
+matrix product, and sigma = sum E_pq G_pq as a gather over the same tables.
+Dense sectors never apply sigma: `toarray` assembles the elements the
+Slater-Condon rules leave (a diagonal, a one-spin single or double, or an
+alpha-beta double), each class a few array operations over the tables and
+the chemist-notation integrals.  Fermionic phases are those of the
 interleaved spin-orbital ordering (alpha of orbital p on index 2p, beta on
 2p+1), so the matrix is sign-consistent with the qubit encoding in `pauli`.
 """
@@ -15,40 +20,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InconsistentBasis, InvalidOccupation, TooLarge
 from .fcidump import FciDump
 
 MAX_ORBITALS = 16
-# Cap on the stored elements of a sector Hamiltonian, checked on the closed
-# form before anything is allocated.  Measured on a 2-core machine with one
-# BLAS thread, one random dump (demo generator) per sector, build plus
-# two-root Davidson in a fresh process: the largest sector under the cap,
-# norb 12 with 6+2 electrons (dim 60,984, 63.9M elements), took 3.8 s + 29 s
-# (115 iterations) at 883 MB peak RSS; norb 10 with 5+5 (dim 63,504, 55.6M)
-# 2.6 s + 19 s at 797 MB.  So a sector under the cap fits about 60 s and 1 GB.
+# Cap on the Slater-Condon element count of a sector (`nnz`), checked on the
+# closed form before anything is allocated.  Sigma stores no elements, and
+# the count bounds its work per product.  Measured on a 2-core machine with
+# one BLAS thread, one random dump (demo generator, seed 1) per sector, build
+# plus two-root Davidson on sigma in a fresh process: the largest sector under
+# the cap, norb 12 with 6+2 electrons (dim 60,984, 63.9M elements), took 9.5 s
+# (75 iterations) at 247 MB peak RSS; norb 10 with 5+5 (dim 63,504, 55.6M)
+# 6.9 s (57 iterations) at 235 MB.  So a sector under the cap fits about 10 s
+# and 250 MB.
 MAX_NONZEROS = 64_000_000
 DENSE_CUTOFF = 2000
-# Elements assembled per block of alpha strings; bounds the build's scratch.
+# Elements assembled per block of alpha strings; bounds toarray's scratch.
 _BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
 class DeterminantBasis:
-    """All (alpha, beta) occupations of a fixed particle-number sector."""
+    """The (alpha, beta) occupations of a fixed particle-number sector, alpha
+    major and each spin's strings in lexicographic order; len() counts them."""
 
     norb: int
     n_alpha: int
     n_beta: int
-    dets: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
-        return len(self.dets)
+        return math.comb(self.norb, self.n_alpha) * math.comb(self.norb, self.n_beta)
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,13 @@ class _Strings:
     a+_p a+_r a_s a_q (q < s occupied, p < r empty) leads to `double_to` with
     phase `double_sign`; `double_direct` and `double_exchange` are the flat
     indices of (qp|sr) and (qr|sp) in the norb^4 integral tensor.
+
+    For sigma, <I|E_pq + E_qp|J> (p < q, the singles of I) and <I|E_pp|I>
+    (p occupied in I) are `pair_sign` for J = `pair_to`, with `pair` the
+    `_pair_index` of (p, q); no pair repeats within a row.  With the same
+    elements, `pair_source[I, pair]` is the row of the stack [c; -c; 0] (n
+    strings of c) that holds that element times c_J: J, J + n for a -1, or 2n
+    where the pair does not couple I to any string.
     """
 
     masks: np.ndarray
@@ -78,6 +91,10 @@ class _Strings:
     single_to: np.ndarray
     single_pq: np.ndarray
     single_sign: np.ndarray
+    pair: np.ndarray
+    pair_to: np.ndarray
+    pair_sign: np.ndarray
+    pair_source: np.ndarray
     double_to: np.ndarray
     double_direct: np.ndarray
     double_exchange: np.ndarray
@@ -91,6 +108,15 @@ def _bit(orbital: np.ndarray) -> np.ndarray:
 def _parity(bits: np.ndarray) -> np.ndarray:
     """+1.0 or -1.0 for an even or odd number of set bits."""
     return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
+
+
+def _pair_index(norb: int) -> np.ndarray:
+    """norb x norb table: the packed index of (min(p, q), max(p, q)), pairs
+    packed in np.triu_indices order."""
+    index = np.zeros((norb, norb), dtype=np.intp)
+    p, q = np.triu_indices(norb)
+    index[p, q] = index[q, p] = np.arange(len(p))
+    return index
 
 
 @lru_cache(maxsize=32)
@@ -112,6 +138,13 @@ def _strings(norb: int, n_occ: int) -> _Strings:
     single_sign = _parity(mask & between)
     single_to = index[mask ^ _bit(p) ^ _bit(q)]
     single_pq = p * norb + q
+    # sigma's pairs: the singles, then E_pp on each occupied p
+    pair_index = _pair_index(norb)
+    pair = np.concatenate([pair_index[p, q], pair_index[occupied, occupied]], axis=1)
+    pair_to = np.concatenate([single_to, np.repeat(index[mask], n_occ, axis=1)], axis=1)
+    pair_sign = np.concatenate([single_sign, np.ones((n, n_occ))], axis=1)
+    pair_source = np.full((n, norb * (norb + 1) // 2), 2 * n, dtype=np.intp)
+    pair_source[np.arange(n)[:, None], pair] = pair_to + n * (pair_sign < 0.0)
 
     # doubles a+_p a+_r a_s a_q; the phase is taken one operator at a time
     oi, oj = np.triu_indices(n_occ, 1)
@@ -129,8 +162,8 @@ def _strings(norb: int, n_occ: int) -> _Strings:
     def flat(i, j, k, l):
         return ((i * norb + j) * norb + k) * norb + l
 
-    tables = _Strings(masks, occ, single_to, single_pq, single_sign, double_to,
-                      flat(q, p, s, r), flat(q, r, s, p), double_sign)
+    tables = _Strings(masks, occ, single_to, single_pq, single_sign, pair, pair_to, pair_sign,
+                      pair_source, double_to, flat(q, p, s, r), flat(q, r, s, p), double_sign)
     for array in vars(tables).values():
         array.flags.writeable = False
     return tables
@@ -153,22 +186,16 @@ def _check_size(norb: int, n_alpha: int, n_beta: int) -> None:
                        f"over the cap of {MAX_NONZEROS}")
 
 
-@lru_cache(maxsize=32)
-def _sector_dets(norb: int, n_alpha: int, n_beta: int) -> tuple[tuple[int, int], ...]:
-    betas = _strings(norb, n_beta).masks.tolist()
-    return tuple((a, b) for a in _strings(norb, n_alpha).masks.tolist() for b in betas)
-
-
 def build_basis(
     norb: int,
     n_alpha: int,
     n_beta: int,
     max_dim: int | None = None,
 ) -> DeterminantBasis:
-    """Enumerate the sector basis in lexicographic (alpha-major) order.
+    """The sector basis, in lexicographic (alpha-major) order.
 
-    Raises TooLarge above MAX_ORBITALS, above MAX_NONZEROS stored matrix
-    elements, or above max_dim determinants when that is given.
+    Raises TooLarge above MAX_ORBITALS, above MAX_NONZEROS matrix elements,
+    or above max_dim determinants when that is given.
     """
     if norb > MAX_ORBITALS:
         raise TooLarge(f"norb={norb} exceeds oracle cap {MAX_ORBITALS}")
@@ -179,7 +206,20 @@ def build_basis(
     if max_dim is not None and dim > max_dim:
         raise TooLarge(f"FCI dimension {dim} exceeds cap {max_dim}")
     _check_size(norb, n_alpha, n_beta)
-    return DeterminantBasis(norb, n_alpha, n_beta, _sector_dets(norb, n_alpha, n_beta))
+    return DeterminantBasis(norb, n_alpha, n_beta)
+
+
+def _diagonal(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
+    """(alpha strings, beta strings): the diagonal elements, e_core included."""
+    eri = dump.two_body_tensor()
+    coulomb = np.einsum("ppqq->pq", eri)
+    same_spin_pair = coulomb - np.einsum("pqqp->pq", eri)
+    h_diag = dump.h1.diagonal()
+
+    def energies(t: _Strings) -> np.ndarray:
+        return t.occ @ h_diag + 0.5 * np.einsum("ip,pq,iq->i", t.occ, same_spin_pair, t.occ)
+
+    return dump.e_core + energies(a)[:, None] + energies(b)[None, :] + a.occ @ coulomb @ b.occ.T
 
 
 def _value_table(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
@@ -197,21 +237,16 @@ def _value_table(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
     norb = dump.norb
     eri = dump.two_body_tensor()
     flat = eri.ravel()
-    coulomb = np.einsum("ppqq->pq", eri)
-    same_spin_pair = coulomb - np.einsum("pqqp->pq", eri)
     direct = np.einsum("pqrr->pqr", eri).reshape(norb * norb, norb)
     one_spin = direct - np.einsum("prrq->pqr", eri).reshape(norb * norb, norb)
-    h_diag, h_flat = dump.h1.diagonal(), dump.h1.ravel()
-
-    def energies(t: _Strings) -> np.ndarray:
-        return t.occ @ h_diag + 0.5 * np.einsum("ip,pq,iq->i", t.occ, same_spin_pair, t.occ)
+    h_flat = dump.h1.ravel()
 
     def doubles(t: _Strings) -> np.ndarray:
         return (flat[t.double_direct] - flat[t.double_exchange]).ravel()
 
-    diag = dump.e_core + energies(a)[:, None] + energies(b)[None, :] + a.occ @ coulomb @ b.occ.T
     return np.concatenate([
-        diag.ravel(), (a.occ @ one_spin.T + h_flat).ravel(), (b.occ @ one_spin.T + h_flat).ravel(),
+        _diagonal(dump, a, b).ravel(),
+        (a.occ @ one_spin.T + h_flat).ravel(), (b.occ @ one_spin.T + h_flat).ravel(),
         (b.occ @ direct.T).ravel(), (a.occ @ direct.T).ravel(), flat,
         doubles(a), doubles(b), [0.0],
     ])
@@ -281,18 +316,114 @@ def _plan(norb: int, n_alpha: int, n_beta: int, start: int, stop: int) -> _Plan:
     return plan
 
 
-# Sectors of at most this many stored elements keep their plan in a cache, so
+# Sectors of at most this many elements keep their plan in a cache, so
 # a catalog of many small tasks pays the integral-independent work once.
 _CACHED_PLAN_ELEMENTS = 1 << 14
 _cached_plan = lru_cache(maxsize=32)(_plan)
 
 
-def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> scipy.sparse.csr_array:
-    """Sparse symmetric sector Hamiltonian over a build_basis basis.
+class SectorHamiltonian:
+    """Matrix-free symmetric sector Hamiltonian over a build_basis basis.
 
-    The stored elements are those the Slater-Condon rules leave, less exact
-    zeros.  Rows are assembled a block of alpha strings at a time into
-    preallocated arrays, and the CSR array is made by one constructor call.
+    `H @ x` is sigma (the module docstring) for a vector or a (dim, m) block;
+    `toarray()` assembles every element, a block of alpha strings at a time.
+    `nnz` counts the elements the Slater-Condon rules leave, exact zeros
+    included.
+    """
+
+    def __init__(self, dump: FciDump, basis: DeterminantBasis):
+        self.dump = dump
+        self.basis = basis
+        dim = len(basis)
+        self.shape = (dim, dim)
+        self.nnz = dim * _row_elements(basis.norb, basis.n_alpha, basis.n_beta)
+
+    def _sector(self) -> tuple[int, int, int]:
+        return self.basis.norb, self.basis.n_alpha, self.basis.n_beta
+
+    def diagonal(self) -> np.ndarray:
+        norb, n_alpha, n_beta = self._sector()
+        return _diagonal(self.dump, _strings(norb, n_alpha), _strings(norb, n_beta)).ravel()
+
+    @cached_property
+    def _integrals(self) -> np.ndarray:
+        """(pairs, pairs): 1/2 (pq|rs) over packed pairs, with k_pq / N added
+        to every diagonal pair rr.  On the sector sum_r E_rr is the electron
+        count N, so sum_r (k / N) D_rr = k c and G is one product; with no
+        electrons D is zero and k drops out."""
+        p, q = np.triu_indices(self.basis.norb)
+        eri = self.dump.two_body_tensor()
+        k = self.dump.h1 - 0.5 * np.einsum("prrq->pq", eri)
+        n_electrons = max(self.basis.n_alpha + self.basis.n_beta, 1)
+        integrals = 0.5 * eri[p, q][:, p, q]
+        integrals[:, p == q] += k[p, q][:, None] / n_electrons
+        return integrals
+
+    @cached_property
+    def _scratch(self) -> np.ndarray:
+        """D, its beta part and G of sigma, each (alpha strings, pairs, beta
+        strings).  Every product reuses them, so that fresh pages are not
+        faulted in per product; one SectorHamiltonian is not for concurrent
+        use."""
+        n_pairs = len(self._integrals)
+        return np.empty((3, self.shape[0] * n_pairs))
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self._sigma(x)
+        out = np.empty_like(x)
+        for j in range(x.shape[1]):
+            out[:, j] = self._sigma(x[:, j])
+        return out
+
+    def _sigma(self, x: np.ndarray) -> np.ndarray:
+        norb, n_alpha, n_beta = self._sector()
+        a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
+        n_a, n_b, n_pairs = len(a.masks), len(b.masks), len(self._integrals)
+        phase = _interleave_phase(norb, n_alpha, n_beta)
+        c = (x * phase).reshape(n_a, n_b)
+        d, d_beta, g = (buffer.reshape(n_a, n_pairs, n_b) for buffer in self._scratch)
+        # D[I, r, J] = (E_r c)[I, J] is a gather of [c; -c; 0], per spin
+        np.take(np.concatenate([c, -c, np.zeros((1, n_b))]), a.pair_source, axis=0,
+                out=d, mode="clip")
+        np.take(np.concatenate([c, -c, np.zeros((n_a, 1))], axis=1), b.pair_source.T, axis=1,
+                out=d_beta, mode="clip")
+        d += d_beta
+        np.matmul(self._integrals, d, out=g)
+        # sigma = sum_r E_r G_r, gathered with the same tables
+        alpha = np.take(g.reshape(n_a * n_pairs, n_b), a.pair_to * n_pairs + a.pair, axis=0)
+        beta = np.take(g.reshape(n_a, n_pairs * n_b), b.pair * n_b + b.pair_to, axis=1)
+        sigma = (np.einsum("ie,iej->ij", a.pair_sign, alpha)
+                 + np.einsum("je,ije->ij", b.pair_sign, beta) + self.dump.e_core * c)
+        return sigma.ravel() * phase
+
+    def toarray(self) -> np.ndarray:
+        norb, n_alpha, n_beta = self._sector()
+        a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
+        table = _value_table(self.dump, a, b)
+        n_a, n_b = len(a.masks), len(b.masks)
+        row_len = _row_elements(norb, n_alpha, n_beta)
+        plan_of = _cached_plan if self.nnz <= _CACHED_PLAN_ELEMENTS else _plan
+        step = max(1, _BLOCK_ELEMENTS // (n_b * row_len))
+        dense = np.zeros(self.shape)
+        for start in range(0, n_a, step):
+            stop = min(start + step, n_a)
+            plan = plan_of(norb, n_alpha, n_beta, start, stop)
+            vals = table[plan.first]
+            vals += table[plan.second]
+            vals *= plan.sign
+            # no column repeats within a row
+            np.put_along_axis(dense[start * n_b:stop * n_b], plan.cols.reshape(-1, row_len),
+                              vals.reshape(-1, row_len), axis=1)
+        return dense
+
+
+def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> SectorHamiltonian:
+    """Matrix-free sector Hamiltonian over a build_basis basis.
+
+    Raises InconsistentBasis when the basis sector is not the dump's and
+    TooLarge above MAX_NONZEROS elements; nothing else is computed here.
     """
     norb, n_alpha, n_beta = basis.norb, basis.n_alpha, basis.n_beta
     if norb != dump.norb or n_alpha != dump.n_alpha or n_beta != dump.n_beta:
@@ -301,38 +432,7 @@ def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> scipy.sparse.csr
             f"match Hamiltonian ({dump.norb}, {dump.n_alpha}, {dump.n_beta})"
         )
     _check_size(norb, n_alpha, n_beta)
-    dets = _sector_dets(norb, n_alpha, n_beta)
-    if basis.dets is not dets and basis.dets != dets:
-        raise InconsistentBasis("basis determinants are not in build_basis order")
-    a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
-    table = _value_table(dump, a, b)
-    n_a, n_b = len(a.masks), len(b.masks)
-    dim = n_a * n_b
-    row_len = _row_elements(norb, n_alpha, n_beta)
-    plan_of = _cached_plan if dim * row_len <= _CACHED_PLAN_ELEMENTS else _plan
-    step = max(1, _BLOCK_ELEMENTS // (n_b * row_len))
-
-    data = np.empty(dim * row_len)
-    indices = np.empty(dim * row_len, dtype=np.int32)
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    filled = 0
-    for start in range(0, n_a, step):
-        stop = min(start + step, n_a)
-        plan = plan_of(norb, n_alpha, n_beta, start, stop)
-        vals = table[plan.first]
-        vals += table[plan.second]
-        vals *= plan.sign
-        keep = vals != 0.0
-        rows = slice(start * n_b + 1, stop * n_b + 1)
-        indptr[rows] = filled + np.cumsum(keep.reshape(-1, row_len).sum(axis=1))
-        end = int(indptr[rows.stop - 1])
-        data[filled:end] = vals[keep]
-        indices[filled:end] = plan.cols[keep]
-        filled = end
-    # shrink in place: a copy would double the peak at the size cap
-    data.resize(filled)
-    indices.resize(filled)
-    return scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
+    return SectorHamiltonian(dump, basis)
 
 
 def lowest_eigenvalues(
@@ -343,7 +443,9 @@ def lowest_eigenvalues(
     max_subspace: int = 30,
     dense_cutoff: int = DENSE_CUTOFF,
 ) -> SpectrumResult:
-    """Lowest k eigenvalues of a symmetric matrix.
+    """Lowest k eigenvalues of a symmetric matrix: a NumPy array, or any
+    object with `toarray()`, `diagonal()` and `@` (a `SectorHamiltonian`, a
+    SciPy sparse matrix).
 
     Small problems are solved densely; larger ones by Davidson iteration with
     a diagonal preconditioner, restarting when the subspace exceeds
@@ -358,11 +460,11 @@ def lowest_eigenvalues(
     k_eff = min(k, n)
 
     if n <= max(dense_cutoff, 3 * max_subspace):
-        dense = matrix.toarray() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
+        dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
         eigvals = np.linalg.eigvalsh(dense)
         return _spectrum(eigvals[:k_eff], k, 0, True)
 
-    diag = matrix.diagonal() if scipy.sparse.issparse(matrix) else np.diag(matrix)
+    diag = matrix.diagonal()
     n_guess = min(n, max(2 * k_eff, k_eff + 2))
     guess_idx = np.argsort(diag, kind="stable")[:n_guess]
     basis = np.zeros((n, n_guess))

@@ -8,6 +8,8 @@ import pytest
 from gsee_bench.fcidump import FciDump
 from gsee_bench.fci import DeterminantBasis
 
+from fci_reference import sector_dets
+
 
 def eri_orbit(i: int, j: int, k: int, l: int) -> tuple[tuple[int, int, int, int], ...]:
     """All 8 index permutations equivalent to (ij|kl) under real-orbital symmetry."""
@@ -78,7 +80,7 @@ def brute_force_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> np.ndarray
     """Dense sector Hamiltonian built by applying second-quantized terms
     directly to occupation bitmasks; independent of the string-table build."""
     norb = dump.norb
-    occ_masks = [interleave(a, b, norb) for a, b in basis.dets]
+    occ_masks = [interleave(a, b, norb) for a, b in sector_dets(norb, basis.n_alpha, basis.n_beta)]
     index = {m: i for i, m in enumerate(occ_masks)}
     dim = len(occ_masks)
     mat = np.zeros((dim, dim))

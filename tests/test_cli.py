@@ -108,6 +108,18 @@ def test_solver_name_with_csv_delimiters_round_trips(tmp_path):
     assert {row[0]: row[1] for row in rows[1:]}["perturbed"] == name
 
 
+def test_float_csv_join_writes_the_bytes_of_csv_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    rows = np.column_stack([rng.normal(size=(50, 2)), rng.random(50)]).tolist()
+    rows[:3] = [[-0.0, 1e-300, 1.0], [5e-324, -1.7976931348623157e308, 0.1],
+                [123456789.0, -1.5e-7, 0.0]]
+    config = RunConfig(CATALOG, tmp_path)
+    columns = ["latent_0", "latent_1", "probability"]
+    cli._write_csv(tmp_path / "writer.csv", config, columns, rows)
+    cli._write_float_csv(tmp_path / "join.csv", config, columns, rows)
+    assert (tmp_path / "join.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+
+
 def test_oracle_outputs_match_references(tmp_path):
     config = RunConfig(CATALOG, tmp_path)
     run_oracle(config)
@@ -319,6 +331,32 @@ def test_solver_name_with_control_character_rejected(tmp_path, caplog):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
     assert "control character" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["X\ud800Y", "X\udfffY", "X\ufffeY", "X\uffffY"],
+                         ids=["high-surrogate", "low-surrogate", "fffe", "ffff"])
+@pytest.mark.parametrize(
+    "field", ["solver_short_name", "solver_uuid", "task_uuid", "instance_uuid", "short_name"]
+)
+def test_text_outside_xml_char_rejected_before_any_output(tmp_path, caplog, field, text):
+    catalog, solutions = tmp_path / "catalog", tmp_path / "solutions"
+    shutil.copytree(CATALOG, catalog)
+    shutil.copytree(SOLUTIONS, solutions)
+    if field.startswith("solver"):
+        path = solutions / "perturbed.solution.json"
+    else:
+        path = catalog / "inst-02" / "inst-02.problem.json"
+    obj = json.loads(path.read_text())
+    (obj["tasks"][1] if field == "task_uuid" else obj)[field] = text
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    argv = ["--catalog", str(catalog), "--out", str(out), "--samples", "400",
+            "report", "--solutions", str(solutions)]
+    assert main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert "outside XML 1.0's Char" in errors[0]
     assert not out.exists()
 
 

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+from gsee_bench.catalog import scan_catalog
 from gsee_bench.errors import InconsistentBasis, InvalidOccupation, TooLarge
-from gsee_bench.fcidump import FciDump
+from gsee_bench.fcidump import FciDump, parse_fcidump
 from gsee_bench.fermionic import log_fci_size
 from gsee_bench.fci import (
     DeterminantBasis,
@@ -19,6 +24,9 @@ from gsee_bench.fci import (
 )
 
 from conftest import brute_force_fci_matrix, interleave, random_fcidump, random_symmetric
+from fci_reference import build_csr, sector_dets
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_basis_counts():
@@ -35,10 +43,11 @@ def test_basis_count_matches_log_fci_size():
 
 def test_basis_masks_have_right_popcount():
     basis = build_basis(5, 2, 3)
-    for a, b in basis.dets:
+    dets = sector_dets(5, 2, 3)
+    for a, b in dets:
         assert bin(a).count("1") == 2
         assert bin(b).count("1") == 3
-    assert len(set(basis.dets)) == len(basis)
+    assert len(set(dets)) == len(dets) == len(basis)
     # alpha-major, occupations enumerated in lexicographic index order
     from itertools import combinations
 
@@ -50,7 +59,7 @@ def test_basis_masks_have_right_popcount():
         for a in combinations(range(5), 2)
         for b in combinations(range(5), 3)
     ]
-    assert list(basis.dets) == expected
+    assert dets == expected
 
 
 def test_basis_caps():
@@ -115,28 +124,48 @@ def test_build_matches_brute_force_in_every_small_sector(rng):
             for n_beta in range(norb + 1):
                 basis = build_basis(norb, n_alpha, n_beta)
                 for d in _sector_dumps(rng, norb, n_alpha, n_beta):
-                    fast = build_fci_matrix(d, basis)
                     slow = brute_force_fci_matrix(d, basis)
-                    assert np.abs(fast.toarray() - slow).max() <= 1e-12
-                    # exact zeros are not stored
-                    assert np.count_nonzero(fast.data) == fast.nnz
+                    assert np.abs(build_fci_matrix(d, basis).toarray() - slow).max() <= 1e-12
+                    oracle = build_csr(d, basis)
+                    assert np.abs(oracle.toarray() - slow).max() <= 1e-12
+                    # the oracle stores no exact zeros
+                    assert np.count_nonzero(oracle.data) == oracle.nnz
+
+
+def _sigma_sectors():
+    # every sector of norb 1-6, empty and full strings included, and dim 3136
+    sectors = [(norb, n_alpha, n_beta) for norb in range(1, 7)
+               for n_alpha in range(norb + 1) for n_beta in range(norb + 1)]
+    return sectors + [(8, 3, 3)]
+
+
+@pytest.mark.parametrize("norb, n_alpha, n_beta", _sigma_sectors())
+def test_sigma_matches_csr_oracle(norb, n_alpha, n_beta):
+    rng = np.random.default_rng([norb, n_alpha, n_beta])
+    d = random_fcidump(rng, norb, n_alpha + n_beta, n_alpha - n_beta, scale=0.5)
+    basis = build_basis(norb, n_alpha, n_beta)
+    mat, oracle = build_fci_matrix(d, basis), build_csr(d, basis)
+    assert mat.shape == oracle.shape == (len(basis), len(basis))
+    block = rng.normal(size=(len(basis), 3))
+    assert np.abs(mat @ block - oracle @ block).max() <= 1e-12
+    assert (mat @ block[:, 0]).shape == (len(basis),)
+    assert np.abs(mat @ block[:, 0] - oracle @ block[:, 0]).max() <= 1e-12
+    assert np.array_equal(mat.diagonal(), oracle.diagonal())
+    if norb <= 6:  # (8, 3, 3) is compared in the dim-3136 test below
+        assert np.array_equal(mat.toarray(), oracle.toarray())
 
 
 def test_build_symmetry_and_stored_elements_at_dim_3136(rng):
     d = random_fcidump(rng, 8, 6, 0, scale=0.5)
-    mat = build_fci_matrix(d, build_basis(8, 3, 3))
+    basis = build_basis(8, 3, 3)
+    mat, oracle = build_fci_matrix(d, basis), build_csr(d, basis)
     assert mat.shape == (3136, 3136)
-    assert mat.nnz == 990_976 == 3136 * _row_elements(8, 3, 3)
-    assert mat.indices.dtype == np.int32
-    assert (mat != mat.T).nnz == 0
-
-
-def test_basis_out_of_build_order_rejected():
-    d = FciDump(norb=2, nelec=2)
-    basis = build_basis(2, 1, 1)
-    shuffled = DeterminantBasis(2, 1, 1, basis.dets[::-1])
-    with pytest.raises(InconsistentBasis):
-        build_fci_matrix(d, shuffled)
+    assert mat.nnz == oracle.nnz == 990_976 == 3136 * _row_elements(8, 3, 3)
+    assert oracle.indices.dtype == np.int32
+    assert (oracle != oracle.T).nnz == 0
+    dense = mat.toarray()
+    assert np.array_equal(dense, oracle.toarray())
+    assert np.array_equal(dense, dense.T)
 
 
 def test_oracle_cap_reachable_and_enforced_at_once():
@@ -149,7 +178,7 @@ def test_oracle_cap_reachable_and_enforced_at_once():
     with pytest.raises(TooLarge):
         solve_ground_state(over)
     with pytest.raises(TooLarge):
-        build_fci_matrix(over, DeterminantBasis(12, 6, 3, ()))
+        build_fci_matrix(over, DeterminantBasis(12, 6, 3))
     assert time.perf_counter() - started < 1.0
 
 
@@ -245,16 +274,17 @@ def test_davidson_applies_matrix_to_each_direction_once(rng, max_subspace):
 
 
 def test_davidson_on_structured_hamiltonian(rng):
-    # a genuine sector Hamiltonian large enough to bypass the dense path
+    # a genuine sector Hamiltonian large enough to bypass the dense path:
+    # Davidson on sigma against eigvalsh on the CSR oracle
     d = random_fcidump(rng, 8, 6, 0, scale=0.5)
     basis = build_basis(8, 3, 3)
     mat = build_fci_matrix(d, basis)
     assert mat.shape[0] > 2000
     dav = lowest_eigenvalues(mat, k=2, tol=1e-9)
-    assert dav.converged
-    dense = np.linalg.eigvalsh(mat.toarray())
-    assert abs(dav.energies[0] - dense[0]) < 1e-8
-    assert abs(dav.energies[1] - dense[1]) < 1e-8
+    assert dav.converged and dav.n_iterations > 0
+    dense = np.linalg.eigvalsh(build_csr(d, basis).toarray())
+    assert abs(dav.energies[0] - dense[0]) < 1e-10
+    assert abs(dav.energies[1] - dense[1]) < 1e-10
 
 
 def test_solve_ground_state_variational_bound(rng):
@@ -266,3 +296,26 @@ def test_solve_ground_state_variational_bound(rng):
     assert spectrum.energies[0] == pytest.approx(dense[0], abs=1e-10)
     if dim > 1:
         assert spectrum.gap >= 0.0
+
+
+def test_demo_reference_energies_reproduce():
+    # the committed demo references are what the oracle computes today
+    checked = 0
+    for instance in scan_catalog(ROOT / "demo" / "catalog"):
+        for task in instance.tasks:
+            if task.reference_energy is None:
+                continue
+            text = task.fcidump_path.read_text(encoding="utf-8")
+            spectrum, _ = solve_ground_state(parse_fcidump(text))
+            assert abs(spectrum.energies[0] - task.reference_energy) <= 1e-12, task.task_uuid
+            checked += 1
+    assert checked == 11
+
+
+def test_package_import_loads_no_scipy():
+    code = ("import sys, gsee_bench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

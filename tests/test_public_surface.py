@@ -76,6 +76,8 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fcidump", "eri_orbit"),
         ("gsee_bench.plots", "_prob_color"),
         ("gsee_bench.cli", "_render_cell"),
+        ("gsee_bench.fci", "_sector_dets"),
+        ("gsee_bench.fci", "scipy"),
     ],
 )
 def test_reference_path_not_in_package(module, name):
