@@ -94,9 +94,10 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
-# XML 1.0's Char production.  A name or ID reaches the SVG and CSV artifacts,
-# and a lone surrogate cannot even be encoded as UTF-8.
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# The code points outside XML 1.0's Char production.  A name or ID reaches the
+# SVG and CSV artifacts, and a lone surrogate cannot even be encoded as UTF-8.
+# Listed as a positive class: the negated one takes about 10x longer to compile.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _check_text(value: str, key: str, where: str) -> str:

@@ -51,8 +51,9 @@ log = logging.getLogger(__name__)
 
 # The JW encoder's uint64 masks hold 64 qubits, i.e. 32 spatial orbitals;
 # larger dumps are skipped as per-task failures.  The cap is reachable: on a
-# 2-core x86 machine a random norb-32 dump takes 2.0 s through
-# compute_feature_vector (1.5M Pauli terms, 238 MB peak RSS of the process).
+# 2-core x86 machine a random norb-32 dump (demo/generate.py, seed 1) takes
+# 1.4 s through compute_feature_vector (1.5M Pauli terms, 235 MB peak RSS of
+# the process, 69 MB of it the Jordan-Wigner plan, which is built per call).
 FEATURE_NORB_CAP = MAX_TABLE_QUBITS // 2
 HISTOGRAM_BIN_WIDTH = 10
 # Latent samples scored per solver.  The cap is reachable: on a 2-core x86
@@ -142,12 +143,14 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
 
 def _map(jobs: int, fn, items: list) -> list:
     """fn over items, results in order: inline, or in a pool of up to `jobs`
-    worker processes (never more than there are items)."""
+    worker processes (never more than there are items).  The pool gets the
+    items in chunks, about four per worker, so that a long list of small
+    items is not sent one round trip at a time."""
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
 def _load_tasks(config: RunConfig) -> list[Task]:
@@ -331,31 +334,35 @@ def run_solvability(
     return report_path
 
 
+def _try_oracle(task: Task) -> dict | Exception:
+    try:
+        with open(task.fcidump_path, encoding="utf-8") as fh:
+            dump = parse_fcidump(fh)
+        spectrum, dim = solve_ground_state(dump, k=2)
+    except Exception as exc:  # noqa: BLE001 - per-task isolation
+        return exc
+    return {
+        "task_uuid": task.task_uuid,
+        "e0": spectrum.energies[0],
+        "e1": spectrum.energies[1] if len(spectrum.energies) > 1 else None,
+        "gap": spectrum.gap,
+        "dim": dim,
+        "converged": spectrum.converged,
+    }
+
+
 def run_oracle(config: RunConfig, tasks: list[Task] | None = None) -> Path:
     """Exact ground-state energies for every oracle-sized task (the catalog is
-    loaded here when no tasks are given)."""
+    loaded here when no tasks are given; a worker pool when jobs > 1)."""
     if tasks is None:
         tasks = _load_tasks(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for task in tasks:
-        try:
-            with open(task.fcidump_path, encoding="utf-8") as fh:
-                dump = parse_fcidump(fh)
-            spectrum, dim = solve_ground_state(dump, k=2)
-        except Exception as exc:  # noqa: BLE001 - per-task isolation
-            log.warning("oracle failed for task %s: %s", task.task_uuid, exc)
-            continue
-        entries.append(
-            {
-                "task_uuid": task.task_uuid,
-                "e0": spectrum.energies[0],
-                "e1": spectrum.energies[1] if len(spectrum.energies) > 1 else None,
-                "gap": spectrum.gap,
-                "dim": dim,
-                "converged": spectrum.converged,
-            }
-        )
+    for task, outcome in zip(tasks, _map(config.jobs, _try_oracle, tasks)):
+        if isinstance(outcome, Exception):
+            log.warning("oracle failed for task %s: %s", task.task_uuid, outcome)
+        else:
+            entries.append(outcome)
     path = config.output_dir / "oracle.json"
     _write_json(path, config, {"results": entries})
     return path
@@ -374,8 +381,9 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
     """Bundle features, evaluation, solvability per solver, and the oracle.
 
     The catalog and the solution files are loaded once and every stage works
-    on them; features are computed once and shared, and solvability runs per
-    solver (a worker pool when jobs > 1, each solver writing its own files).
+    on them; features are computed once and shared, solvability runs per
+    solver (each solver writing its own files) and the oracle per task, each
+    stage in a worker pool when jobs > 1.
     """
     tasks = _load_tasks(config)
     solutions = _load_solutions(solutions_dir)

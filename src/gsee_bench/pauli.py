@@ -17,6 +17,7 @@ qubit 0 as the least significant bit of the computational-basis index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,18 +73,6 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int64)
 
 
-def _merge(x: np.ndarray, z: np.ndarray, coeff: np.ndarray):
-    """Sum the coefficients of equal (x, z) strings: one sort, one reduceat."""
-    if not len(coeff):
-        return x, z, coeff
-    order = np.lexsort((x, z))
-    x, z, coeff = x[order], z[order], coeff[order]
-    first = np.ones(len(coeff), dtype=bool)
-    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
-    starts = np.flatnonzero(first)
-    return x[starts], z[starts], np.add.reduceat(coeff, starts)
-
-
 def _pair_operators(norb: int):
     """Hermitian one-body operators over same-spin spin-orbital pairs.
 
@@ -109,6 +98,91 @@ def _pair_operators(norb: int):
     return i, j, np.column_stack([x, x]), z, coeff
 
 
+@dataclass(frozen=True, eq=False)
+class _JwPlan:
+    """What the Jordan-Wigner encoding of a norb-orbital Hamiltonian keeps
+    from one dump to the next: everything but the integral values.
+
+    The one-body terms are h'[i, j] * c_ops.  The two-body terms are
+    g.ravel()[source] * factor, sorted by string within each first-index
+    block and summed over the runs that start at block_starts.  The final
+    coefficients gather [e_core, one-body terms, block sums] through order
+    and sum over the runs that start at starts; string t is (x[t], z[t]).
+    The index arrays are int32, which holds every index up to norb 32.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    c_ops: np.ndarray
+    source: np.ndarray
+    factor: np.ndarray
+    block_starts: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+
+
+def _merge_order(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort that brings equal (x, z) strings together, and the
+    start of each run of equal strings in sorted order."""
+    order = np.lexsort((x, z))
+    x, z = x[order], z[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    return order.astype(np.int32), np.flatnonzero(first).astype(np.int32)
+
+
+def _jw_plan(norb: int) -> _JwPlan:
+    """Build the plan with the symplectic product rule, in blocks of one
+    first spatial index to bound memory; its arrays are read-only."""
+    i, j, x_ops, z_ops, c_ops = _pair_operators(norb)
+    xs = [np.zeros(1, dtype=np.uint64), x_ops.ravel()]
+    zs = [np.zeros(1, dtype=np.uint64), z_ops.ravel()]
+    sources, factors, block_starts = [], [], []
+    offset = 0
+    n_ops = len(i)
+    for first in range(norb):
+        block = np.flatnonzero(i == first)
+        a, b = np.nonzero(np.arange(n_ops)[None, :] >= block[:, None])
+        a = block[a]
+        # every term of S_a against every term of S_b: shape (pairs, 2, 2)
+        xa, za = x_ops[a][:, :, None], z_ops[a][:, :, None]
+        xb, zb = x_ops[b][:, None, :], z_ops[b][:, None, :]
+        x, z = xa ^ xb, za ^ zb
+        commute = (_popcount(xa & zb) + _popcount(za & xb)) % 2 == 0
+        # symplectic phase i^k of P_a P_b; k is 0 or 2 when they commute
+        k = (_popcount(xa & za) + _popcount(xb & zb) - _popcount(x & z)
+             + 2 * _popcount(za & xb)) % 4
+        # every factor is a signed power of two, so weight * factor is exact
+        factor = (np.where(a == b, 0.5, 1.0)[:, None, None] * c_ops[a][:, :, None]
+                  * c_ops[b][:, None, :] * (1 - k))
+        source = ((i[a] * norb + j[a]) * norb + i[b]) * norb + j[b]
+        source = np.broadcast_to(source.astype(np.int32)[:, None, None], x.shape)
+        x, z, source, factor = x[commute], z[commute], source[commute], factor[commute]
+        order, starts = _merge_order(x, z)
+        sources.append(source[order])
+        factors.append(factor[order])
+        block_starts.append(offset + starts)
+        offset += len(order)
+        xs.append(x[order][starts])
+        zs.append(z[order][starts])
+
+    x, z = np.concatenate(xs), np.concatenate(zs)
+    order, starts = _merge_order(x, z)
+    plan = _JwPlan(i, j, c_ops, np.concatenate(sources), np.concatenate(factors),
+                   np.concatenate(block_starts), order, starts,
+                   x[order][starts], z[order][starts])
+    for array in vars(plan).values():
+        array.setflags(write=False)
+    return plan
+
+
+# Plans up to this norb are kept; the norb-12 plan holds about 1.4 MB.
+_CACHED_JW_NORB = 12
+_cached_jw_plan = lru_cache(maxsize=_CACHED_JW_NORB)(_jw_plan)
+
+
 def jordan_wigner_hamiltonian(dump: FciDump) -> PauliTable:
     """Encode the second-quantized Hamiltonian as a qubit operator.
 
@@ -122,45 +196,21 @@ def jordan_wigner_hamiltonian(dump: FciDump) -> PauliTable:
     with h'_ij = h_ij - (1/2) sum_r (ir|rj), w_ab = (ij|kl) for a < b and
     (ij|kl)/2 for a = b.  Each anticommutator of two Pauli strings is their
     product when they commute and zero otherwise, so every coefficient is
-    real.  Products are formed in bulk with the symplectic rule, one block
-    per first spatial index to bound memory; equal strings are summed, and
-    terms below COEFF_PRUNE_TOL are dropped.
+    real.  The strings, the order in which equal ones are summed and the
+    factor each integral is scaled by depend on norb alone; `_jw_plan` holds
+    them, cached up to `_CACHED_JW_NORB`.  Per dump, the integrals are
+    gathered and scaled, summed by string within each first-index block and
+    then across blocks, and terms below COEFF_PRUNE_TOL are dropped.
     """
     n = 2 * dump.norb
     if n > MAX_TABLE_QUBITS:
         raise TooLarge(f"{n} qubits exceeds the {MAX_TABLE_QUBITS}-bit masks")
+    plan = (_cached_jw_plan if dump.norb <= _CACHED_JW_NORB else _jw_plan)(dump.norb)
     g = dump.two_body_tensor()
-    i, j, x_ops, z_ops, c_ops = _pair_operators(dump.norb)
     h_eff = dump.h1 - 0.5 * np.einsum("irrj->ij", g)
-
-    xs = [np.zeros(1, dtype=np.uint64), x_ops.ravel()]
-    zs = [np.zeros(1, dtype=np.uint64), z_ops.ravel()]
-    cs = [np.array([dump.e_core]), (h_eff[i, j][:, None] * c_ops).ravel()]
-
-    weight = g[i[:, None], j[:, None], i[None, :], j[None, :]]
-    n_ops = len(i)
-    for first in range(dump.norb):
-        block = np.flatnonzero(i == first)
-        a, b = np.nonzero(np.arange(n_ops)[None, :] >= block[:, None])
-        a = block[a]
-        w = weight[a, b] * np.where(a == b, 0.5, 1.0)
-        live = w != 0.0
-        a, b, w = a[live], b[live], w[live]
-        # every term of S_a against every term of S_b: shape (pairs, 2, 2)
-        xa, za = x_ops[a][:, :, None], z_ops[a][:, :, None]
-        xb, zb = x_ops[b][:, None, :], z_ops[b][:, None, :]
-        x, z = xa ^ xb, za ^ zb
-        commute = (_popcount(xa & zb) + _popcount(za & xb)) % 2 == 0
-        # symplectic phase i^k of P_a P_b; k is 0 or 2 when they commute
-        k = (_popcount(xa & za) + _popcount(xb & zb) - _popcount(x & z)
-             + 2 * _popcount(za & xb)) % 4
-        coeff = (w[:, None, None] * c_ops[a][:, :, None] * c_ops[b][:, None, :]
-                 * (1 - k))
-        x, z, coeff = _merge(x[commute], z[commute], coeff[commute])
-        xs.append(x)
-        zs.append(z)
-        cs.append(coeff)
-
-    x, z, coeff = _merge(np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
+    block_sums = np.add.reduceat(g.ravel()[plan.source] * plan.factor, plan.block_starts)
+    coeff = np.concatenate([[dump.e_core], (h_eff[plan.i, plan.j][:, None] * plan.c_ops).ravel(),
+                            block_sums])
+    coeff = np.add.reduceat(coeff[plan.order], plan.starts)
     keep = np.abs(coeff) >= COEFF_PRUNE_TOL
-    return PauliTable(n, x[keep], z[keep], coeff[keep])
+    return PauliTable(n, plan.x[keep], plan.z[keep], coeff[keep])

@@ -4,9 +4,10 @@ The package holds a qubit Hamiltonian only as a `PauliTable` of mask arrays.
 This module keeps the slow object path the tests check it against: one
 `PauliString` object per term, their product rule, a `PauliSum` with the
 general algebra, conversions between sums and tables, the interaction
-hypergraph as per-edge objects, and a Jordan-Wigner encoder that multiplies
+hypergraph as per-edge objects, a Jordan-Wigner encoder that multiplies
 ladder operators term by term (norb^4 products, but the textbook
-definitions directly).
+definitions directly), and the block encoder that forms the pair-operator
+products of every dump afresh (the package caches them per norb).
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 
 from gsee_bench.errors import GseeBenchError, TooLarge
 from gsee_bench.fcidump import FciDump
-from gsee_bench.pauli import COEFF_PRUNE_TOL, PauliTable
+from gsee_bench.pauli import (
+    COEFF_PRUNE_TOL,
+    MAX_TABLE_QUBITS,
+    PauliTable,
+    _pair_operators,
+    _popcount,
+)
 
 IMAG_PRUNE_TOL = 1e-10
 
@@ -317,3 +324,58 @@ def jordan_wigner_reference(dump: FciDump) -> PauliSum:
     ident = PauliString.identity(n)
     acc[ident] = acc.get(ident, 0.0) + dump.e_core
     return PauliSum(n, acc).simplify()
+
+
+def _merge(x: np.ndarray, z: np.ndarray, coeff: np.ndarray):
+    """Sum the coefficients of equal (x, z) strings: one sort, one reduceat."""
+    if not len(coeff):
+        return x, z, coeff
+    order = np.lexsort((x, z))
+    x, z, coeff = x[order], z[order], coeff[order]
+    first = np.ones(len(coeff), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    starts = np.flatnonzero(first)
+    return x[starts], z[starts], np.add.reduceat(coeff, starts)
+
+
+def jordan_wigner_blocks(dump: FciDump) -> PauliTable:
+    """The pair-operator encoding of `jordan_wigner_hamiltonian`, with every
+    product formed from this dump's integrals: one block per first spatial
+    index, the products of zero weights left out, equal strings summed in
+    each block and then across blocks, terms below COEFF_PRUNE_TOL dropped."""
+    n = 2 * dump.norb
+    if n > MAX_TABLE_QUBITS:
+        raise TooLarge(f"{n} qubits exceeds the {MAX_TABLE_QUBITS}-bit masks")
+    g = dump.two_body_tensor()
+    i, j, x_ops, z_ops, c_ops = _pair_operators(dump.norb)
+    h_eff = dump.h1 - 0.5 * np.einsum("irrj->ij", g)
+
+    xs = [np.zeros(1, dtype=np.uint64), x_ops.ravel()]
+    zs = [np.zeros(1, dtype=np.uint64), z_ops.ravel()]
+    cs = [np.array([dump.e_core]), (h_eff[i, j][:, None] * c_ops).ravel()]
+
+    weight = g[i[:, None], j[:, None], i[None, :], j[None, :]]
+    n_ops = len(i)
+    for first in range(dump.norb):
+        block = np.flatnonzero(i == first)
+        a, b = np.nonzero(np.arange(n_ops)[None, :] >= block[:, None])
+        a = block[a]
+        w = weight[a, b] * np.where(a == b, 0.5, 1.0)
+        live = w != 0.0
+        a, b, w = a[live], b[live], w[live]
+        xa, za = x_ops[a][:, :, None], z_ops[a][:, :, None]
+        xb, zb = x_ops[b][:, None, :], z_ops[b][:, None, :]
+        x, z = xa ^ xb, za ^ zb
+        commute = (_popcount(xa & zb) + _popcount(za & xb)) % 2 == 0
+        k = (_popcount(xa & za) + _popcount(xb & zb) - _popcount(x & z)
+             + 2 * _popcount(za & xb)) % 4
+        coeff = (w[:, None, None] * c_ops[a][:, :, None] * c_ops[b][:, None, :]
+                 * (1 - k))
+        x, z, coeff = _merge(x[commute], z[commute], coeff[commute])
+        xs.append(x)
+        zs.append(z)
+        cs.append(coeff)
+
+    x, z, coeff = _merge(np.concatenate(xs), np.concatenate(zs), np.concatenate(cs))
+    keep = np.abs(coeff) >= COEFF_PRUNE_TOL
+    return PauliTable(n, x[keep], z[keep], coeff[keep])

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from gsee_bench.catalog import (
+    _NOT_XML_CHAR,
     DEFAULT_ACCURACY_TOL,
     SolutionResult,
     Task,
@@ -263,3 +265,13 @@ def test_scan_rejects_duplicate_task_across_instances(tmp_path):
     make_instance(tmp_path, [labeled_task("t1")], uuid="i2")
     with pytest.raises(DuplicateTaskUuid):
         scan_catalog(tmp_path)
+
+
+def test_not_xml_char_matches_the_complement_of_xml_char_everywhere():
+    """The positive class against the negated Char production, at every code point."""
+    char = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+    everything = "".join(map(chr, range(0x110000)))
+    got = [m.start() for m in _NOT_XML_CHAR.finditer(everything)]
+    want = [m.start() for m in char.finditer(everything)]
+    assert got == want
+    assert len(want) == 29 + 2048 + 2  # C0 less tab/LF/CR, surrogates, U+FFFE/U+FFFF

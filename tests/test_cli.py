@@ -188,6 +188,34 @@ def test_config_file_with_flag_override(tmp_path):
     assert not (tmp_path / "from_config").exists()
 
 
+def test_parallel_oracle_matches_serial(tmp_path):
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    run_oracle(RunConfig(CATALOG, serial))
+    run_oracle(RunConfig(CATALOG, parallel, jobs=2))
+    assert (serial / "oracle.json").read_bytes() == (parallel / "oracle.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_oracle_skips_truncated_fcidump(tmp_path, caplog, jobs):
+    catalog = tmp_path / "catalog"
+    shutil.copytree(CATALOG, catalog)
+    dump = catalog / "inst-02" / "task-02-1.fcidump"
+    text = dump.read_text(encoding="utf-8")
+    dump.write_text(text[: text.index("&END")], encoding="utf-8")  # cut in the header
+    run_oracle(RunConfig(catalog, tmp_path / "out", jobs=jobs))
+    results = json.loads((tmp_path / "out" / "oracle.json").read_text())["results"]
+    assert [r["task_uuid"] for r in results] == [
+        t.task_uuid for t in tasks_in(CATALOG) if t.task_uuid != "task-02-1"
+    ]
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and warnings[0].startswith("oracle failed for task task-02-1:")
+
+
+def test_pool_map_keeps_item_order_over_uneven_chunks():
+    items = list(range(-19, 0))  # 19 items, chunks of 19 // 8 = 2: the last one short
+    assert cli._map(2, abs, items) == [abs(i) for i in items]
+
+
 def test_parallel_features_match_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"

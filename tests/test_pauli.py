@@ -1,18 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsee_bench import pauli
 from gsee_bench.errors import TooLarge
-from gsee_bench.fcidump import FciDump
+from gsee_bench.fcidump import FciDump, parse_fcidump
 from gsee_bench.fci import build_basis, build_fci_matrix
 from gsee_bench.pauli import PauliTable, jordan_wigner_hamiltonian
 
-from conftest import random_eri, random_fcidump, random_symmetric, sector_indices
+from conftest import eri_orbit, random_eri, random_fcidump, random_symmetric, sector_indices
 from pauli_reference import (
     PauliString,
     PauliSum,
     SizeMismatch,
+    jordan_wigner_blocks,
     jordan_wigner_reference,
     jw_annihilation,
     jw_creation,
@@ -275,3 +279,71 @@ def test_jw_table_round_trips_through_pauli_sum(rng):
 def test_jw_register_limit():
     with pytest.raises(TooLarge):
         jordan_wigner_hamiltonian(FciDump(norb=33, nelec=2))
+
+
+DEMO_DUMPS = sorted((Path(__file__).parent.parent / "demo" / "catalog").rglob("*.fcidump"))
+
+
+def _assert_same_table(got: PauliTable, want: PauliTable, rtol: float = 0.0) -> None:
+    assert got.n_qubits == want.n_qubits
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
+    assert np.all(np.abs(got.coeff - want.coeff) <= rtol * np.abs(want.coeff))
+
+
+def test_jw_plan_bit_identical_to_block_encoder_on_dense_dumps(rng):
+    for norb in range(1, 9):
+        for _ in range(3):
+            dump = random_fcidump(rng, norb)
+            _assert_same_table(jordan_wigner_hamiltonian(dump), jordan_wigner_blocks(dump))
+
+
+def test_jw_plan_bit_identical_to_block_encoder_on_demo_dumps():
+    assert len(DEMO_DUMPS) == 12
+    for path in DEMO_DUMPS:
+        with open(path, encoding="utf-8") as fh:
+            dump = parse_fcidump(fh)
+        _assert_same_table(jordan_wigner_hamiltonian(dump), jordan_wigner_blocks(dump))
+
+
+def _zero_orbits(rng, norb: int) -> FciDump:
+    """A dense dump with about half of its ERI orbits set to exactly zero."""
+    h2 = random_eri(rng, norb)
+    for key in np.argwhere(rng.random((norb,) * 4) < 0.5):
+        for perm in eri_orbit(*key):
+            h2[perm] = 0.0
+    return FciDump.from_tensors(norb, norb, norb % 2, float(rng.normal()),
+                                random_symmetric(rng, norb), h2)
+
+
+def _hubbard_ring(sites: int, u: float, t: float = 1.0) -> FciDump:
+    h1 = np.zeros((sites, sites))
+    for s in range(sites):
+        h1[s, (s + 1) % sites] = h1[(s + 1) % sites, s] = -t
+    h2 = np.zeros((sites,) * 4)
+    for s in range(sites):
+        h2[s, s, s, s] = u
+    return FciDump.from_tensors(sites, sites, sites % 2, 0.0, h1, h2)
+
+
+def test_jw_plan_matches_block_encoder_on_sparse_dumps(rng):
+    """The block encoder leaves the products of zero weights out, which moves
+    the pairwise summation of long runs of equal strings in the last bits."""
+    dumps = [_zero_orbits(rng, norb) for norb in range(1, 7)]
+    dumps += [_hubbard_ring(sites, u) for sites in range(2, 9) for u in (0.5, 4.0)]
+    for dump in dumps:
+        _assert_same_table(jordan_wigner_hamiltonian(dump), jordan_wigner_blocks(dump), 1e-13)
+
+
+def test_jw_plan_cached_up_to_cap_and_read_only():
+    pauli._cached_jw_plan.cache_clear()
+    cap = pauli._CACHED_JW_NORB
+    for norb in (1, 2, cap + 1):
+        jordan_wigner_hamiltonian(random_fcidump(np.random.default_rng(norb), norb))
+    assert pauli._cached_jw_plan.cache_info().currsize == 2
+    plan = pauli._cached_jw_plan(2)
+    assert pauli._cached_jw_plan(2) is plan
+    assert pauli._cached_jw_plan.cache_info().currsize == 2
+    for name, array in vars(plan).items():
+        assert not array.flags.writeable, name
+    with pytest.raises(ValueError):
+        plan.factor[0] = 0.0

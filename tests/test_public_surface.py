@@ -59,6 +59,7 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.pauli", "PauliString"),
         ("gsee_bench.pauli", "PauliSum"),
         ("gsee_bench.pauli", "pauli_multiply"),
+        ("gsee_bench.pauli", "_merge"),
         ("gsee_bench.qubit_features", "Hypergraph"),
         ("gsee_bench.qubit_features", "build_hypergraph"),
         ("gsee_bench.qubit_features", "FeatureVector"),
