@@ -8,12 +8,13 @@ Olsen et al. (JCP 89, 2185, 1988): with H = sum k_pq E_pq
 + 1/2 sum (pq|rs) E_pq E_rs and k = h - 1/2 sum_r (pr|rq), it forms
 D_rs = E_rs c from the cached string tables, G = k c + 1/2 (pq|rs) D as one
 matrix product, and sigma = sum E_pq G_pq as a gather over the same tables.
-Dense sectors never apply sigma: `toarray` assembles the elements the
-Slater-Condon rules leave (a diagonal, a one-spin single or double, or an
-alpha-beta double), each class a few array operations over the tables and
-the chemist-notation integrals.  Fermionic phases are those of the
-interleaved spin-orbital ordering (alpha of orbital p on index 2p, beta on
-2p+1), so the matrix is sign-consistent with the qubit encoding in `pauli`.
+Dense sectors never apply sigma: `toarray` expands the same factorization,
+H = sum_rs W_rs E_r E_s + e_core with E_r = A_r (x) 1 + 1 (x) B_r over each
+spin's pair operators, into two one-spin parts and an alpha-beta part, each
+a scatter of products of two table entries.
+Fermionic phases are those of the interleaved spin-orbital ordering (alpha of
+orbital p on index 2p, beta on 2p+1), so the matrix is sign-consistent with
+the qubit encoding in `pauli`.
 """
 
 from __future__ import annotations
@@ -39,9 +40,27 @@ MAX_ORBITALS = 16
 # 6.9 s (57 iterations) at 235 MB.  So a sector under the cap fits about 10 s
 # and 250 MB.
 MAX_NONZEROS = 64_000_000
-DENSE_CUTOFF = 2000
-# Elements assembled per block of alpha strings; bounds toarray's scratch.
-_BLOCK_ELEMENTS = 1 << 18
+# Sectors of at most this many determinants are solved densely (`toarray`
+# and eigvalsh), larger ones by Davidson on sigma.  Medians on a 2-core
+# machine with one BLAS thread, two demo-generator dumps per sector, each
+# from a fresh matrix, k = 2:
+#   (norb, n_alpha, n_beta)   dim   dense   Davidson
+#   (6, 3, 3)                 400   14 ms     25 ms
+#   (10, 2, 1)                450   14 ms     25 ms
+#   (8, 4, 1)                 560   36 ms     21 ms
+#   (16, 3, 0)                560   43 ms    204 ms
+#   (11, 2, 1)                605   24 ms     40 ms
+#   (13, 4, 0)                715   63 ms    138 ms
+#   (7, 3, 2)                 735   45 ms     19 ms
+#   (8, 2, 2)                 784   61 ms     29 ms
+#   (14, 4, 0)               1001  136 ms    201 ms
+#   (7, 3, 3)                1225  178 ms     28 ms
+# Davidson's cost grows with the pair count norb(norb+1)/2 and the dense
+# cost with dim^3, so the crossover moves from about 450 at norb 7-8 to
+# above 1000 for one-spin sectors of norb 12-16.  Over 25 sectors of
+# dim 400-1300, a cutoff of 700 keeps the path taken within 2.2x of the
+# faster one; 2000 cost up to 6.3x there, and 13x at (8, 3, 2), dim 1568.
+DENSE_CUTOFF = 700
 
 
 @dataclass(frozen=True)
@@ -69,36 +88,24 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class _Strings:
-    """Occupation strings of one spin in build_basis order, with every single
-    and double excitation of each string (one row per string, read-only).
+    """Occupation strings of one spin in build_basis order, with the pair
+    operators that couple each string to others (one row per string,
+    read-only).
 
-    A single a+_p a_q (q occupied, p empty) leads to string `single_to` with
-    phase `single_sign`; `single_pq` is p * norb + q.  A double
-    a+_p a+_r a_s a_q (q < s occupied, p < r empty) leads to `double_to` with
-    phase `double_sign`; `double_direct` and `double_exchange` are the flat
-    indices of (qp|sr) and (qr|sp) in the norb^4 integral tensor.
-
-    For sigma, <I|E_pq + E_qp|J> (p < q, the singles of I) and <I|E_pp|I>
-    (p occupied in I) are `pair_sign` for J = `pair_to`, with `pair` the
-    `_pair_index` of (p, q); no pair repeats within a row.  With the same
-    elements, `pair_source[I, pair]` is the row of the stack [c; -c; 0] (n
-    strings of c) that holds that element times c_J: J, J + n for a -1, or 2n
-    where the pair does not couple I to any string.
+    <I|E_pq + E_qp|J> (p < q, the singles of I) and <I|E_pp|I> (p occupied
+    in I) are `pair_sign` for J = `pair_to`, with `pair` the `_pair_index`
+    of (p, q); no pair repeats within a row.  With the same elements,
+    `pair_source[I, pair]` is the row of the stack [c; -c; 0] (n strings of
+    c) that holds that element times c_J: J, J + n for a -1, or 2n where the
+    pair does not couple I to any string.
     """
 
     masks: np.ndarray
     occ: np.ndarray
-    single_to: np.ndarray
-    single_pq: np.ndarray
-    single_sign: np.ndarray
     pair: np.ndarray
     pair_to: np.ndarray
     pair_sign: np.ndarray
     pair_source: np.ndarray
-    double_to: np.ndarray
-    double_direct: np.ndarray
-    double_exchange: np.ndarray
-    double_sign: np.ndarray
 
 
 def _bit(orbital: np.ndarray) -> np.ndarray:
@@ -137,8 +144,7 @@ def _strings(norb: int, n_occ: int) -> _Strings:
     between = (_bit(np.maximum(p, q)) - 1) & ~(_bit(np.minimum(p, q) + 1) - 1)
     single_sign = _parity(mask & between)
     single_to = index[mask ^ _bit(p) ^ _bit(q)]
-    single_pq = p * norb + q
-    # sigma's pairs: the singles, then E_pp on each occupied p
+    # the pairs: the singles, then E_pp on each occupied p
     pair_index = _pair_index(norb)
     pair = np.concatenate([pair_index[p, q], pair_index[occupied, occupied]], axis=1)
     pair_to = np.concatenate([single_to, np.repeat(index[mask], n_occ, axis=1)], axis=1)
@@ -146,24 +152,7 @@ def _strings(norb: int, n_occ: int) -> _Strings:
     pair_source = np.full((n, norb * (norb + 1) // 2), 2 * n, dtype=np.intp)
     pair_source[np.arange(n)[:, None], pair] = pair_to + n * (pair_sign < 0.0)
 
-    # doubles a+_p a+_r a_s a_q; the phase is taken one operator at a time
-    oi, oj = np.triu_indices(n_occ, 1)
-    ei, ej = np.triu_indices(norb - n_occ, 1)
-    shape = (n, len(oi), len(ei))
-    q, s = (np.broadcast_to(occupied[:, o, None], shape).reshape(n, -1) for o in (oi, oj))
-    p, r = (np.broadcast_to(empty[:, None, e], shape).reshape(n, -1) for e in (ei, ej))
-    after_q = mask ^ _bit(q)
-    after_s = after_q ^ _bit(s)
-    after_r = after_s | _bit(r)
-    double_sign = (_parity(mask & (_bit(q) - 1)) * _parity(after_q & (_bit(s) - 1))
-                   * _parity(after_s & (_bit(r) - 1)) * _parity(after_r & (_bit(p) - 1)))
-    double_to = index[after_r | _bit(p)]
-
-    def flat(i, j, k, l):
-        return ((i * norb + j) * norb + k) * norb + l
-
-    tables = _Strings(masks, occ, single_to, single_pq, single_sign, pair, pair_to, pair_sign,
-                      pair_source, double_to, flat(q, p, s, r), flat(q, r, s, p), double_sign)
+    tables = _Strings(masks, occ, pair, pair_to, pair_sign, pair_source)
     for array in vars(tables).values():
         array.flags.writeable = False
     return tables
@@ -222,48 +211,6 @@ def _diagonal(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
     return dump.e_core + energies(a)[:, None] + energies(b)[None, :] + a.occ @ coulomb @ b.occ.T
 
 
-def _value_table(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
-    """Every stored element is sign * (t[first] + t[second]) for two entries
-    of the table t returned here; a `_Plan` holds the signs and indices.
-
-    The regions of t, in this order: the diagonal (e_core included) per
-    determinant; per alpha string and pq, then per beta string and pq, the
-    one-spin part of a single, h_pq + sum_{r in string} (pq|rr) - (pr|rq);
-    per beta string and pq, then per alpha string and pq, the Coulomb term
-    sum_{r in string} (pq|rr) that a single of the other spin gathers; the
-    flat (pq|rs) for the alpha-beta doubles; per alpha string and double, then
-    per beta string and double, (qp|sr) - (qr|sp); and a closing zero.
-    """
-    norb = dump.norb
-    eri = dump.two_body_tensor()
-    flat = eri.ravel()
-    direct = np.einsum("pqrr->pqr", eri).reshape(norb * norb, norb)
-    one_spin = direct - np.einsum("prrq->pqr", eri).reshape(norb * norb, norb)
-    h_flat = dump.h1.ravel()
-
-    def doubles(t: _Strings) -> np.ndarray:
-        return (flat[t.double_direct] - flat[t.double_exchange]).ravel()
-
-    return np.concatenate([
-        _diagonal(dump, a, b).ravel(),
-        (a.occ @ one_spin.T + h_flat).ravel(), (b.occ @ one_spin.T + h_flat).ravel(),
-        (b.occ @ direct.T).ravel(), (a.occ @ direct.T).ravel(), flat,
-        doubles(a), doubles(b), [0.0],
-    ])
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Integral-independent layout of the rows of a block of alpha strings
-    (all beta strings each): element e is sign[e] * (t[first[e]] + t[second[e]])
-    of `_value_table` t, in column cols[e]; every row has the same length."""
-
-    first: np.ndarray
-    second: np.ndarray
-    sign: np.ndarray
-    cols: np.ndarray
-
-
 @lru_cache(maxsize=32)
 def _interleave_phase(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
     """Per determinant, the sign taking the alpha-then-beta operator order to
@@ -275,59 +222,12 @@ def _interleave_phase(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
     return phase
 
 
-def _plan(norb: int, n_alpha: int, n_beta: int, start: int, stop: int) -> _Plan:
-    a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
-    n_a, n_b, npq = len(a.masks), len(b.masks), norb * norb
-    sa, da = a.single_to.shape[1], a.double_to.shape[1]
-    sb, db = b.single_to.shape[1], b.double_to.shape[1]
-    o_sa, o_sb, o_cb, o_ca, o_pair, o_da, o_db, zero = np.cumsum(
-        [n_a * n_b, n_a * npq, n_b * npq, n_b * npq, n_a * npq, npq * npq, n_a * da, n_b * db])
-
-    ia = np.arange(start, stop)[:, None, None]
-    ib = np.arange(n_b)[None, :, None]
-    pq_a, pq_b = a.single_pq[start:stop, None, :], b.single_pq[None]
-    to_a, to_b = a.single_to[start:stop, None, :] * n_b, b.single_to[None]
-    sign_a, sign_b = a.single_sign[start:stop, None, :], b.single_sign[None]
-    row = ia * n_b + ib
-    segments = [  # (shape per row, first, second, sign, cols), in row order, one per class
-        ((1,), row, zero, 1.0, row),
-        ((sa,), o_sa + ia * npq + pq_a, o_cb + ib * npq + pq_a, sign_a, to_a + ib),
-        ((sb,), o_sb + ib * npq + pq_b, o_ca + ia * npq + pq_b, sign_b, ia * n_b + to_b),
-        ((sa, sb), o_pair + pq_a[..., None] * npq + pq_b[:, :, None, :], zero,
-         sign_a[..., None] * sign_b[:, :, None, :], to_a[..., None] + to_b[:, :, None, :]),
-        ((da,), o_da + ia * da + np.arange(da), zero, a.double_sign[start:stop, None, :],
-         a.double_to[start:stop, None, :] * n_b + ib),
-        ((db,), o_db + ib * db + np.arange(db), zero, b.double_sign[None],
-         ia * n_b + b.double_to[None]),
-    ]
-    shape = (stop - start, n_b)
-
-    def join(field: int, dtype: type) -> np.ndarray:
-        parts = [np.broadcast_to(seg[field], shape + seg[0]).reshape(*shape, math.prod(seg[0]))
-                 for seg in segments]
-        return np.concatenate(parts, axis=2, dtype=dtype)
-
-    cols = join(4, np.int32)
-    phase = _interleave_phase(norb, n_alpha, n_beta)
-    sign = join(3, np.float64) * phase[row] * phase[cols]
-    plan = _Plan(join(1, np.int32).ravel(), join(2, np.int32).ravel(), sign.ravel(), cols.ravel())
-    for array in vars(plan).values():
-        array.flags.writeable = False
-    return plan
-
-
-# Sectors of at most this many elements keep their plan in a cache, so
-# a catalog of many small tasks pays the integral-independent work once.
-_CACHED_PLAN_ELEMENTS = 1 << 14
-_cached_plan = lru_cache(maxsize=32)(_plan)
-
-
 class SectorHamiltonian:
     """Matrix-free symmetric sector Hamiltonian over a build_basis basis.
 
     `H @ x` is sigma (the module docstring) for a vector or a (dim, m) block;
-    `toarray()` assembles every element, a block of alpha strings at a time.
-    `nnz` counts the elements the Slater-Condon rules leave, exact zeros
+    `toarray()` expands the same factorization into a dense matrix.  `nnz`
+    counts the elements the Slater-Condon rules leave, exact zeros
     included.
     """
 
@@ -351,11 +251,14 @@ class SectorHamiltonian:
         to every diagonal pair rr.  On the sector sum_r E_rr is the electron
         count N, so sum_r (k / N) D_rr = k c and G is one product; with no
         electrons D is zero and k drops out."""
-        p, q = np.triu_indices(self.basis.norb)
+        norb = self.basis.norb
+        # np.triu_indices(norb) at a fifth of its call overhead
+        p, q = np.nonzero(np.tri(norb, dtype=bool).T)
+        pq = p * norb + q
         eri = self.dump.two_body_tensor()
         k = self.dump.h1 - 0.5 * np.einsum("prrq->pq", eri)
         n_electrons = max(self.basis.n_alpha + self.basis.n_beta, 1)
-        integrals = 0.5 * eri[p, q][:, p, q]
+        integrals = 0.5 * eri.reshape(norb * norb, -1)[np.ix_(pq, pq)]
         integrals[:, p == q] += k[p, q][:, None] / n_electrons
         return integrals
 
@@ -399,24 +302,49 @@ class SectorHamiltonian:
         return sigma.ravel() * phase
 
     def toarray(self) -> np.ndarray:
+        """Dense H = sum_rs W_rs E_r E_s + e_core, E_r = A_r (x) 1 + 1 (x) B_r,
+        for W = `_integrals`: the one-spin parts sum W_rs A_r A_s (x) 1 and
+        1 (x) sum W_rs B_r B_s, and the alpha-beta part
+        sum (W + W^T)_rs A_r (x) B_s, which takes W + W^T because W is not
+        symmetric.  No A_r is formed densely: each part is a scatter of
+        products of two table entries, so that a sector with one string of
+        a spin does not need (pairs, dim, dim) scratch.  Made exactly
+        symmetric as 1/2 (H + H^T)."""
         norb, n_alpha, n_beta = self._sector()
         a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
-        table = _value_table(self.dump, a, b)
+        w = self._integrals
         n_a, n_b = len(a.masks), len(b.masks)
-        row_len = _row_elements(norb, n_alpha, n_beta)
-        plan_of = _cached_plan if self.nnz <= _CACHED_PLAN_ELEMENTS else _plan
-        step = max(1, _BLOCK_ELEMENTS // (n_b * row_len))
-        dense = np.zeros(self.shape)
-        for start in range(0, n_a, step):
-            stop = min(start + step, n_a)
-            plan = plan_of(norb, n_alpha, n_beta, start, stop)
-            vals = table[plan.first]
-            vals += table[plan.second]
-            vals *= plan.sign
-            # no column repeats within a row
-            np.put_along_axis(dense[start * n_b:stop * n_b], plan.cols.reshape(-1, row_len),
-                              vals.reshape(-1, row_len), axis=1)
-        return dense
+        dim = n_a * n_b
+        # <I J|A_r (x) B_s|I' J'>: a pair entry of I times one of J, per (I, J)
+        both = w + w.T
+        values = (a.pair_sign[:, None, :, None] * b.pair_sign[None, :, None, :]
+                  * both[a.pair[:, None, :, None], b.pair[None, :, None, :]])
+        cols = a.pair_to[:, None, :, None] * n_b + b.pair_to[None, :, None, :]
+        h = _scatter(dim, np.arange(dim).reshape(n_a, n_b, 1, 1), cols, values)
+        blocks = h.reshape(n_a, n_b, n_a, n_b)
+        blocks[:, np.arange(n_b), :, np.arange(n_b)] += _one_spin(a, w)
+        blocks[np.arange(n_a), :, np.arange(n_a), :] += _one_spin(b, w)
+        h.flat[::dim + 1] += self.dump.e_core
+        phase = _interleave_phase(norb, n_alpha, n_beta)
+        h *= phase[:, None]
+        h *= phase
+        return 0.5 * (h + h.T)
+
+
+def _scatter(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """n x n matrix: at each (row, col), the sum of the values placed there."""
+    out = np.zeros(n * n)
+    np.add.at(out, (rows * n + cols).ravel(), values.ravel())
+    return out.reshape(n, n)
+
+
+def _one_spin(t: _Strings, w: np.ndarray) -> np.ndarray:
+    """(strings, strings): sum_rs W_rs A_r A_s over one spin's pair
+    operators; <I|A_r A_s|K> chains an entry of I's row (pair r, to string M)
+    with an entry of M's row (pair s, to K)."""
+    to = t.pair_to
+    values = t.pair_sign[:, :, None] * t.pair_sign[to] * w[t.pair[:, :, None], t.pair[to]]
+    return _scatter(len(to), np.arange(len(to))[:, None, None], t.pair_to[to], values)
 
 
 def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> SectorHamiltonian:

@@ -14,6 +14,7 @@ from gsee_bench.errors import InconsistentBasis, InvalidOccupation, TooLarge
 from gsee_bench.fcidump import FciDump, parse_fcidump
 from gsee_bench.fermionic import log_fci_size
 from gsee_bench.fci import (
+    DENSE_CUTOFF,
     DeterminantBasis,
     MAX_NONZEROS,
     _row_elements,
@@ -152,7 +153,7 @@ def test_sigma_matches_csr_oracle(norb, n_alpha, n_beta):
     assert np.abs(mat @ block[:, 0] - oracle @ block[:, 0]).max() <= 1e-12
     assert np.array_equal(mat.diagonal(), oracle.diagonal())
     if norb <= 6:  # (8, 3, 3) is compared in the dim-3136 test below
-        assert np.array_equal(mat.toarray(), oracle.toarray())
+        assert np.abs(mat.toarray() - oracle.toarray()).max() <= 1e-12
 
 
 def test_build_symmetry_and_stored_elements_at_dim_3136(rng):
@@ -164,7 +165,7 @@ def test_build_symmetry_and_stored_elements_at_dim_3136(rng):
     assert oracle.indices.dtype == np.int32
     assert (oracle != oracle.T).nnz == 0
     dense = mat.toarray()
-    assert np.array_equal(dense, oracle.toarray())
+    assert np.abs(dense - oracle.toarray()).max() <= 1e-12
     assert np.array_equal(dense, dense.T)
 
 
@@ -285,6 +286,29 @@ def test_davidson_on_structured_hamiltonian(rng):
     dense = np.linalg.eigvalsh(build_csr(d, basis).toarray())
     assert abs(dav.energies[0] - dense[0]) < 1e-10
     assert abs(dav.energies[1] - dense[1]) < 1e-10
+
+
+def test_dense_cutoff_routes_the_sectors_either_side():
+    # the largest sector of norb <= 8 at or below DENSE_CUTOFF, and the
+    # smallest above it, against eigvalsh on the CSR oracle
+    sectors = sorted((math.comb(norb, n_alpha) * math.comb(norb, n_beta), norb, n_alpha, n_beta)
+                     for norb in range(1, 9) for n_alpha in range(norb + 1)
+                     for n_beta in range(n_alpha + 1))
+    below = max(s for s in sectors if s[0] <= DENSE_CUTOFF)
+    above = min(s for s in sectors if s[0] > DENSE_CUTOFF)
+    for (dim, norb, n_alpha, n_beta), dense in ((below, True), (above, False)):
+        rng = np.random.default_rng([norb, n_alpha, n_beta])
+        d = random_fcidump(rng, norb, n_alpha + n_beta, n_alpha - n_beta, scale=0.5)
+        basis = build_basis(norb, n_alpha, n_beta)
+        mat = build_fci_matrix(d, basis)
+        result = lowest_eigenvalues(mat, k=2, tol=1e-9)
+        assert result.converged
+        assert (result.n_iterations == 0) == dense, (dim, result.n_iterations)
+        exact = np.linalg.eigvalsh(build_csr(d, basis).toarray())[:2]
+        assert np.abs(np.array(result.energies) - exact).max() < 1e-10
+        if dense:
+            m = mat.toarray()
+            assert np.array_equal(m, m.T)
 
 
 def test_solve_ground_state_variational_bound(rng):

@@ -79,6 +79,12 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.cli", "_render_cell"),
         ("gsee_bench.fci", "_sector_dets"),
         ("gsee_bench.fci", "scipy"),
+        ("gsee_bench.fci", "_plan"),
+        ("gsee_bench.fci", "_Plan"),
+        ("gsee_bench.fci", "_value_table"),
+        ("gsee_bench.fci", "_cached_plan"),
+        ("gsee_bench.fci", "_BLOCK_ELEMENTS"),
+        ("gsee_bench.fci", "_CACHED_PLAN_ELEMENTS"),
     ],
 )
 def test_reference_path_not_in_package(module, name):
