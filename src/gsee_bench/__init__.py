@@ -19,7 +19,7 @@ from .catalog import (
     load_solution,
 )
 from .fcidump import FciDump, parse_fcidump, write_fcidump
-from .fermionic import DfResult, df_reconstruct, double_factorize, log_fci_size
+from .fermionic import double_factorize, log_fci_size
 from .fci import DeterminantBasis, SpectrumResult, build_basis, build_fci_matrix, lowest_eigenvalues
 from .ml import (
     SolvabilityConfig,
@@ -44,7 +44,6 @@ from .qubit_features import (
 
 __all__ = [
     "DeterminantBasis",
-    "DfResult",
     "FEATURE_NAMES",
     "FciDump",
     "ProblemInstance",
@@ -63,7 +62,6 @@ __all__ = [
     "compute_feature_vector",
     "compute_qubit_features",
     "correlation_matrix",
-    "df_reconstruct",
     "double_factorize",
     "estimate_solvability",
     "evaluate_task",

@@ -86,8 +86,12 @@ def _require(obj: dict, key: str, kind, where: str):
         raise SchemaViolation(f"{where}: missing required field {key!r}")
     value = obj[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        if float(value) != value:  # past 2**53 the int has no exact float
-            raise SchemaViolation(f"{where}: field {key!r} = {value} is not exact as a float")
+        try:
+            exact = float(value) == value  # past 2**53 the int has no exact float
+        except OverflowError:  # past the largest float
+            exact = False
+        if not exact:
+            raise SchemaViolation(f"{where}: field {key!r} is an integer with no exact float")
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise SchemaViolation(f"{where}: field {key!r} has wrong type {type(value).__name__}")
@@ -114,10 +118,7 @@ def _require_text(obj: dict, key: str, where: str) -> str:
 def _optional_number(obj: dict, key: str, where: str) -> float | None:
     if key not in obj or obj[key] is None:
         return None
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaViolation(f"{where}: field {key!r} must be a number")
-    value = float(value)
+    value = _require(obj, key, float, where)
     if not math.isfinite(value):  # json.load accepts NaN and Infinity
         raise SchemaViolation(f"{where}: field {key!r} must be finite, got {value}")
     return value

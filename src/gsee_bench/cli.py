@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import sys
 from concurrent import futures
 from dataclasses import dataclass
@@ -143,10 +144,15 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
 
 def _map(jobs: int, fn, items: list) -> list:
     """fn over items, results in order: inline, or in a pool of up to `jobs`
-    worker processes (never more than there are items).  The pool gets the
-    items in chunks, about four per worker, so that a long list of small
-    items is not sent one round trip at a time."""
-    workers = min(jobs, len(items))
+    worker processes (never more than there are items, nor than the CPUs this
+    process may run on: a fork pool starts all its workers at once).  The
+    pool gets the items in chunks, about four per worker, so that a long list
+    of small items is not sent one round trip at a time."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(items), cpus)
     if workers <= 1:
         return [fn(item) for item in items]
     with futures.ProcessPoolExecutor(max_workers=workers) as pool:

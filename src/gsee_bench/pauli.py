@@ -10,8 +10,7 @@ The represented operator is the tensor product over qubits of I, X, Z, or Y
 with no extra global phase (per qubit, (x=1, z=1) stands for Y itself).
 
 Spin-orbital convention for encodings: interleaved, qubit 2p is the alpha
-spin-orbital of spatial orbital p and qubit 2p+1 the beta one.  Matrices use
-qubit 0 as the least significant bit of the computational-basis index.
+spin-orbital of spatial orbital p and qubit 2p+1 the beta one.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from .fcidump import FciDump
 # Coefficients smaller than this are floating-point cancellation noise and are
 # pruned so term counts and weight statistics stay meaningful.
 COEFF_PRUNE_TOL = 1e-12
-
-# Phase i^k of a string with k qubits where both masks are set (Y = iXZ).
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 # uint64 masks hold one bit per qubit.
 MAX_TABLE_QUBITS = 64
@@ -51,22 +47,6 @@ class PauliTable:
 
     def __len__(self) -> int:
         return len(self.coeff)
-
-    def to_matrix(self, max_qubits: int = 14) -> np.ndarray:
-        """Dense 2^n x 2^n matrix, qubit 0 least significant.
-
-        A string maps basis state |b> to (-1)^|b & z| i^k |b ^ x>, where k is
-        its number of Y factors; one numpy pass per term.
-        """
-        if self.n_qubits > max_qubits:
-            raise TooLarge(f"{self.n_qubits} qubits exceeds dense cap {max_qubits}")
-        dim = 1 << self.n_qubits
-        idx = np.arange(dim, dtype=np.uint64)
-        mat = np.zeros((dim, dim), dtype=complex)
-        for x, z, coeff in zip(self.x.tolist(), self.z.tolist(), self.coeff.tolist()):
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z)) % 2)
-            mat[idx ^ np.uint64(x), idx] += coeff * (_PHASES[(x & z).bit_count() % 4] * signs)
-        return mat
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:

@@ -102,9 +102,9 @@ def compute_feature_vector(
     """One task's features as a float row in FEATURE_NAMES order: sizes, the
     DF rank and gap, and the qubit columns."""
     sizes = (dump.nelec, 2 * dump.norb, log_fci_size(dump.norb, dump.n_alpha, dump.n_beta))
-    df = double_factorize(dump, df_threshold, absolute=df_absolute)
+    df_rank, df_gap = double_factorize(dump, df_threshold, absolute=df_absolute)
     qubit = compute_qubit_features(jordan_wigner_hamiltonian(dump))
-    return np.array([*sizes, df.rank, df.gap, *qubit.values()], dtype=float)
+    return np.array([*sizes, df_rank, df_gap, *qubit.values()], dtype=float)
 
 
 def correlation_matrix(table: np.ndarray) -> np.ndarray:

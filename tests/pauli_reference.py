@@ -3,9 +3,10 @@
 The package holds a qubit Hamiltonian only as a `PauliTable` of mask arrays.
 This module keeps the slow object path the tests check it against: one
 `PauliString` object per term, their product rule, a `PauliSum` with the
-general algebra, conversions between sums and tables, the interaction
-hypergraph as per-edge objects, a Jordan-Wigner encoder that multiplies
-ladder operators term by term (norb^4 products, but the textbook
+general algebra, conversions between sums and tables, the dense matrix of a
+table (qubit 0 the least significant bit of the basis index), the
+interaction hypergraph as per-edge objects, a Jordan-Wigner encoder that
+multiplies ladder operators term by term (norb^4 products, but the textbook
 definitions directly), and the block encoder that forms the pair-operator
 products of every dump afresh (the package caches them per norb).
 """
@@ -220,6 +221,23 @@ def sum_from_table(table: PauliTable) -> PauliSum:
         for x, z in zip(table.x.tolist(), table.z.tolist())
     )
     return PauliSum(table.n_qubits, dict(zip(strings, table.coeff.tolist())))
+
+
+def table_matrix(table: PauliTable, max_qubits: int = 14) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a table, qubit 0 least significant.
+
+    A string maps basis state |b> to (-1)^|b & z| i^k |b ^ x>, where k is
+    its number of Y factors; one numpy pass per term.
+    """
+    if table.n_qubits > max_qubits:
+        raise TooLarge(f"{table.n_qubits} qubits exceeds dense cap {max_qubits}")
+    dim = 1 << table.n_qubits
+    idx = np.arange(dim, dtype=np.uint64)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for x, z, coeff in zip(table.x.tolist(), table.z.tolist(), table.coeff.tolist()):
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z)) % 2)
+        mat[idx ^ np.uint64(x), idx] += coeff * (_PHASES[(x & z).bit_count() % 4] * signs)
+    return mat
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 
 from gsee_bench.cli import main
 from gsee_bench.fcidump import FciDump
-from gsee_bench.fermionic import df_reconstruct, double_factorize
+from gsee_bench.fermionic import double_factorize
 from gsee_bench.fci import build_basis, build_fci_matrix, lowest_eigenvalues
 from gsee_bench.ml import (
     classification_metrics,
@@ -26,7 +26,9 @@ from gsee_bench.pauli import jordan_wigner_hamiltonian
 from gsee_bench.qubit_features import _vertex_degrees, compute_qubit_features
 
 from conftest import random_eri, random_fcidump, random_symmetric, sector_indices
-from pauli_reference import PauliString, PauliSum, build_hypergraph, table_from_sum
+from df_reference import df_reconstruct
+from df_reference import double_factorize as reference_factorize
+from pauli_reference import PauliString, PauliSum, build_hypergraph, table_from_sum, table_matrix
 from shapley_reference import exact_shapley as reference_shapley
 from shapley_reference import log_odds
 
@@ -58,7 +60,7 @@ def test_criterion_1_encoding_oracle_equivalence():
         for trial in range(20):
             norb = int(rng.integers(1, 4))
             dump = random_fcidump(rng, norb)
-            matrix = jordan_wigner_hamiltonian(dump).to_matrix()
+            matrix = table_matrix(jordan_wigner_hamiltonian(dump))
             idx = sector_indices(2 * norb, dump.n_alpha, dump.n_beta)
             jw_min = np.linalg.eigvalsh(matrix[np.ix_(idx, idx)])[0]
             basis = build_basis(norb, dump.n_alpha, dump.n_beta)
@@ -72,15 +74,22 @@ def test_criterion_2_df_faithfulness():
         for norb in (2, 3, 4):
             eri = random_eri(rng, norb, rank=2 * norb)
             dump = FciDump.from_tensors(norb, 2, 0, h2=eri)
-            df = double_factorize(dump, threshold=0.0)
+            df = reference_factorize(dump, threshold=0.0)
             assert np.abs(df_reconstruct(df) - eri).max() <= 1e-8
+            # the default cutoff: at 0 the oracle also counts roundoff vectors
+            rank, gap = double_factorize(dump)
+            want = reference_factorize(dump)
+            assert rank == want.rank
+            assert abs(gap - want.gap) <= 1e-12 * max(1.0, abs(want.lambdas[0]))
         for norb in (2, 3, 4):
             g = random_symmetric(rng, norb)
             g /= np.linalg.norm(g)
             planted = 2.3 * np.einsum("ij,kl->ijkl", g, g)
-            df = double_factorize(FciDump.from_tensors(norb, 2, 0, h2=planted))
+            dump = FciDump.from_tensors(norb, 2, 0, h2=planted)
+            df = reference_factorize(dump)
             assert df.rank == 1
             assert df.gap == 0.0
+            assert double_factorize(dump) == (1, 0.0)
 
 
 def _edges(table):

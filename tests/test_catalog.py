@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from gsee_bench import cli
 from gsee_bench.catalog import (
     _NOT_XML_CHAR,
     DEFAULT_ACCURACY_TOL,
@@ -159,6 +160,41 @@ def test_non_finite_result_number_rejected(tmp_path, field, value):
     write_json(path, {"solver_uuid": "s", "solver_short_name": "s", "results": [entry]})
     with pytest.raises(SchemaViolation, match=f"{field}' must be finite"):
         load_solution(path)
+
+
+def _task_file(tmp_path, field, value):
+    return make_instance(tmp_path, [labeled_task(**{field: value})]), load_instance
+
+
+def _result_file(tmp_path, field, value):
+    path = tmp_path / "s.solution.json"
+    entry = {"task_uuid": "a", "energy": -1.0, "run_time": 3.0, field: value}
+    write_json(path, {"solver_uuid": "s", "solver_short_name": "s", "results": [entry]})
+    return path, load_solution
+
+
+def _config_file(tmp_path, field, value):
+    path = tmp_path / "conf.json"
+    write_json(path, {field: value})
+    argv = ["--config", str(path), "--catalog", str(tmp_path), "--out", str(tmp_path), "features"]
+    return path, lambda _: cli._make_config(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+@pytest.mark.parametrize(
+    "write, field",
+    [(_task_file, "accuracy_tol"), (_task_file, "runtime_limit"),
+     (_task_file, "reference_energy"), (_result_file, "energy"), (_result_file, "run_time"),
+     (_config_file, "df_threshold")],
+    ids=lambda v: v if isinstance(v, str) else v.__name__.strip("_"),
+)
+def test_integer_without_exact_float_rejected(tmp_path, write, field, value):
+    # one rule for every float field: an integer that no float holds exactly
+    # is refused with the file and the field named, never rounded
+    path, load = write(tmp_path, field, value)
+    with pytest.raises(SchemaViolation) as info:
+        load(path)
+    assert path.name in str(info.value) and repr(field) in str(info.value)
 
 
 TASK = Task("t", fcidump_path=None, reference_energy=-1.0, runtime_limit=10.0)

@@ -46,6 +46,25 @@ def test_features_csv_shape(tmp_path):
     assert sum(int(r[2]) for r in hist[1:]) == 12
 
 
+def test_df_threshold_flags_reach_features(tmp_path):
+    def features(name, *flags):
+        """The df_rank and df_gap columns of a features run with these flags."""
+        out = tmp_path / name
+        assert main(["--catalog", str(CATALOG), "--out", str(out), *flags, "features"]) == 0
+        rows = read_rows(out / "features.csv")
+        rank, gap = rows[0].index("df_rank"), rows[0].index("df_gap")
+        return [float(r[rank]) for r in rows[1:]], [float(r[gap]) for r in rows[1:]]
+
+    default_ranks, default_gaps = features("default")
+    assert min(default_ranks) >= 1 and max(default_gaps) > 0.0
+    # no eigenvalue of a demo tensor reaches 1000 Hartree
+    zeros = [0.0] * 12
+    assert features("absolute", "--df-absolute", "--df-threshold", "1e3") == (zeros, zeros)
+    half_ranks, _ = features("half", "--df-threshold", "0.5")
+    assert all(h <= d for h, d in zip(half_ranks, default_ranks))
+    assert half_ranks != default_ranks
+
+
 def test_features_single_instance(tmp_path):
     import shutil
 
@@ -214,6 +233,38 @@ def test_oracle_skips_truncated_fcidump(tmp_path, caplog, jobs):
 def test_pool_map_keeps_item_order_over_uneven_chunks():
     items = list(range(-19, 0))  # 19 items, chunks of 19 // 8 = 2: the last one short
     assert cli._map(2, abs, items) == [abs(i) for i in items]
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, workers",
+    [({0, 1, 2}, None, [3]), (None, 5, [5]), (None, None, [])],
+    ids=["affinity-3", "cpu-count-5", "cpu-count-unknown"],
+)
+def test_pool_workers_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, workers):
+    started = []
+
+    class InlinePool:  # records the worker count, maps in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", InlinePool)
+    if affinity is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
+    items = list(range(-50, 0))
+    assert cli._map(10**6, abs, items) == [abs(i) for i in items]
+    assert started == workers
 
 
 def test_parallel_features_match_serial(tmp_path):

@@ -5,14 +5,12 @@ import pytest
 
 from gsee_bench.errors import InvalidOccupation
 from gsee_bench.fcidump import FciDump
-from gsee_bench.fermionic import (
-    df_reconstruct,
-    double_factorize,
-    log_fci_size,
-)
+from gsee_bench.fermionic import double_factorize, log_fci_size
 from gsee_bench.qubit_features import FEATURE_NAMES, compute_feature_vector
 
 from conftest import random_eri, random_symmetric
+from df_reference import df_reconstruct
+from df_reference import double_factorize as reference_factorize
 
 
 def _dump_with_eri(eri: np.ndarray, norb: int) -> FciDump:
@@ -59,7 +57,8 @@ def test_rank_one_tensor():
     g /= np.linalg.norm(g)
     scale = 1.7
     eri = scale**2 * np.einsum("ij,kl->ijkl", g, g)
-    df = double_factorize(_dump_with_eri(eri, norb))
+    assert double_factorize(_dump_with_eri(eri, norb)) == (1, 0.0)
+    df = reference_factorize(_dump_with_eri(eri, norb))
     assert df.rank == 1
     assert df.gap == 0.0
     assert df.lambdas[0] == pytest.approx(scale**2, abs=1e-10)
@@ -68,7 +67,8 @@ def test_rank_one_tensor():
 
 
 def test_all_zero_tensor():
-    df = double_factorize(FciDump(norb=2, nelec=2))
+    assert double_factorize(FciDump(norb=2, nelec=2)) == (0, 0.0)
+    df = reference_factorize(FciDump(norb=2, nelec=2))
     assert df.rank == 0
     assert df.lambdas.size == 0
     assert df.gap == 0.0
@@ -78,7 +78,7 @@ def test_all_zero_tensor():
 def test_reconstruction_zero_threshold(rng):
     for norb in (2, 3, 4):
         eri = random_eri(rng, norb, rank=6)
-        df = double_factorize(_dump_with_eri(eri, norb), threshold=0.0)
+        df = reference_factorize(_dump_with_eri(eri, norb), threshold=0.0)
         assert np.abs(df_reconstruct(df) - eri).max() <= 1e-8
 
 
@@ -86,14 +86,14 @@ def test_reconstruction_error_bounded_by_threshold(rng):
     threshold = 1e-3
     for _ in range(5):
         eri = random_eri(rng, 3, rank=5, psd=True)
-        df = double_factorize(_dump_with_eri(eri, 3), threshold=threshold)
+        df = reference_factorize(_dump_with_eri(eri, 3), threshold=threshold)
         bound = threshold * abs(df.lambdas[0]) * max(df.rank, 1)
         assert np.abs(df_reconstruct(df) - eri).max() <= bound
 
 
 def test_g_matrices_symmetric_unit_norm(rng):
     eri = random_eri(rng, 4, rank=8)
-    df = double_factorize(_dump_with_eri(eri, 4), threshold=1e-10)
+    df = reference_factorize(_dump_with_eri(eri, 4), threshold=1e-10)
     for g in df.g_matrices:
         assert np.allclose(g, g.T, atol=1e-10)
         assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-10)
@@ -101,32 +101,33 @@ def test_g_matrices_symmetric_unit_norm(rng):
 
 def test_lambda_ordering_and_gap(rng):
     eri = random_eri(rng, 3, rank=5)
-    df = double_factorize(_dump_with_eri(eri, 3))
+    df = reference_factorize(_dump_with_eri(eri, 3))
     mags = np.abs(df.lambdas)
     assert np.all(mags[:-1] >= mags[1:])
     assert df.gap == pytest.approx(abs(df.lambdas[0] - df.lambdas[1]))
+    assert double_factorize(_dump_with_eri(eri, 3))[1] == pytest.approx(df.gap, rel=1e-12)
 
 
 def test_threshold_monotonicity(rng):
     eri = random_eri(rng, 3, rank=5)
     d = _dump_with_eri(eri, 3)
-    ranks = [double_factorize(d, threshold=t).rank for t in (0.0, 1e-8, 1e-4, 1e-2, 0.5)]
+    ranks = [double_factorize(d, threshold=t)[0] for t in (0.0, 1e-8, 1e-4, 1e-2, 0.5)]
     assert ranks == sorted(ranks, reverse=True)
 
 
 def test_absolute_threshold_mode(rng):
     eri = 1e-4 * random_eri(rng, 3, rank=5)
     d = _dump_with_eri(eri, 3)
-    relative = double_factorize(d, threshold=1e-3)
-    absolute = double_factorize(d, threshold=1e-3, absolute=True)
+    relative_rank, _ = double_factorize(d, threshold=1e-3)
+    absolute_rank, _ = double_factorize(d, threshold=1e-3, absolute=True)
     # at this scale every eigenvalue falls below an absolute 1 mHa cutoff
-    assert absolute.rank == 0
-    assert relative.rank > 0
+    assert absolute_rank == 0
+    assert relative_rank > 0
 
 
 def test_gap_invariant_under_g_sign_flip(rng):
     eri = random_eri(rng, 3, rank=4)
-    df = double_factorize(_dump_with_eri(eri, 3))
+    df = reference_factorize(_dump_with_eri(eri, 3))
     flipped = df.g_matrices.copy()
     flipped[0] *= -1.0
     rebuilt = np.einsum("a,aij,akl->ijkl", df.lambdas, flipped, flipped)
@@ -136,5 +137,37 @@ def test_gap_invariant_under_g_sign_flip(rng):
 def test_full_eigendecomposition_identity(rng):
     for norb in (2, 3, 4, 5, 6):
         eri = random_eri(rng, norb, rank=norb * 2)
-        df = double_factorize(_dump_with_eri(eri, norb), threshold=0.0)
+        df = reference_factorize(_dump_with_eri(eri, norb), threshold=0.0)
         assert np.abs(df_reconstruct(df) - eri).max() <= 1e-8
+
+
+def _random_tensors(rng):
+    """(norb, eri) over norb 1-8: the demo generator's rank norb + 1, a low
+    rank of 1-3, and full rank on the norb(norb+1)/2 pairs."""
+    for norb in range(1, 9):
+        n_pairs = norb * (norb + 1) // 2
+        for rank in (norb + 1, int(rng.integers(1, 4)), n_pairs + 2):
+            for _ in range(2):
+                yield norb, random_eri(rng, norb, rank=rank)
+
+
+@pytest.mark.parametrize(
+    "threshold, absolute",
+    [(1e-12, False), (1e-6, False), (1e-3, False), (0.5, False), (1e-3, True)],
+)
+def test_rank_and_gap_match_reference(rng, threshold, absolute):
+    for norb, eri in _random_tensors(rng):
+        dump = _dump_with_eri(eri, norb)
+        rank, gap = double_factorize(dump, threshold, absolute=absolute)
+        want = reference_factorize(dump, threshold, absolute=absolute)
+        lam_max = abs(reference_factorize(dump, 0.0).lambdas[0])
+        assert rank == want.rank, norb
+        assert abs(gap - want.gap) <= 1e-12 * max(1.0, lam_max), norb
+
+
+def test_zero_threshold_rank_at_most_pair_count(rng):
+    # V's index-antisymmetric null space holds no DF term, so roundoff
+    # eigenvalues there must not count at threshold 0
+    for norb, eri in _random_tensors(rng):
+        rank, _ = double_factorize(_dump_with_eri(eri, norb), threshold=0.0)
+        assert rank <= norb * (norb + 1) // 2, norb

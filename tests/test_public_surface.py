@@ -7,7 +7,6 @@ import gsee_bench
 
 PUBLIC = [
     "DeterminantBasis",
-    "DfResult",
     "FEATURE_NAMES",
     "FciDump",
     "PauliTable",
@@ -26,7 +25,6 @@ PUBLIC = [
     "compute_feature_vector",
     "compute_qubit_features",
     "correlation_matrix",
-    "df_reconstruct",
     "double_factorize",
     "estimate_solvability",
     "evaluate_task",
@@ -67,6 +65,9 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.qubit_features", "feature_table"),
         ("gsee_bench.fermionic", "SizeFeatures"),
         ("gsee_bench.fermionic", "size_features"),
+        ("gsee_bench.fermionic", "DfResult"),
+        ("gsee_bench.fermionic", "df_reconstruct"),
+        ("gsee_bench.pauli", "_PHASES"),
         ("gsee_bench.ml", "shapley_attribution"),
         ("gsee_bench.ml.shapley", "MAX_EXACT_FEATURES"),
         ("gsee_bench.errors", "TooManyFeatures"),
@@ -105,3 +106,9 @@ def test_latent_model_has_no_unused_transform():
     from gsee_bench.ml import LatentModel
 
     assert not hasattr(LatentModel, "transform")
+
+
+def test_pauli_table_has_no_dense_matrix():
+    from gsee_bench.pauli import PauliTable
+
+    assert not hasattr(PauliTable, "to_matrix")
