@@ -34,7 +34,7 @@ from .catalog import (
     scan_catalog,
     scan_solutions,
 )
-from .errors import EmptyCatalog, GseeBenchError, InsufficientLabels, SingleClass
+from .errors import EmptyCatalog, GseeBenchError
 from .fcidump import parse_fcidump
 from .fermionic import DEFAULT_DF_THRESHOLD
 from .fci import solve_ground_state
@@ -378,7 +378,7 @@ def _try_solvability(args) -> str | None:
     config, solution, outcomes, features = args
     try:
         run_solvability(config, solution, outcomes, features)
-    except (InsufficientLabels, SingleClass) as exc:
+    except GseeBenchError as exc:  # one solver's data error skips that solver only
         return f"solvability skipped for {solution.solver_uuid}: {exc}"
     return None
 
@@ -402,8 +402,16 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
     run_oracle(config, tasks)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises GseeBenchError (one log line, exit 1) instead of
+    printing the usage and exiting 2; subcommand parsers inherit this."""
+
+    def error(self, message):
+        raise GseeBenchError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsee-bench",
         description="Benchmark harness for ground-state energy estimation solvers",
     )
@@ -415,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--df-absolute", action="store_true", default=None,
         help="treat --df-threshold as an absolute Hartree cutoff",
     )
-    parser.add_argument("--latent", choices=("pca", "nnmf"), help="latent space kind")
+    parser.add_argument("--latent", help="latent space kind: pca or nnmf")
     parser.add_argument("--latent-dim", type=int, help="latent dimension")
     parser.add_argument("--samples", type=int, help="latent sample count")
     parser.add_argument("--threshold", type=float, help="probability threshold")
@@ -476,12 +484,21 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**settings)
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _configure_logging(verbose: bool) -> None:
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+    except GseeBenchError as exc:
+        _configure_logging(False)
+        log.error("%s", exc)
+        return 1
+    _configure_logging(args.verbose)
     try:
         config = _make_config(args)
         if args.command == "features":

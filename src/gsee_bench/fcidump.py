@@ -87,6 +87,11 @@ class FciDump:
             raise InvalidFciDump(f"nelec={self.nelec} outside [0, {2 * n}]")
         if abs(self.ms2) > self.nelec or (self.nelec + self.ms2) % 2 != 0:
             raise InvalidFciDump(f"ms2={self.ms2} incompatible with nelec={self.nelec}")
+        if max(self.n_alpha, self.n_beta) > n:
+            raise InvalidFciDump(
+                f"nelec={self.nelec}, ms2={self.ms2}: more electrons of one spin "
+                f"({max(self.n_alpha, self.n_beta)}) than orbitals ({n})"
+            )
         h1 = np.zeros((n, n)) if self.h1 is None else np.array(self.h1, dtype=float)
         h2 = np.zeros((n,) * 4) if self.h2 is None else np.array(self.h2, dtype=float)
         if h1.shape != (n, n):

@@ -21,31 +21,23 @@ NNMF_EPS = 1e-12
 
 @dataclass(frozen=True)
 class LatentModel:
-    """A fitted latent space with the training embedding and its bounds.
+    """A fitted affine latent space: X ~= embedding @ components + mean.
 
-    PCA stores orthonormal `components` (dim x D), the column `mean`, and
-    explained-variance fractions; NNMF stores the factor matrices so that
-    X ~= W @ H with `embedding` = W.  bounds[i] = (min, max) of latent axis i
-    over the training embedding.
+    PCA stores orthonormal `components` (dim x D) and the column `mean`; NNMF
+    stores its factor H as `components` and a zero `mean`, so X ~= W @ H with
+    `embedding` = W.  bounds[i] = (min, max) of latent axis i over the
+    training embedding.
     """
 
-    kind: str
-    dim: int
     embedding: np.ndarray
     bounds: np.ndarray
-    components: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    explained_variance: np.ndarray | None = None
-    h: np.ndarray | None = None
+    components: np.ndarray
+    mean: np.ndarray
     converged: bool = True
-    reconstruction_error: float = 0.0
 
     def inverse(self, W) -> np.ndarray:
         """Map latent coordinates back into (scaled) feature space."""
-        W = np.asarray(W, dtype=float)
-        if self.kind == "pca":
-            return W @ self.components + self.mean
-        return W @ self.h
+        return np.asarray(W, dtype=float) @ self.components + self.mean
 
 
 def _bounds_of(embedding: np.ndarray) -> np.ndarray:
@@ -74,18 +66,8 @@ def pca_fit(X, dim: int) -> LatentModel:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    total = eigvals.sum()
-    fractions = eigvals[order] / total if total > 0 else np.zeros(dim)
     embedding = centered @ components.T
-    return LatentModel(
-        kind="pca",
-        dim=dim,
-        embedding=embedding,
-        bounds=_bounds_of(embedding),
-        components=components,
-        mean=mean,
-        explained_variance=fractions,
-    )
+    return LatentModel(embedding, _bounds_of(embedding), components, mean)
 
 
 def nnmf_fit(
@@ -125,12 +107,5 @@ def nnmf_fit(
         prev_error = error
     if not converged:
         log.warning("NNMF stopped at max_iter=%d with error %.3e", max_iter, error)
-    return LatentModel(
-        kind="nnmf",
-        dim=dim,
-        embedding=W,
-        bounds=_bounds_of(W),
-        h=H,
-        converged=converged,
-        reconstruction_error=error,
-    )
+    # W, H >= 0 never give -0.0, so adding the zero mean changes no bit of W @ H.
+    return LatentModel(W, _bounds_of(W), H, np.zeros(d), converged)

@@ -37,7 +37,7 @@ def exact_shapley(model: SvmModel, point, background) -> np.ndarray:
     """
     point = np.asarray(point, dtype=float).ravel()
     background = np.atleast_2d(np.asarray(background, dtype=float))
-    d = model.n_features
+    d = model.support_x.shape[1]
     if point.size != d or background.shape[1] != d:
         raise DimensionMismatch(
             f"point has {point.size} and background {background.shape[1]} features, "

@@ -171,16 +171,15 @@ class SvmModel:
     penalty: float
     platt_a: float
     platt_b: float
-    n_features: int
-    train_accuracy: float
     cv_metrics: tuple[ClassificationMetrics, ...] = ()
     degenerate: bool = False
     converged: bool = True
 
     def decision_function(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise DimensionMismatch(f"query has {X.shape[1]} features, model {self.n_features}")
+        d = self.support_x.shape[1]
+        if X.shape[1] != d:
+            raise DimensionMismatch(f"query has {X.shape[1]} features, model {d}")
         return _decision(X, self.support_x, self.dual_coef, self.bias, self.gamma)
 
     def mean_cv_metrics(self) -> ClassificationMetrics:
@@ -359,8 +358,6 @@ def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
     alphas, rho, converged = _smo(K, y, C)
     platt_a, platt_b = fit_platt(oof, labels)
     coef = _dual_coef(alphas, y)
-    train_decision = K @ coef - rho
-    train_accuracy = float(np.mean((train_decision >= 0.0) == labels))
     degenerate = bool(np.unique(X, axis=0).shape[0] == 1)
     if degenerate:
         log.warning("all training rows identical; classifier is degenerate")
@@ -372,8 +369,6 @@ def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
         penalty=C,
         platt_a=platt_a,
         platt_b=platt_b,
-        n_features=d,
-        train_accuracy=train_accuracy,
         cv_metrics=fold_metrics,
         degenerate=degenerate,
         converged=converged and cv_converged,

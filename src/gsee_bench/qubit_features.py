@@ -16,7 +16,7 @@ import logging
 
 import numpy as np
 
-from .errors import InsufficientRows
+from .errors import InsufficientRows, NonFiniteInput
 from .fcidump import FciDump
 from .fermionic import DEFAULT_DF_THRESHOLD, double_factorize, log_fci_size
 from .pauli import PauliTable, jordan_wigner_hamiltonian
@@ -100,11 +100,16 @@ def compute_feature_vector(
     df_absolute: bool = False,
 ) -> np.ndarray:
     """One task's features as a float row in FEATURE_NAMES order: sizes, the
-    DF rank and gap, and the qubit columns."""
+    DF rank and gap, and the qubit columns.  Finite integrals can still
+    overflow a sum or a square; such a row raises NonFiniteInput."""
     sizes = (dump.nelec, 2 * dump.norb, log_fci_size(dump.norb, dump.n_alpha, dump.n_beta))
     df_rank, df_gap = double_factorize(dump, df_threshold, absolute=df_absolute)
     qubit = compute_qubit_features(jordan_wigner_hamiltonian(dump))
-    return np.array([*sizes, df_rank, df_gap, *qubit.values()], dtype=float)
+    row = np.array([*sizes, df_rank, df_gap, *qubit.values()], dtype=float)
+    bad = [name for name, ok in zip(FEATURE_NAMES, np.isfinite(row)) if not ok]
+    if bad:
+        raise NonFiniteInput(f"non-finite features: {', '.join(bad)}")
+    return row
 
 
 def correlation_matrix(table: np.ndarray) -> np.ndarray:

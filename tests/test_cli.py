@@ -91,6 +91,29 @@ def test_features_resilient_to_bad_fcidump(tmp_path, caplog):
     assert "task-01-1" not in {r[0] for r in rows[1:]}
 
 
+def test_non_finite_feature_row_is_a_task_failure(tmp_path, caplog):
+    # Every (ii|jj) is finite, so the parser accepts the dump, but the
+    # one-norm and the edge-weight statistics overflow to inf.
+    mini = tmp_path / "catalog"
+    shutil.copytree(CATALOG / "inst-01", mini / "inst-01")
+    (mini / "inst-01" / "task-01-2.fcidump").write_text(
+        "&FCI NORB=2,NELEC=2,MS2=0,&END\n"
+        " 1e308 1 1 1 1\n 1e308 1 1 2 2\n 1e308 2 2 2 2\n"
+        " -1.0 1 1 0 0\n -0.5 2 2 0 0\n 0.0 0 0 0 0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["--catalog", str(mini), "--out", str(out), "features"]) == 0
+    text = (out / "features.csv").read_text()
+    assert "inf" not in text and "nan" not in text
+    assert [r[0] for r in read_rows(out / "features.csv")[1:]] == ["task-01-1"]
+    failures = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("features failed for task task-01-2")]
+    assert len(failures) == 1
+    for name in ("one_norm", "edge_weight_mean", "edge_weight_std"):
+        assert name in failures[0]
+
+
 def test_empty_catalog_is_fatal(tmp_path):
     code = main(["--catalog", str(tmp_path), "--out", str(tmp_path / "o"), "features"])
     assert code == 1
@@ -186,6 +209,37 @@ def test_solvability_single_class_solver_fails_cleanly(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_report_skips_solver_whose_pipeline_fails(tmp_path, caplog):
+    # Twelve copies of one dump: the SVM fits, but PCA finds one distinct row.
+    catalog, solutions = tmp_path / "catalog", tmp_path / "solutions"
+    shutil.copytree(CATALOG, catalog)
+    source = (CATALOG / "inst-01" / "task-01-1.fcidump").read_bytes()
+    tasks = tasks_in(catalog)
+    assert len(tasks) == 12
+    for task in tasks:
+        task.fcidump_path.write_bytes(source)
+    solutions.mkdir()
+    labeled = [t for t in tasks if t.reference_energy is not None]
+    results = [
+        {"task_uuid": t.task_uuid, "energy": t.reference_energy + (0.0 if i % 2 else 0.01),
+         "run_time": 1.0}
+        for i, t in enumerate(labeled)
+    ]
+    (solutions / "mixed.solution.json").write_text(json.dumps(
+        {"solver_uuid": "mixed", "solver_short_name": "mixed", "results": results}
+    ))
+    out = tmp_path / "out"
+    argv = ["--catalog", str(catalog), "--out", str(out), "--samples", "400",
+            "report", "--solutions", str(solutions)]
+    assert main(argv) == 0
+    skips = [r.getMessage() for r in caplog.records
+             if r.levelname == "WARNING" and "solvability skipped for" in r.getMessage()]
+    assert skips == ["solvability skipped for mixed: fewer than 2 distinct rows"]
+    assert not [r for r in caplog.records if r.levelname == "ERROR"]
+    assert (out / "oracle.json").exists()
+    assert not (out / "solvability_mixed.json").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -449,6 +503,33 @@ def test_invalid_run_setting_rejected_before_any_output(tmp_path, flags):
     out = tmp_path / "out"
     assert main(report_argv(out, SOLUTIONS, *flags)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--latent", "foo"), "latent must be 'pca' or 'nnmf'"),
+        (("--seed", "abc"), "argument --seed: invalid int value: 'abc'"),
+        (("--frobnicate",), "unrecognized arguments: --frobnicate"),
+        (("--samples", "1e3"), "argument --samples: invalid int value: '1e3'"),
+    ],
+    ids=["latent-foo", "seed-abc", "unknown-flag", "samples-float"],
+)
+def test_bad_flag_gives_one_line_error_and_exit_1(tmp_path, caplog, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(report_argv(out, SOLUTIONS, *flags)) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert message in errors[0]
+    assert not out.exists()
+    assert "usage:" not in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_json_artifacts_reject_nan(tmp_path):

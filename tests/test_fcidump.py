@@ -144,6 +144,14 @@ def test_invalid_spin():
         parse_fcidump("&FCI NORB=2,NELEC=2,MS2=1,&END\n0.0 0 0 0 0\n")
 
 
+@pytest.mark.parametrize("norb, nelec, ms2", [(1, 2, 2), (1, 2, -2), (2, 3, 3), (3, 4, -4)])
+def test_more_electrons_of_one_spin_than_orbitals_rejected(norb, nelec, ms2):
+    with pytest.raises(InvalidFciDump, match="more electrons of one spin"):
+        parse_fcidump(f"&FCI NORB={norb},NELEC={nelec},MS2={ms2},&END\n0.0 0 0 0 0\n")
+    with pytest.raises(InvalidFciDump, match="more electrons of one spin"):
+        FciDump.from_tensors(norb, nelec, ms2, 0.0, np.zeros((norb,) * 2), np.zeros((norb,) * 4))
+
+
 def test_tensor_is_constant_on_orbits(rng):
     # exhaustive over every index tuple for norb <= 4
     for norb in (2, 3, 4):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 
@@ -106,6 +107,33 @@ def test_latent_model_has_no_unused_transform():
     from gsee_bench.ml import LatentModel
 
     assert not hasattr(LatentModel, "transform")
+
+
+def test_latent_model_is_one_affine_map():
+    from gsee_bench.ml import LatentModel
+
+    fields = [f.name for f in dataclasses.fields(LatentModel)]
+    assert fields == ["embedding", "bounds", "components", "mean", "converged"]
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        ("LatentModel", "kind"),
+        ("LatentModel", "dim"),
+        ("LatentModel", "h"),
+        ("LatentModel", "explained_variance"),
+        ("LatentModel", "reconstruction_error"),
+        ("SvmModel", "train_accuracy"),
+        ("SvmModel", "n_features"),
+    ],
+)
+def test_removed_fit_record_fields(cls, name):
+    import gsee_bench.ml
+
+    model_cls = getattr(gsee_bench.ml, cls)
+    assert name not in {f.name for f in dataclasses.fields(model_cls)}
+    assert not hasattr(model_cls, name)
 
 
 def test_pauli_table_has_no_dense_matrix():

@@ -22,7 +22,6 @@ def blobs(rng, n_per_class=40, margin=2.0):
 def test_separable_blobs_perfect_training(rng):
     X, labels = blobs(rng)
     model = svm_fit_cv(X, labels, k=5, seed=0)
-    assert model.train_accuracy == 1.0
     metrics = classification_metrics(model.decision_function(X) >= 0, labels)
     assert metrics.f1 == 1.0
 
