@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from .fcidump import parse_fcidump
 from .fermionic import DEFAULT_DF_THRESHOLD
 from .fci import solve_ground_state
 from .ml.solvability import SolvabilityConfig, estimate_solvability
-from .pauli import MAX_TABLE_QUBITS
 from .plots import render_latent_map
 from .qubit_features import (
     FEATURE_NAMES,
@@ -50,12 +49,6 @@ from .qubit_features import (
 
 log = logging.getLogger(__name__)
 
-# The JW encoder's uint64 masks hold 64 qubits, i.e. 32 spatial orbitals;
-# larger dumps are skipped as per-task failures.  The cap is reachable: on a
-# 2-core x86 machine a random norb-32 dump (demo/generate.py, seed 1) takes
-# 1.4 s through compute_feature_vector (1.5M Pauli terms, 235 MB peak RSS of
-# the process, 69 MB of it the Jordan-Wigner plan, which is built per call).
-FEATURE_NORB_CAP = MAX_TABLE_QUBITS // 2
 HISTOGRAM_BIN_WIDTH = 10
 # Latent samples scored per solver.  The cap is reachable: on a 2-core x86
 # machine the demo report at 1M samples takes 32 s (726 MB peak RSS, 208 MB of
@@ -69,41 +62,34 @@ class RunConfig:
     output_dir: Path
     df_threshold: float = DEFAULT_DF_THRESHOLD
     df_absolute: bool = False
-    latent: str = "pca"
-    latent_dim: int = 2
-    n_samples: int = 10_000
-    threshold: float = 0.5
-    seed: int = 0
     jobs: int = 1
+    solvability: SolvabilityConfig = SolvabilityConfig()
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
+        ml = self.solvability
+        if not 0.0 <= ml.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if self.latent not in ("pca", "nnmf"):
+        if ml.latent not in ("pca", "nnmf"):
             raise ValueError("latent must be 'pca' or 'nnmf'")
         if not (np.isfinite(self.df_threshold) and self.df_threshold >= 0.0):
             raise ValueError("df_threshold must be finite and >= 0")
         # latent_dim: the training CSV and the latent map read two latent axes
-        for name, least in (("latent_dim", 2), ("n_samples", 1), ("seed", 0), ("jobs", 1)):
-            if getattr(self, name) < least:
+        for owner, name, least in (
+            (ml, "latent_dim", 2), (ml, "n_samples", 1), (ml, "seed", 0), (self, "jobs", 1)
+        ):
+            if getattr(owner, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
         # a latent space has no more axes than the feature table has columns
-        if self.latent_dim > len(FEATURE_NAMES):
+        if ml.latent_dim > len(FEATURE_NAMES):
             raise ValueError(f"latent_dim must be <= {len(FEATURE_NAMES)}")
-        if self.n_samples > MAX_SAMPLES:
+        if ml.n_samples > MAX_SAMPLES:
             raise ValueError(f"n_samples must be <= {MAX_SAMPLES}")
 
     def semantic_hash(self) -> str:
         """Hash of result-affecting settings; paths and job count excluded."""
-        payload = {
-            "df_threshold": self.df_threshold,
-            "df_absolute": self.df_absolute,
-            "latent": self.latent,
-            "latent_dim": self.latent_dim,
-            "n_samples": self.n_samples,
-            "threshold": self.threshold,
-            "seed": self.seed,
-        }
+        skip = ("catalog_dir", "output_dir", "jobs", "solvability")
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        payload.update(asdict(self.solvability))
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -185,8 +171,6 @@ def _try_features(args: tuple[Task, float, bool]) -> np.ndarray | Exception:
     try:
         with open(task.fcidump_path, encoding="utf-8") as fh:
             dump = parse_fcidump(fh)
-        if dump.norb > FEATURE_NORB_CAP:
-            raise GseeBenchError(f"norb={dump.norb} exceeds feature cap {FEATURE_NORB_CAP}")
         return compute_feature_vector(dump, df_threshold, df_absolute)
     except Exception as exc:  # noqa: BLE001 - per-task isolation is the contract
         return exc
@@ -299,14 +283,7 @@ def run_solvability(
     verdicts = [verdict_by_task[uuid] for uuid in task_uuids]
     labels = [None if v is Verdict.UNLABELED else v is Verdict.SOLVED for v in verdicts]
 
-    ml_config = SolvabilityConfig(
-        latent_kind=config.latent,
-        latent_dim=config.latent_dim,
-        n_samples=config.n_samples,
-        threshold=config.threshold,
-        seed=config.seed,
-    )
-    report = estimate_solvability(table, labels, ml_config, feature_names=FEATURE_NAMES)
+    report = estimate_solvability(table, labels, config.solvability, feature_names=FEATURE_NAMES)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.output_dir / f"solvability_{solver_uuid}.json"
@@ -402,6 +379,23 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
     run_oracle(config, tasks)
 
 
+# The run settings, one row each: config-file key -> (field of RunConfig or of
+# its SolvabilityConfig, JSON type, help text).  Each key is also a global
+# flag, "--" + key with "_" as "-"; a bool setting is a switch.
+_SETTINGS = {
+    "catalog": ("catalog_dir", str, "catalog directory"),
+    "out": ("output_dir", str, "output directory"),
+    "df_threshold": ("df_threshold", float, "DF eigenvalue cutoff"),
+    "df_absolute": ("df_absolute", bool, "treat --df-threshold as an absolute Hartree cutoff"),
+    "latent": ("latent", str, "latent space kind: pca or nnmf"),
+    "latent_dim": ("latent_dim", int, "latent dimension"),
+    "samples": ("n_samples", int, "latent sample count"),
+    "threshold": ("threshold", float, "probability threshold"),
+    "seed": ("seed", int, "random seed"),
+    "jobs": ("jobs", int, "worker count"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error raises GseeBenchError (one log line, exit 1) instead of
     printing the usage and exiting 2; subcommand parsers inherit this."""
@@ -416,19 +410,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Benchmark harness for ground-state energy estimation solvers",
     )
     parser.add_argument("--config", type=Path, help="JSON config file (flags override)")
-    parser.add_argument("--catalog", type=Path, help="catalog directory")
-    parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--df-threshold", type=float, help="DF eigenvalue cutoff")
-    parser.add_argument(
-        "--df-absolute", action="store_true", default=None,
-        help="treat --df-threshold as an absolute Hartree cutoff",
-    )
-    parser.add_argument("--latent", help="latent space kind: pca or nnmf")
-    parser.add_argument("--latent-dim", type=int, help="latent dimension")
-    parser.add_argument("--samples", type=int, help="latent sample count")
-    parser.add_argument("--threshold", type=float, help="probability threshold")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--jobs", type=int, help="worker count")
+    for key, (_, kind, text) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            parser.add_argument(flag, type=kind, help=text)
     parser.add_argument("-v", "--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -444,21 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# config-file key -> (RunConfig field, JSON type)
-_CONFIG_KEYS = {
-    "catalog": ("catalog_dir", str),
-    "out": ("output_dir", str),
-    "df_threshold": ("df_threshold", float),
-    "df_absolute": ("df_absolute", bool),
-    "latent": ("latent", str),
-    "latent_dim": ("latent_dim", int),
-    "samples": ("n_samples", int),
-    "threshold": ("threshold", float),
-    "seed": ("seed", int),
-    "jobs": ("jobs", int),
-}
-
-
 def _make_config(args: argparse.Namespace) -> RunConfig:
     settings: dict = {}
     if args.config is not None:
@@ -467,13 +439,13 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         where = f"config {args.config}"
         if not isinstance(file_conf, dict):
             raise GseeBenchError(f"{where}: top level is not an object")
-        unknown = sorted(set(file_conf) - set(_CONFIG_KEYS))
+        unknown = sorted(set(file_conf) - set(_SETTINGS))
         if unknown:
             raise GseeBenchError(f"{where}: unknown keys {', '.join(unknown)}")
         for key in file_conf:
-            attr, kind = _CONFIG_KEYS[key]
+            attr, kind, _ = _SETTINGS[key]
             settings[attr] = _require(file_conf, key, kind, where)
-    for key, (attr, _) in _CONFIG_KEYS.items():
+    for key, (attr, _, _) in _SETTINGS.items():
         value = getattr(args, key, None)
         if value is not None:
             settings[attr] = value
@@ -481,7 +453,9 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         raise GseeBenchError("--catalog and --out are required (flag or config file)")
     settings["catalog_dir"] = Path(settings["catalog_dir"])
     settings["output_dir"] = Path(settings["output_dir"])
-    return RunConfig(**settings)
+    ml = [f.name for f in fields(SolvabilityConfig) if f.name in settings]
+    solvability = SolvabilityConfig(**{name: settings.pop(name) for name in ml})
+    return RunConfig(**settings, solvability=solvability)
 
 
 def _configure_logging(verbose: bool) -> None:

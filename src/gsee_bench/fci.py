@@ -61,6 +61,12 @@ MAX_NONZEROS = 64_000_000
 # dim 400-1300, a cutoff of 700 keeps the path taken within 2.2x of the
 # faster one; 2000 cost up to 6.3x there, and 13x at (8, 3, 2), dim 1568.
 DENSE_CUTOFF = 700
+# Davidson stops when every residual norm is below DAVIDSON_TOL, gives up
+# after DAVIDSON_MAX_ITERATIONS, and restarts above DAVIDSON_MAX_SUBSPACE
+# basis vectors.
+DAVIDSON_TOL = 1e-8
+DAVIDSON_MAX_ITERATIONS = 300
+DAVIDSON_MAX_SUBSPACE = 30
 
 
 @dataclass(frozen=True)
@@ -363,31 +369,25 @@ def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> SectorHamiltonia
     return SectorHamiltonian(dump, basis)
 
 
-def lowest_eigenvalues(
-    matrix,
-    k: int = 1,
-    tol: float = 1e-8,
-    max_iterations: int = 300,
-    max_subspace: int = 30,
-    dense_cutoff: int = DENSE_CUTOFF,
-) -> SpectrumResult:
+def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
     """Lowest k eigenvalues of a symmetric matrix: a NumPy array, or any
     object with `toarray()`, `diagonal()` and `@` (a `SectorHamiltonian`, a
     SciPy sparse matrix).
 
-    Small problems are solved densely; larger ones by Davidson iteration with
-    a diagonal preconditioner, restarting when the subspace exceeds
-    max_subspace.  The products H @ v are kept between iterations, so H is
-    applied once to each basis direction; a restart rotates them with the
-    basis.  If the iteration stalls the best estimates are returned with
+    Problems up to DENSE_CUTOFF are solved densely; larger ones by Davidson
+    iteration with a diagonal preconditioner, restarting when the subspace
+    exceeds DAVIDSON_MAX_SUBSPACE.  The products H @ v are kept between
+    iterations, so H is applied once to each basis direction; a restart
+    rotates them with the basis.  If the iteration stalls the best estimates are returned with
     converged=False rather than raising.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    tol, max_subspace = DAVIDSON_TOL, DAVIDSON_MAX_SUBSPACE
     n = matrix.shape[0]
     k_eff = min(k, n)
 
-    if n <= max(dense_cutoff, 3 * max_subspace):
+    if n <= max(DENSE_CUTOFF, 3 * max_subspace):
         dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
         eigvals = np.linalg.eigvalsh(dense)
         return _spectrum(eigvals[:k_eff], k, 0, True)
@@ -403,7 +403,7 @@ def lowest_eigenvalues(
     converged = False
     iteration = 0
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, DAVIDSON_MAX_ITERATIONS + 1):
         projected = basis.T @ sigma
         projected = (projected + projected.T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(projected)
@@ -465,8 +465,8 @@ def _spectrum(energies: np.ndarray, k: int, iterations: int, converged: bool) ->
     return SpectrumResult(tuple(float(e) for e in energies), gap, iterations, converged)
 
 
-def solve_ground_state(dump: FciDump, k: int = 2, tol: float = 1e-8) -> tuple[SpectrumResult, int]:
+def solve_ground_state(dump: FciDump, k: int = 2) -> tuple[SpectrumResult, int]:
     """Convenience wrapper: basis + matrix + eigensolve; returns (result, dim)."""
     basis = build_basis(dump.norb, dump.n_alpha, dump.n_beta)
     matrix = build_fci_matrix(dump, basis)
-    return lowest_eigenvalues(matrix, k=k, tol=tol), len(basis)
+    return lowest_eigenvalues(matrix, k=k), len(basis)

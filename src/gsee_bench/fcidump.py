@@ -240,12 +240,11 @@ def parse_fcidump(source: str | TextIO) -> FciDump:
     if orbsym is not None and len(orbsym) != norb:
         raise InvalidFciDump(f"ORBSYM has {len(orbsym)} entries for NORB={norb}")
 
-    h1 = np.zeros((norb, norb))
-    h1_seen: set[tuple[int, int]] = set()
-    h2: dict[tuple[int, int, int, int], float] = {}  # by canonical index
-    e_core = 0.0
-    core_seen = False
-
+    # A line is an h2 entry (no zero index), an h1 entry (i j 0 0) or the core
+    # energy (0 0 0 0).  All are keyed by canonical_eri_index of the 1-based
+    # indices, which keys h1 as (0, 0, min, max) and so keeps the three apart;
+    # the first value of a key is kept, and a later one must agree.
+    entries: dict[tuple[int, int, int, int], float] = {}
     for raw_line in body.splitlines():
         line = raw_line.strip()
         if not line:
@@ -255,46 +254,32 @@ def parse_fcidump(source: str | TextIO) -> FciDump:
             raise MalformedLine(f"expected 5 tokens, got {len(tokens)}: {line!r}")
         value = _parse_number(tokens[0])
         try:
-            idx = tuple(int(t) for t in tokens[1:])
+            idx = tuple(map(int, tokens[1:]))
         except ValueError:
             raise MalformedLine(f"non-integer index in line {line!r}") from None
-        if any(x < 0 for x in idx):
+        if min(idx) < 0:
             raise MalformedLine(f"negative index in line {line!r}")
-        if any(x > norb for x in idx):
+        if max(idx) > norb:
             raise IndexOutOfRange(f"index exceeds NORB={norb} in line {line!r}")
         i, j, k, l = idx
-        if idx == (0, 0, 0, 0):
-            if core_seen and abs(value - e_core) > DUPLICATE_TOL:
-                raise ConflictingDuplicate("conflicting core-energy entries")
-            if not core_seen:
-                e_core = value
-                core_seen = True
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise MalformedLine(f"bad index pattern in line {line!r}")
-            a, b = i - 1, j - 1
-            key = (max(a, b), min(a, b))
-            if key in h1_seen:
-                if abs(h1[a, b] - value) > DUPLICATE_TOL:
-                    raise ConflictingDuplicate(f"conflicting h1 entries at {key}")
-            else:
-                h1[a, b] = value
-                h1[b, a] = value
-                h1_seen.add(key)
-        elif 0 in idx:
+        if 0 in idx and (k or l or (i == 0) != (j == 0)):
             raise MalformedLine(f"bad index pattern in line {line!r}")
-        else:
-            key = canonical_eri_index(i - 1, j - 1, k - 1, l - 1)
-            if key in h2:
-                if abs(h2[key] - value) > DUPLICATE_TOL:
-                    raise ConflictingDuplicate(f"conflicting h2 entries at {key}")
-            else:
-                h2[key] = value
+        key = canonical_eri_index(i, j, k, l)
+        if abs(entries.setdefault(key, value) - value) > DUPLICATE_TOL:
+            raise ConflictingDuplicate(f"conflicting entries for indices {key}")
 
-    # keys @ radix.T: the flat index of every orbit member of every key;
+    e_core = entries.pop((0, 0, 0, 0), 0.0)
+    h1 = np.zeros((norb, norb))
+    h2 = {}
+    for key, value in entries.items():
+        if key[0]:
+            h2[key] = value
+        else:
+            h1[key[2] - 1, key[3] - 1] = h1[key[3] - 1, key[2] - 1] = value
+    # keys @ radix.T: the flat index of every orbit member of every h2 key;
     # + 0.0 stores a listed -0.0 as the 0.0 of an unset entry
     count = len(h2)
-    keys = np.fromiter(chain.from_iterable(h2), np.intp, 4 * count).reshape(count, 4)
+    keys = np.fromiter(chain.from_iterable(h2), np.intp, 4 * count).reshape(count, 4) - 1
     radix = norb ** (3 - np.argsort(_ORBIT, axis=1))
     eri = np.zeros(norb**4)
     eri[keys @ radix.T] = np.fromiter(h2.values(), float, count)[:, None] + 0.0

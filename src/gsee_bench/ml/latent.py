@@ -17,6 +17,8 @@ from ..errors import RankDeficient
 log = logging.getLogger(__name__)
 
 NNMF_EPS = 1e-12
+NNMF_MAX_ITER = 2000
+NNMF_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,12 @@ def pca_fit(X, dim: int) -> LatentModel:
     return LatentModel(embedding, _bounds_of(embedding), components, mean)
 
 
-def nnmf_fit(
-    X,
-    dim: int,
-    max_iter: int = 2000,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> LatentModel:
+def nnmf_fit(X, dim: int, seed: int = 0) -> LatentModel:
     """Multiplicative-update factorization X ~= W H with W, H >= 0.
 
     Starts from seeded uniform factors and iterates until the relative
-    Frobenius-error improvement drops below tol or max_iter is reached; a
-    stalled fit is returned with converged=False.
+    Frobenius-error improvement drops below NNMF_TOL or NNMF_MAX_ITER is
+    reached; a stalled fit is returned with converged=False.
     """
     X = np.asarray(X, dtype=float)
     if np.any(X < 0):
@@ -97,15 +93,15 @@ def nnmf_fit(
     prev_error = np.inf
     converged = False
     error = float(np.linalg.norm(X - W @ H))
-    for _ in range(max_iter):
+    for _ in range(NNMF_MAX_ITER):
         H *= (W.T @ X) / (W.T @ W @ H + NNMF_EPS)
         W *= (X @ H.T) / (W @ H @ H.T + NNMF_EPS)
         error = float(np.linalg.norm(X - W @ H))
-        if prev_error - error < tol * max(error, NNMF_EPS):
+        if prev_error - error < NNMF_TOL * max(error, NNMF_EPS):
             converged = True
             break
         prev_error = error
     if not converged:
-        log.warning("NNMF stopped at max_iter=%d with error %.3e", max_iter, error)
+        log.warning("NNMF stopped at max_iter=%d with error %.3e", NNMF_MAX_ITER, error)
     # W, H >= 0 never give -0.0, so adding the zero mean changes no bit of W @ H.
     return LatentModel(W, _bounds_of(W), H, np.zeros(d), converged)

@@ -29,7 +29,7 @@ ATTRIBUTION_POINTS = 3
 
 @dataclass(frozen=True)
 class SolvabilityConfig:
-    latent_kind: str = "pca"
+    latent: str = "pca"
     latent_dim: int = 2
     n_samples: int = 10_000
     threshold: float = 0.5
@@ -104,11 +104,11 @@ def random_samples(bounds: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
 
 
 def _fit_latent(X: np.ndarray, config: SolvabilityConfig) -> LatentModel:
-    if config.latent_kind == "pca":
+    if config.latent == "pca":
         return pca_fit(X, config.latent_dim)
-    if config.latent_kind == "nnmf":
+    if config.latent == "nnmf":
         return nnmf_fit(X, config.latent_dim, seed=config.seed)
-    raise ValueError(f"unknown latent kind {config.latent_kind!r}")
+    raise ValueError(f"unknown latent kind {config.latent!r}")
 
 
 def _mean_abs_attributions(
@@ -189,7 +189,7 @@ def estimate_solvability(
         metrics={"precision": cv.precision, "recall": cv.recall, "f1": cv.f1},
         latent_points=samples,
         probabilities=probabilities,
-        latent_kind=config.latent_kind,
+        latent_kind=config.latent,
         latent_dim=config.latent_dim,
         bounds=latent.bounds,
         seed=config.seed,

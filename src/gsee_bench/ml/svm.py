@@ -41,6 +41,8 @@ TAU = 1e-12
 # fit with n = 500, D = 20 that hits it takes 2.2-2.9 s, and the slowest grid fit
 # measured at that size (C = 100, gamma = 0.05) converged in 8.8k steps.
 SMO_MAX_ITER = 100_000
+# Stratified cross-validation folds of the grid search.
+K_FOLDS = 5
 
 
 def default_gamma_grid(n_features: int) -> tuple[float, ...]:
@@ -99,16 +101,14 @@ def classification_metrics(predicted, true) -> ClassificationMetrics:
     return ClassificationMetrics(precision, recall, f1, zero_division)
 
 
-def _smo(K: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray | None = None,
-         max_iter: int | None = None) -> tuple[np.ndarray, float, bool]:
+def _smo(K: np.ndarray, y: np.ndarray, C: float,
+         alpha: np.ndarray | None = None) -> tuple[np.ndarray, float, bool]:
     """Solve min ½ (αy)ᵀK(αy) − Σα over 0 ≤ α ≤ C, yᵀα = 0 (LIBSVM's Solver).
 
     alpha is a feasible start (zeros when None).  Returns α, the bias ρ of
     f(x) = K(x, ·)(αy) − ρ, and whether the max-violating-pair gap fell
-    below SMO_TOL within max_iter (default SMO_MAX_ITER) steps.
+    below SMO_TOL within SMO_MAX_ITER steps.
     """
-    if max_iter is None:
-        max_iter = SMO_MAX_ITER
     n = len(y)
     alpha = np.zeros(n) if alpha is None else alpha.copy()
     pos = y > 0
@@ -121,7 +121,7 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray | None = None
     up = np.where(pos, alpha < C, alpha > 0)
     low = np.where(pos, alpha > 0, alpha < C)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(SMO_MAX_ITER):
         f_up = np.where(up, F, -np.inf)
         i = int(f_up.argmax())
         f_max = f_up[i]
@@ -150,7 +150,7 @@ def _smo(K: np.ndarray, y: np.ndarray, C: float, alpha: np.ndarray | None = None
             up[s] = alpha[s] < C if pos[s] else alpha[s] > 0
             low[s] = alpha[s] > 0 if pos[s] else alpha[s] < C
     else:
-        log.warning("SMO stopped after %d iterations without full KKT", max_iter)
+        log.warning("SMO stopped after %d iterations without full KKT", SMO_MAX_ITER)
     free = (alpha > 0) & (alpha < C)
     if free.any():
         rho = -float(F[free].mean())
@@ -286,11 +286,11 @@ def stratified_folds(labels, k: int, seed: int = 0) -> np.ndarray:
     return folds
 
 
-def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
+def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
     """Grid-searched, cross-validated SVM fit.
 
     Each (C, gamma) pair of DEFAULT_C_GRID x default_gamma_grid(D) is scored
-    by mean F1 over stratified k-fold splits; the best pair (first on ties) is
+    by mean F1 over K_FOLDS stratified splits; the best pair (first on ties) is
     refit on all data, and the Platt sigmoid is fit on that pair's
     out-of-fold decision values.  The model is converged only if every SMO
     fit, cross-validation and final, met SMO_TOL within SMO_MAX_ITER.
@@ -302,8 +302,7 @@ def svm_fit_cv(X, labels, k: int = 5, seed: int = 0) -> SvmModel:
         raise LengthMismatch(f"{n} rows vs {len(labels)} labels")
     if labels.all() or not labels.any():
         raise SingleClass("training labels contain a single class")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = K_FOLDS
     if n < k:
         raise TooFewSamples(f"{n} samples for {k} folds")
 

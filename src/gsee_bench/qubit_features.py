@@ -100,12 +100,15 @@ def compute_feature_vector(
     df_absolute: bool = False,
 ) -> np.ndarray:
     """One task's features as a float row in FEATURE_NAMES order: sizes, the
-    DF rank and gap, and the qubit columns.  Finite integrals can still
-    overflow a sum or a square; such a row raises NonFiniteInput."""
+    DF rank and gap, and the qubit columns.  The qubit columns come first, so
+    a dump too wide for the encoder fails before any DF work.  Finite
+    integrals can still overflow a sum or a square: such a row raises
+    NonFiniteInput, in place of numpy's overflow warnings."""
     sizes = (dump.nelec, 2 * dump.norb, log_fci_size(dump.norb, dump.n_alpha, dump.n_beta))
-    df_rank, df_gap = double_factorize(dump, df_threshold, absolute=df_absolute)
-    qubit = compute_qubit_features(jordan_wigner_hamiltonian(dump))
-    row = np.array([*sizes, df_rank, df_gap, *qubit.values()], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qubit = compute_qubit_features(jordan_wigner_hamiltonian(dump))
+        df_rank, df_gap = double_factorize(dump, df_threshold, absolute=df_absolute)
+        row = np.array([*sizes, df_rank, df_gap, *qubit.values()], dtype=float)
     bad = [name for name, ok in zip(FEATURE_NAMES, np.isfinite(row)) if not ok]
     if bad:
         raise NonFiniteInput(f"non-finite features: {', '.join(bad)}")

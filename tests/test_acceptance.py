@@ -175,7 +175,7 @@ def test_criterion_5_solvability_pipeline_fidelity():
 
             split = int(0.8 * len(X))
             scaled = minmax_scale(X[:split])
-            model = svm_fit_cv(scaled.X, labels[:split], k=5, seed=0)
+            model = svm_fit_cv(scaled.X, labels[:split], seed=0)
             held = minmax_scale(X[split:], params=(scaled.mins, scaled.maxs))
             predicted = predict_proba(model, held.X) >= 0.5
             metrics = classification_metrics(predicted, labels[split:])
@@ -235,7 +235,7 @@ def test_criterion_6_shapley_properties():
         X = rng.uniform(size=(60, 20))
         X[:, 1] = X[:, 0]
         X[:, 19] = 0.5
-        svm = svm_fit_cv(X, X[:, 0] + X[:, 2] > 1.0, k=5, seed=0)
+        svm = svm_fit_cv(X, X[:, 0] + X[:, 2] > 1.0, seed=0)
         target = log_odds(svm)
         for point in X[[0, 30]]:
             phi = exact_shapley(svm, point, X[:20])

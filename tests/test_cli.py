@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gsee_bench import cli
+from gsee_bench import cli, qubit_features
 from gsee_bench.catalog import catalog_tasks, scan_catalog, scan_solutions
 from gsee_bench.cli import RunConfig, main, run_evaluate, run_features, run_oracle
 from gsee_bench.errors import GseeBenchError
+from gsee_bench.ml import SolvabilityConfig
 from gsee_bench.qubit_features import FEATURE_NAMES
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -112,6 +115,63 @@ def test_non_finite_feature_row_is_a_task_failure(tmp_path, caplog):
     assert len(failures) == 1
     for name in ("one_norm", "edge_weight_mean", "edge_weight_std"):
         assert name in failures[0]
+
+
+def test_overflowing_feature_row_emits_no_runtime_warning(tmp_path):
+    mini = tmp_path / "catalog"
+    shutil.copytree(CATALOG / "inst-01", mini / "inst-01")
+    (mini / "inst-01" / "task-01-2.fcidump").write_text(
+        "&FCI NORB=2,NELEC=2,MS2=0,&END\n"
+        " 1e308 1 1 1 1\n 1e308 1 1 2 2\n 1e308 2 2 2 2\n"
+        " -1.0 1 1 0 0\n -0.5 2 2 0 0\n 0.0 0 0 0 0\n",
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--catalog", str(mini), "--out", str(tmp_path / "out"), "features"]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_dump_wider_than_the_encoder_is_one_feature_failure(tmp_path, caplog, monkeypatch):
+    # 33 orbitals are 66 qubits, more than a PauliTable mask holds
+    mini = tmp_path / "catalog"
+    shutil.copytree(CATALOG / "inst-01", mini / "inst-01")
+    (mini / "inst-01" / "task-01-2.fcidump").write_text(
+        "&FCI NORB=33,NELEC=2,MS2=0,&END\n 0.5 1 1 1 1\n -1.0 1 1 0 0\n 0.0 0 0 0 0\n",
+        encoding="utf-8",
+    )
+    factorized = []
+
+    def recording_df(dump, *args, **kwargs):
+        factorized.append(dump.norb)
+        return df(dump, *args, **kwargs)
+
+    df = qubit_features.double_factorize
+    monkeypatch.setattr(qubit_features, "double_factorize", recording_df)
+    out = tmp_path / "out"
+    assert main(["--catalog", str(mini), "--out", str(out), "features"]) == 0
+    failures = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("features failed")]
+    assert len(failures) == 1 and failures[0].startswith("features failed for task task-01-2")
+    assert [r[0] for r in read_rows(out / "features.csv")[1:]] == ["task-01-1"]
+    assert 33 not in factorized and factorized
+
+
+def test_semantic_hash_is_pinned(tmp_path):
+    default = RunConfig(CATALOG, tmp_path)
+    every = RunConfig(
+        CATALOG, tmp_path, df_threshold=1e-5, df_absolute=True,
+        solvability=SolvabilityConfig(
+            latent="nnmf", latent_dim=3, n_samples=2500, threshold=0.4, seed=7
+        ),
+    )
+    assert default.semantic_hash() == "4c9786e16add"
+    assert every.semantic_hash() == "8da21b0510a8"
+    for config in (default, every):
+        moved = dataclasses.replace(
+            config, catalog_dir=tmp_path / "elsewhere", output_dir=tmp_path / "o", jobs=3
+        )
+        assert moved.semantic_hash() == config.semantic_hash()
 
 
 def test_empty_catalog_is_fatal(tmp_path):
@@ -575,7 +635,7 @@ CONFIG_DICTS = st.builds(
     lambda plausible, junk: {**plausible, **junk},
     st.fixed_dictionaries({}, optional=PLAUSIBLE),
     st.dictionaries(
-        st.sampled_from([*cli._CONFIG_KEYS, "sampels", "latent-dim"]), JUNK, max_size=1
+        st.sampled_from([*cli._SETTINGS, "sampels", "latent-dim"]), JUNK, max_size=1
     ),
 )
 
@@ -595,13 +655,14 @@ def test_config_file_gives_valid_config_or_exit_1(tmp_path, file_conf):
         assert main(argv) == 1
         assert not out.exists()
         return
-    for key, (attr, kind) in cli._CONFIG_KEYS.items():
-        value = getattr(config, attr)
+    ml = config.solvability
+    for key, (attr, kind, _) in cli._SETTINGS.items():
+        value = getattr(ml if hasattr(ml, attr) else config, attr)
         assert isinstance(value, Path) if key in ("catalog", "out") else type(value) is kind
         if key in file_conf and key not in ("catalog", "out"):
             assert value == file_conf[key]
-    assert config.latent in ("pca", "nnmf")
-    assert 0.0 <= config.threshold <= 1.0
+    assert ml.latent in ("pca", "nnmf")
+    assert 0.0 <= ml.threshold <= 1.0
     assert np.isfinite(config.df_threshold) and config.df_threshold >= 0.0
-    assert config.latent_dim >= 2 and config.n_samples >= 1
-    assert config.seed >= 0 and config.jobs >= 1
+    assert ml.latent_dim >= 2 and ml.n_samples >= 1
+    assert ml.seed >= 0 and config.jobs >= 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from gsee_bench import fci
 from gsee_bench.catalog import scan_catalog
 from gsee_bench.errors import InconsistentBasis, InvalidOccupation, TooLarge
 from gsee_bench.fcidump import FciDump, parse_fcidump
@@ -222,9 +223,11 @@ def _random_sparse_symmetric(rng, n: int, density: float = 0.01) -> scipy.sparse
     return (upper + upper.T + scipy.sparse.diags_array(diag)).tocsr()
 
 
-def test_davidson_matches_dense_oracle(rng):
+def test_davidson_matches_dense_oracle(rng, monkeypatch):
     mat = _random_sparse_symmetric(rng, 500)
-    result = lowest_eigenvalues(mat, k=2, tol=1e-9, dense_cutoff=0)
+    monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-9)
+    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
+    result = lowest_eigenvalues(mat, k=2)
     assert result.converged
     assert result.n_iterations > 0
     dense = np.linalg.eigvalsh(mat.toarray())
@@ -232,9 +235,11 @@ def test_davidson_matches_dense_oracle(rng):
     assert abs(result.energies[1] - dense[1]) < 1e-8
 
 
-def test_davidson_large_sparse(rng):
+def test_davidson_large_sparse(rng, monkeypatch):
     mat = _random_sparse_symmetric(rng, 5000)
-    result = lowest_eigenvalues(mat, k=2, tol=1e-8, dense_cutoff=0)
+    monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-8)
+    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
+    result = lowest_eigenvalues(mat, k=2)
     assert result.converged
     assert result.energies[0] <= result.energies[1]
     assert result.gap == pytest.approx(result.energies[1] - result.energies[0])
@@ -242,9 +247,12 @@ def test_davidson_large_sparse(rng):
     assert np.abs(np.sort(reference) - np.array(result.energies)).max() < 1e-8
 
 
-def test_davidson_honest_convergence_flag(rng):
+def test_davidson_honest_convergence_flag(rng, monkeypatch):
     mat = _random_sparse_symmetric(rng, 300)
-    result = lowest_eigenvalues(mat, k=1, tol=1e-14, max_iterations=1, dense_cutoff=0)
+    monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-14)
+    monkeypatch.setattr(fci, "DAVIDSON_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
+    result = lowest_eigenvalues(mat, k=1)
     assert not result.converged
 
 
@@ -257,10 +265,13 @@ class _CountingMatrix(scipy.sparse.csr_array):
 
 
 @pytest.mark.parametrize("max_subspace", [30, 8])
-def test_davidson_applies_matrix_to_each_direction_once(rng, max_subspace):
+def test_davidson_applies_matrix_to_each_direction_once(rng, monkeypatch, max_subspace):
     mat = _CountingMatrix(_random_sparse_symmetric(rng, 400))
     mat.applied = []
-    result = lowest_eigenvalues(mat, k=2, tol=1e-9, dense_cutoff=0, max_subspace=max_subspace)
+    monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-9)
+    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(fci, "DAVIDSON_MAX_SUBSPACE", max_subspace)
+    result = lowest_eigenvalues(mat, k=2)
     assert result.converged
     dense = np.linalg.eigvalsh(mat.toarray())
     assert np.abs(np.array(result.energies) - dense[:2]).max() < 1e-8
@@ -274,21 +285,22 @@ def test_davidson_applies_matrix_to_each_direction_once(rng, max_subspace):
     assert sum(mat.applied) < initial * result.n_iterations
 
 
-def test_davidson_on_structured_hamiltonian(rng):
+def test_davidson_on_structured_hamiltonian(rng, monkeypatch):
     # a genuine sector Hamiltonian large enough to bypass the dense path:
     # Davidson on sigma against eigvalsh on the CSR oracle
     d = random_fcidump(rng, 8, 6, 0, scale=0.5)
     basis = build_basis(8, 3, 3)
     mat = build_fci_matrix(d, basis)
     assert mat.shape[0] > 2000
-    dav = lowest_eigenvalues(mat, k=2, tol=1e-9)
+    monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-9)
+    dav = lowest_eigenvalues(mat, k=2)
     assert dav.converged and dav.n_iterations > 0
     dense = np.linalg.eigvalsh(build_csr(d, basis).toarray())
     assert abs(dav.energies[0] - dense[0]) < 1e-10
     assert abs(dav.energies[1] - dense[1]) < 1e-10
 
 
-def test_dense_cutoff_routes_the_sectors_either_side():
+def test_dense_cutoff_routes_the_sectors_either_side(monkeypatch):
     # the largest sector of norb <= 8 at or below DENSE_CUTOFF, and the
     # smallest above it, against eigvalsh on the CSR oracle
     sectors = sorted((math.comb(norb, n_alpha) * math.comb(norb, n_beta), norb, n_alpha, n_beta)
@@ -296,12 +308,13 @@ def test_dense_cutoff_routes_the_sectors_either_side():
                      for n_beta in range(n_alpha + 1))
     below = max(s for s in sectors if s[0] <= DENSE_CUTOFF)
     above = min(s for s in sectors if s[0] > DENSE_CUTOFF)
+    monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-9)
     for (dim, norb, n_alpha, n_beta), dense in ((below, True), (above, False)):
         rng = np.random.default_rng([norb, n_alpha, n_beta])
         d = random_fcidump(rng, norb, n_alpha + n_beta, n_alpha - n_beta, scale=0.5)
         basis = build_basis(norb, n_alpha, n_beta)
         mat = build_fci_matrix(d, basis)
-        result = lowest_eigenvalues(mat, k=2, tol=1e-9)
+        result = lowest_eigenvalues(mat, k=2)
         assert result.converged
         assert (result.n_iterations == 0) == dense, (dim, result.n_iterations)
         exact = np.linalg.eigvalsh(build_csr(d, basis).toarray())[:2]

@@ -110,6 +110,24 @@ def test_duplicate_symmetry_entries_must_agree():
         parse_fcidump(bad)
 
 
+@pytest.mark.parametrize(
+    "first, repeat",
+    [("-0.25 2 1 0 0", "{} 1 2 0 0"), ("-0.25 1 2 0 0", "{} 1 2 0 0"),
+     ("1.5 0 0 0 0", "{} 0 0 0 0")],
+    ids=["h1-swapped", "h1-same", "core"],
+)
+def test_h1_and_core_repeats_must_agree(first, repeat):
+    head = "&FCI NORB=2,NELEC=2,&END\n0.5 1 1 1 1\n"
+    value = float(first.split()[0])
+    d = parse_fcidump(head + f"{first}\n{repeat.format(value + 1e-11)}\n")
+    if first.endswith("0 0 0 0"):
+        assert d.e_core == value
+    else:
+        assert d.h1[0, 1] == d.h1[1, 0] == value
+    with pytest.raises(ConflictingDuplicate):
+        parse_fcidump(head + f"{first}\n{repeat.format(value + 1e-3)}\n")
+
+
 def test_missing_header_fields():
     with pytest.raises(MissingHeaderField):
         parse_fcidump("&FCI NORB=2,&END\n")

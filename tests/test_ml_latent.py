@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gsee_bench.errors import NonFiniteInput, RankDeficient
-from gsee_bench.ml import minmax_scale, nnmf_fit, pca_fit
+from gsee_bench.ml import latent, minmax_scale, nnmf_fit, pca_fit
 
 
 def test_minmax_basic_column():
@@ -88,19 +88,23 @@ def test_pca_bounds_cover_embedding(rng):
     assert np.all(model.embedding.max(axis=0) <= model.bounds[:, 1] + 1e-12)
 
 
-def test_nnmf_planted_factorization(rng):
+def test_nnmf_planted_factorization(rng, monkeypatch):
     W0 = rng.uniform(0.1, 1.0, size=(50, 2))
     H0 = rng.uniform(0.1, 1.0, size=(2, 4))
     X = W0 @ H0
-    model = nnmf_fit(X, 2, max_iter=50000, tol=0.0, seed=1)
+    monkeypatch.setattr(latent, "NNMF_MAX_ITER", 50000)
+    monkeypatch.setattr(latent, "NNMF_TOL", 0.0)
+    model = nnmf_fit(X, 2, seed=1)
     assert np.linalg.norm(X - model.embedding @ model.components) < 1e-6
 
 
-def test_nnmf_factors_nonnegative(rng):
+def test_nnmf_factors_nonnegative(rng, monkeypatch):
     X = rng.uniform(0.0, 1.0, size=(30, 5))
     # factors stay entrywise non-negative after every update step
+    monkeypatch.setattr(latent, "NNMF_TOL", 0.0)
     for iters in (1, 2, 3, 10, 200):
-        model = nnmf_fit(X, 2, max_iter=iters, tol=0.0, seed=2)
+        monkeypatch.setattr(latent, "NNMF_MAX_ITER", iters)
+        model = nnmf_fit(X, 2, seed=2)
         assert np.all(model.embedding >= 0.0)
         assert np.all(model.components >= 0.0)
 

@@ -87,7 +87,7 @@ def test_properties_on_enumerated_models(rng):
 def _fit(rng, n, d):
     X = rng.uniform(size=(n, d))
     labels = X[:, 0] + 0.5 * X[:, -1] > 0.75
-    return X, svm_fit_cv(X, labels, k=5, seed=0)
+    return X, svm_fit_cv(X, labels, seed=0)
 
 
 def _log_odds_gap(model, point, background):
@@ -114,7 +114,7 @@ def test_product_path_axioms_at_d20(rng):
     X[:, 7] = X[:, 3]  # symmetric pair: a duplicated column
     X[:, 12] = 0.4  # dummy: a constant column
     labels = X[:, 3] + X[:, 7] + X[:, 0] > 1.5
-    model = svm_fit_cv(X, labels, k=5, seed=0)
+    model = svm_fit_cv(X, labels, seed=0)
     background = X[:20]
     for point in X[[0, 30, 59]]:
         phi = exact_shapley(model, point, background)
@@ -140,7 +140,7 @@ def test_svm_attribution_dummy_feature(rng):
     x0 = rng.uniform(-1, 1, size=n)
     X = np.column_stack([x0, np.zeros(n)])
     labels = x0 > 0
-    model = svm_fit_cv(X, labels, k=5, seed=0)
+    model = svm_fit_cv(X, labels, seed=0)
     point = np.array([0.8, 0.0])
     phi = exact_shapley(model, point, X)
     assert abs(phi[1]) < 1e-9

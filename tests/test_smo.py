@@ -1,7 +1,6 @@
 """The second-order SMO solver against Platt's SMO and the dual's optimality conditions."""
 
 import logging
-from functools import partial
 
 import numpy as np
 import pytest
@@ -115,7 +114,7 @@ def test_grid_search_seeds_each_fold_along_the_C_grid(rng, monkeypatch):
     monkeypatch.setattr(svm, "_smo", recording_smo)
     X = rng.uniform(size=(50, 6))
     labels = np.sum((X - 0.5) ** 2, axis=1) < 0.5
-    svm.svm_fit_cv(X, labels, k=5)
+    svm.svm_fit_cv(X, labels)
     folds = len(default_gamma_grid(6)) * 5
     assert len(calls) == folds * len(DEFAULT_C_GRID) + 1
     assert sum(seed is None for _, seed, _, _ in calls) == folds + 1
@@ -134,10 +133,11 @@ def _cap_messages(caplog):
             if r.name == "gsee_bench.ml.svm" and r.getMessage().startswith("SMO stopped after")]
 
 
-def test_iteration_cap_returns_unconverged_and_logs(rng, caplog):
+def test_iteration_cap_returns_unconverged_and_logs(rng, monkeypatch, caplog):
     K, y, C = random_problem(rng, 3)
+    monkeypatch.setattr(svm, "SMO_MAX_ITER", 2)
     with caplog.at_level(logging.WARNING, logger="gsee_bench.ml.svm"):
-        alpha, _, converged = _smo(K, y, C, max_iter=2)
+        alpha, _, converged = _smo(K, y, C)
     assert not converged
     assert alpha.min() >= 0.0 and alpha.max() <= C and abs(y @ alpha) <= 1e-10
     assert _cap_messages(caplog) == ["SMO stopped after 2 iterations without full KKT"]
@@ -148,7 +148,7 @@ def test_iteration_cap_reaches_the_report_flag(rng, monkeypatch, caplog):
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
     config = SolvabilityConfig(n_samples=100)
     assert estimate_solvability(X, labels, config).flags["svm_converged"]
-    monkeypatch.setattr(svm, "_smo", partial(svm._smo, max_iter=2))
+    monkeypatch.setattr(svm, "SMO_MAX_ITER", 2)
     with caplog.at_level(logging.WARNING, logger="gsee_bench.ml.svm"):
         report = estimate_solvability(X, labels, config)
     assert report.flags["svm_converged"] is False
@@ -170,12 +170,14 @@ def test_capped_cross_validation_fit_clears_the_report_flag(rng, monkeypatch):
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
     config = SolvabilityConfig(n_samples=100)
     full_fit_converged = []
+    cap = svm.SMO_MAX_ITER
 
     def fold_capped(K, y, C, alpha=None):
-        if len(y) < len(X):
-            return _smo(K, y, C, alpha, max_iter=2)
+        full = len(y) == len(X)
+        monkeypatch.setattr(svm, "SMO_MAX_ITER", cap if full else 2)
         result = _smo(K, y, C, alpha)
-        full_fit_converged.append(result[2])
+        if full:
+            full_fit_converged.append(result[2])
         return result
 
     monkeypatch.setattr(svm, "_smo", fold_capped)

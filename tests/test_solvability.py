@@ -110,7 +110,7 @@ def test_single_class_propagates(rng):
 def test_nnmf_latent_alternative(rng):
     X, labels = planted_dataset(rng, 120, 0.5)
     report = estimate_solvability(
-        X, labels.tolist(), quick_config(latent_kind="nnmf")
+        X, labels.tolist(), quick_config(latent="nnmf")
     )
     assert report.latent_kind == "nnmf"
     assert 0.0 <= report.solvability_ratio <= 1.0

@@ -8,6 +8,7 @@ from gsee_bench.errors import (
     TooFewSamples,
 )
 from gsee_bench.ml import classification_metrics, predict_proba, svm_fit_cv
+from gsee_bench.ml import svm
 from gsee_bench.ml.svm import stratified_folds
 
 
@@ -21,7 +22,7 @@ def blobs(rng, n_per_class=40, margin=2.0):
 
 def test_separable_blobs_perfect_training(rng):
     X, labels = blobs(rng)
-    model = svm_fit_cv(X, labels, k=5, seed=0)
+    model = svm_fit_cv(X, labels, seed=0)
     metrics = classification_metrics(model.decision_function(X) >= 0, labels)
     assert metrics.f1 == 1.0
 
@@ -30,14 +31,14 @@ def test_planted_rbf_rule_recovery(rng):
     # labels assigned by a known smooth nonlinear rule
     X = rng.uniform(-1.0, 1.0, size=(200, 2))
     labels = (X[:, 0] ** 2 + X[:, 1] ** 2) < 0.5
-    model = svm_fit_cv(X, labels, k=5, seed=0)
+    model = svm_fit_cv(X, labels, seed=0)
     cv = model.mean_cv_metrics()
     assert cv.f1 >= 0.9
 
 
 def test_predict_proba_range_and_monotonicity(rng):
     X, labels = blobs(rng)
-    model = svm_fit_cv(X, labels, k=5, seed=0)
+    model = svm_fit_cv(X, labels, seed=0)
     grid = rng.uniform(-4, 4, size=(300, 2))
     decisions = model.decision_function(grid)
     probs = predict_proba(model, grid)
@@ -52,7 +53,7 @@ def test_predict_proba_range_and_monotonicity(rng):
 def test_calibration_reliability_deciles(rng):
     X = rng.uniform(-1.0, 1.0, size=(400, 2))
     labels = (X[:, 0] ** 2 + X[:, 1] ** 2) < 0.5
-    model = svm_fit_cv(X, labels, k=5, seed=0)
+    model = svm_fit_cv(X, labels, seed=0)
     X_test = rng.uniform(-1.0, 1.0, size=(2000, 2))
     y_test = (X_test[:, 0] ** 2 + X_test[:, 1] ** 2) < 0.5
     probs = predict_proba(model, X_test)
@@ -75,31 +76,34 @@ def test_single_class_rejected(rng):
 def test_too_few_samples(rng):
     X = rng.normal(size=(3, 2))
     with pytest.raises(TooFewSamples):
-        svm_fit_cv(X, np.array([True, False, True]), k=5)
+        svm_fit_cv(X, np.array([True, False, True]))
 
 
-def test_identical_rows_degenerate_flag():
+def test_identical_rows_degenerate_flag(monkeypatch):
     # identical features force a constant decision function; with minority
     # positives any constant predictor has F1 below the majority prior
     X = np.ones((12, 3))
     labels = np.array([True] * 4 + [False] * 8)
-    model = svm_fit_cv(X, labels, k=3, seed=0)
+    monkeypatch.setattr(svm, "K_FOLDS", 3)
+    model = svm_fit_cv(X, labels, seed=0)
     assert model.degenerate
     majority = max(labels.mean(), 1.0 - labels.mean())
     assert model.mean_cv_metrics().f1 <= majority + 1e-9
 
 
-def test_dimension_mismatch(rng):
+def test_dimension_mismatch(rng, monkeypatch):
     X, labels = blobs(rng, n_per_class=10)
-    model = svm_fit_cv(X, labels, k=2, seed=0)
+    monkeypatch.setattr(svm, "K_FOLDS", 2)
+    model = svm_fit_cv(X, labels, seed=0)
     with pytest.raises(DimensionMismatch):
         model.decision_function(np.ones((3, 5)))
 
 
-def test_deterministic_given_seed(rng):
+def test_deterministic_given_seed(rng, monkeypatch):
     X, labels = blobs(rng, n_per_class=15)
-    a = svm_fit_cv(X, labels, k=3, seed=4)
-    b = svm_fit_cv(X, labels, k=3, seed=4)
+    monkeypatch.setattr(svm, "K_FOLDS", 3)
+    a = svm_fit_cv(X, labels, seed=4)
+    b = svm_fit_cv(X, labels, seed=4)
     assert np.array_equal(a.dual_coef, b.dual_coef)
     assert a.bias == b.bias
     assert (a.platt_a, a.platt_b) == (b.platt_a, b.platt_b)
@@ -113,9 +117,10 @@ def test_stratified_folds_cover_both_classes(rng):
         assert (~labels[folds == f]).any()
 
 
-def test_cv_metrics_recorded(rng):
+def test_cv_metrics_recorded(rng, monkeypatch):
     X, labels = blobs(rng, n_per_class=20)
-    model = svm_fit_cv(X, labels, k=4, seed=0)
+    monkeypatch.setattr(svm, "K_FOLDS", 4)
+    model = svm_fit_cv(X, labels, seed=0)
     assert len(model.cv_metrics) == 4
     for m in model.cv_metrics:
         assert 0.0 <= m.f1 <= 1.0
