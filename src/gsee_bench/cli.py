@@ -10,6 +10,7 @@ semantic configuration, JSON files carry the same data under "_meta".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -109,11 +110,19 @@ def _write_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
 
 
 def _write_float_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
-    """Rows of Python floats only, in the bytes _write_csv gives them (each
-    float's repr, nothing quoted) from one join instead of a writer call per row."""
+    """A table of floats (an array, or rows of Python floats) in the bytes
+    _write_csv gives its rows: each float's repr, nothing quoted.  Each
+    distinct float of a column is formatted once; floats are told apart by
+    their bits, so 0.0 and -0.0 keep their own text."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+    cells = []
+    for column in table.T:
+        bits = column.view(np.int64).tolist()
+        text = {key: repr(value) for key, value in dict(zip(bits, column.tolist())).items()}
+        cells.append(map(text.__getitem__, bits))
     _write_csv(path, config, columns, [])
     with open(path, "a", encoding="utf-8", newline="") as fh:
-        fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+        fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -128,21 +137,59 @@ def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _map(jobs: int, fn, items: list) -> list:
-    """fn over items, results in order: inline, or in a pool of up to `jobs`
-    worker processes (never more than there are items, nor than the CPUs this
-    process may run on: a fork pool starts all its workers at once).  The
-    pool gets the items in chunks, about four per worker, so that a long list
-    of small items is not sent one round trip at a time."""
+def _workers(jobs: int, items: int) -> int:
+    """Worker processes for `items` items: up to `jobs`, never more than there
+    are items, nor than the CPUs this process may run on (a fork pool starts
+    all its workers at once)."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(jobs, len(items), cpus)
+    return min(jobs, items, cpus)
+
+
+class _Pool:
+    """A process pool that several stages share.  A plain class: building a
+    frozen dataclass at import took 0.6 ms on a 2-core x86 machine, paid by
+    every fresh process."""
+
+    def __init__(self, executor: futures.Executor, workers: int):
+        self.executor, self.workers = executor, workers
+
+    def map(self, fn, items: list):
+        """fn over items, results in order as they are read.  Every chunk is
+        submitted now, about four per worker, so that a long list of small
+        items is not sent one round trip at a time."""
+        return self.executor.map(fn, items, chunksize=max(1, len(items) // (4 * self.workers)))
+
+
+@contextlib.contextmanager
+def _shared_pool(jobs: int, items: int):
+    """The _Pool of a command whose stages hold up to `items` items each, or
+    None when one worker would do.  On exit, pending items are cancelled and
+    the workers joined, also when the command fails."""
+    workers = _workers(jobs, items)
+    if workers <= 1:
+        yield None
+        return
+    executor = futures.ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield _Pool(executor, workers)
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _map(jobs: int, fn, items: list, pool: _Pool | None = None) -> list:
+    """fn over items, results in order: in `pool` when one is given, else
+    inline, or in a pool of up to _workers(jobs, len(items)) processes of its
+    own."""
+    if pool is not None:
+        return list(pool.map(fn, items))
+    workers = _workers(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+    with futures.ProcessPoolExecutor(max_workers=workers) as executor:
+        return list(_Pool(executor, workers).map(fn, items))
 
 
 def _load_tasks(config: RunConfig) -> list[Task]:
@@ -176,13 +223,15 @@ def _try_features(args: tuple[Task, float, bool]) -> np.ndarray | Exception:
         return exc
 
 
-def _collect_features(config: RunConfig, tasks: list[Task]) -> tuple[list[str], np.ndarray]:
+def _collect_features(
+    config: RunConfig, tasks: list[Task], pool: _Pool | None = None
+) -> tuple[list[str], np.ndarray]:
     """(task_uuids, table): the tasks whose extraction succeeded, in catalog
     order, and their (n, len(FEATURE_NAMES)) feature table (a worker pool
     when jobs > 1); failures are logged."""
     work = [(task, config.df_threshold, config.df_absolute) for task in tasks]
     task_uuids, rows = [], []
-    for task, outcome in zip(tasks, _map(config.jobs, _try_features, work)):
+    for task, outcome in zip(tasks, _map(config.jobs, _try_features, work, pool)):
         if isinstance(outcome, Exception):
             log.warning("features failed for task %s: %s", task.task_uuid, outcome)
         else:
@@ -191,11 +240,13 @@ def _collect_features(config: RunConfig, tasks: list[Task]) -> tuple[list[str], 
     return task_uuids, np.array(rows).reshape(len(rows), len(FEATURE_NAMES))
 
 
-def run_features(config: RunConfig, tasks: list[Task]) -> tuple[list[str], np.ndarray]:
+def run_features(
+    config: RunConfig, tasks: list[Task], pool: _Pool | None = None
+) -> tuple[list[str], np.ndarray]:
     """Extract per-task features; write features/correlation/histogram CSVs.
     Returns (task_uuids, table) as `_collect_features` does."""
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    task_uuids, table = _collect_features(config, tasks)
+    task_uuids, table = _collect_features(config, tasks, pool)
 
     rows = [[uuid, *row] for uuid, row in zip(task_uuids, table.tolist())]
     _write_csv(config.output_dir / "features.csv", config, ["task_uuid", *FEATURE_NAMES], rows)
@@ -290,13 +341,12 @@ def run_solvability(
     cloud_name = f"latent_points_{solver_uuid}.csv"
     _write_json(report_path, config, {**report.to_dict(), "latent_points_file": cloud_name})
 
-    cloud_rows = np.column_stack([report.latent_points, report.probabilities]).tolist()
     latent_cols = [f"latent_{i}" for i in range(report.latent_dim)]
     _write_float_csv(
         config.output_dir / cloud_name,
         config,
         [*latent_cols, "probability"],
-        cloud_rows,
+        np.column_stack([report.latent_points, report.probabilities]),
     )
     train_rows = [
         [uuid, *map(float, row[:2]), "" if lab is None else str(bool(lab)).lower()]
@@ -334,14 +384,16 @@ def _try_oracle(task: Task) -> dict | Exception:
     }
 
 
-def run_oracle(config: RunConfig, tasks: list[Task] | None = None) -> Path:
+def run_oracle(
+    config: RunConfig, tasks: list[Task] | None = None, pool: _Pool | None = None
+) -> Path:
     """Exact ground-state energies for every oracle-sized task (the catalog is
     loaded here when no tasks are given; a worker pool when jobs > 1)."""
     if tasks is None:
         tasks = _load_tasks(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for task, outcome in zip(tasks, _map(config.jobs, _try_oracle, tasks)):
+    for task, outcome in zip(tasks, _map(config.jobs, _try_oracle, tasks, pool)):
         if isinstance(outcome, Exception):
             log.warning("oracle failed for task %s: %s", task.task_uuid, outcome)
         else:
@@ -365,18 +417,25 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
 
     The catalog and the solution files are loaded once and every stage works
     on them; features are computed once and shared, solvability runs per
-    solver (each solver writing its own files) and the oracle per task, each
-    stage in a worker pool when jobs > 1.
+    solver (each solver writing its own files) and the oracle per task.  When
+    jobs > 1 one worker pool serves every stage: it gets the feature chunks,
+    then the solvability items and, without waiting for those, the oracle
+    chunks, so the oracle fills a worker that the solvers leave idle.
     """
     tasks = _load_tasks(config)
     solutions = _load_solutions(solutions_dir)
-    features = run_features(config, tasks)
-    outcomes = run_evaluate(config, tasks, solutions)
-    work = [(config, s, outcomes[s.solver_uuid], features) for s in solutions]
-    for note in _map(config.jobs, _try_solvability, work):
-        if note:
-            log.warning("%s", note)
-    run_oracle(config, tasks)
+    with _shared_pool(config.jobs, max(len(tasks), len(solutions))) as pool:
+        features = run_features(config, tasks, pool)
+        outcomes = run_evaluate(config, tasks, solutions)
+        work = [(config, s, outcomes[s.solver_uuid], features) for s in solutions]
+        if pool is None:
+            notes = [_try_solvability(item) for item in work]
+        else:
+            notes = pool.map(_try_solvability, work)
+        run_oracle(config, tasks, pool)
+        for note in notes:
+            if note:
+                log.warning("%s", note)
 
 
 # The run settings, one row each: config-file key -> (field of RunConfig or of

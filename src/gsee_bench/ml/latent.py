@@ -56,7 +56,9 @@ def pca_fit(X, dim: int) -> LatentModel:
     n, d = X.shape
     if dim > d:
         raise RankDeficient(f"latent dim {dim} exceeds feature dim {d}")
-    if np.unique(X, axis=0).shape[0] < dim:
+    # Distinct rows, 0.0 and -0.0 alike (as np.unique(X, axis=0) counts them):
+    # adding 0.0 turns -0.0 into 0.0.
+    if len({row.tobytes() for row in X + 0.0}) < dim:
         raise RankDeficient(f"fewer than {dim} distinct rows")
     mean = X.mean(axis=0)
     centered = X - mean

@@ -121,7 +121,8 @@ def _mean_abs_attributions(
     if len(background) > 20:
         background = background[rng.choice(len(background), 20, replace=False)]
     explain_idx = np.linspace(0, len(X_labeled) - 1, min(ATTRIBUTION_POINTS, len(X_labeled)))
-    explain_idx = np.unique(explain_idx.astype(int))
+    # Ascending, so dropping the repeats keeps the distinct indices in order.
+    explain_idx = list(dict.fromkeys(explain_idx.astype(int).tolist()))
     totals = np.zeros(X_labeled.shape[1])
     for i in explain_idx:
         totals += np.abs(exact_shapley(model, X_labeled[i], background))

@@ -5,13 +5,17 @@ hyper-parameter search.
 The dual is solved as in LIBSVM's `Solver` (Fan, Chen and Lin, JMLR 6, 1889,
 2005): each step takes the maximal violator i of the gradient on the set
 where α may grow along y, picks j by the second-order gain, makes the clipped
-two-variable step and updates the gradient with two kernel rows.  The grid
+two-variable step and updates the gradient with two kernel rows.  The solver
+steps a batch of zero-padded problems at once, each exactly as it would run
+alone, and drops a problem from the batch once it converges.  The grid
 search builds one squared-distance matrix, one kernel per γ, and slices it
-per fold; along the ascending C grid each fold starts from the previous α
-scaled by C_new / C_old (alpha seeding, DeCoste and Wagstaff, KDD 2000).
-Everything is deterministic given the data order.  Probability calibration
-fits the sigmoid p = 1 / (1 + exp(a*f + b)) on out-of-fold decision values by
-the robust Newton iteration of Lin, Weng, and Keerthi.
+per fold into one batch of (γ, fold) problems; the batch is solved once per C
+of the ascending grid, each problem starting from its α at the previous C
+scaled by C_new / C_old (alpha seeding, DeCoste and Wagstaff, KDD 2000).  The
+final fit is a batch of one.  Everything is deterministic given the data
+order.  Probability calibration fits the sigmoid p = 1 / (1 + exp(a*f + b))
+on out-of-fold decision values by the robust Newton iteration of Lin, Weng,
+and Keerthi.
 """
 
 from __future__ import annotations
@@ -101,62 +105,103 @@ def classification_metrics(predicted, true) -> ClassificationMetrics:
     return ClassificationMetrics(precision, recall, f1, zero_division)
 
 
-def _smo(K: np.ndarray, y: np.ndarray, C: float,
-         alpha: np.ndarray | None = None) -> tuple[np.ndarray, float, bool]:
-    """Solve min ½ (αy)ᵀK(αy) − Σα over 0 ≤ α ≤ C, yᵀα = 0 (LIBSVM's Solver).
+def _smo_batch(K: np.ndarray, y: np.ndarray, sizes: np.ndarray, C: float,
+               alpha: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve P duals min ½ (αy)ᵀK(αy) − Σα over 0 ≤ α ≤ C, yᵀα = 0 in step.
 
-    alpha is a feasible start (zeros when None).  Returns α, the bias ρ of
-    f(x) = K(x, ·)(αy) − ρ, and whether the max-violating-pair gap fell
-    below SMO_TOL within SMO_MAX_ITER steps.
+    Problem p lives in the leading sizes[p] entries of its zero-padded kernel
+    K[p] (P, m, m) and labels y[p] (P, m); alpha (P, m) holds feasible starts,
+    zero-padded (zeros when None).  Each problem takes the steps LIBSVM's
+    Solver would take on it alone, and leaves the batch once its
+    max-violating-pair gap falls below SMO_TOL, so every result is bit for
+    bit the single-problem one.  Returns α (P, m), the biases ρ (P,) of
+    f(x) = K(x, ·)(αy) − ρ, and whether each problem converged within
+    SMO_MAX_ITER steps (a capped problem logs one warning).
     """
-    n = len(y)
-    alpha = np.zeros(n) if alpha is None else alpha.copy()
+    P, m = y.shape
+    alpha = np.zeros((P, m)) if alpha is None else alpha.copy()
     pos = y > 0
-    # F = −y·G for the dual gradient G = Q·α − e, Q = yyᵀ∘K.
-    F = y - K @ (alpha * y)
-    # Curvature of every pair direction, a_ij = K_ii + K_jj − 2 K_ij.
-    diag = K.diagonal()
-    curvature = np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, TAU)
+    # F = −y·G for the dual gradient G = Q·α − e, Q = yyᵀ∘K, each from its
+    # own unpadded block.
+    F = np.zeros((P, m))
+    for p, n in enumerate(sizes.tolist()):
+        F[p, :n] = y[p, :n] - np.ascontiguousarray(K[p, :n, :n]) @ (alpha[p, :n] * y[p, :n])
     # α may move up along y (up) or down along y (low) without leaving the box.
-    up = np.where(pos, alpha < C, alpha > 0)
-    low = np.where(pos, alpha > 0, alpha < C)
-    converged = False
+    real = np.arange(m) < sizes[:, None]
+    up = real & np.where(pos, alpha < C, alpha > 0)
+    low = real & np.where(pos, alpha > 0, alpha < C)
+    diag = np.diagonal(K, axis1=1, axis2=2).copy()
+    K_rows = K.reshape(P * m, m)  # row i of problem p is K_rows[p * m + i]
+    converged = np.zeros(P, dtype=bool)
+    # The active problems in compact copies, row r holding problem idx[r]:
+    # entry (r, i) is flat index base[r] + i of them and row that + shift[r]
+    # of K_rows.
+    idx = np.arange(P)
+    a_, F_, up_, low_, y_, diag_ = alpha, F, up, low, y, diag
+    base, shift = idx * m, np.zeros(P, dtype=int)
+    # Along y, α_i moves up and α_j down: s = (y_i, −y_j) per row.
+    sign = np.array([[1.0], [-1.0]])
     for _ in range(SMO_MAX_ITER):
-        f_up = np.where(up, F, -np.inf)
-        i = int(f_up.argmax())
-        f_max = f_up[i]
-        f_low = np.where(low, F, np.inf)
-        if f_max - f_low.min() < SMO_TOL:
-            converged = True
+        if not idx.size:
             break
+        f_up = np.where(up_, F_, -np.inf)
+        i = f_up.argmax(axis=1)
+        fi = base + i
+        f_max = f_up.take(fi)
+        f_low = np.where(low_, F_, np.inf)
+        gap = f_max - f_low.min(axis=1)
+        if gap.min() < SMO_TOL:
+            done = gap < SMO_TOL
+            alpha[idx[done]], F[idx[done]] = a_[done], F_[done]
+            up[idx[done]], low[idx[done]] = up_[done], low_[done]
+            converged[idx[done]] = True
+            keep = ~done
+            idx, i, f_max, f_low = idx[keep], i[keep], f_max[keep], f_low[keep]
+            a_, F_, up_, low_ = a_[keep], F_[keep], up_[keep], low_[keep]
+            y_, diag_ = y_[keep], diag_[keep]
+            if not idx.size:
+                break
+            base = np.arange(idx.size) * m
+            shift = idx * m - base
+            fi = base + i
         # Second-order choice of j: the largest gain b²/a along α_i += y_i t,
-        # α_j −= y_j t, with b = F_i − F_j > 0 and curvature a.
-        b = np.maximum(f_max - f_low, 0.0)
-        a = curvature[i]
-        j = int((b * b / a).argmax())
-        cap_i = C - alpha[i] if pos[i] else alpha[i]
-        cap_j = alpha[j] if pos[j] else C - alpha[j]
-        t = min(b[j] / a[j], cap_i, cap_j)
-        old_i, old_j = alpha[i], alpha[j]
-        alpha[i] = old_i + y[i] * t
-        alpha[j] = old_j - y[j] * t
+        # α_j −= y_j t, with b = F_i − F_j > 0 and the curvature row
+        # a_ij = K_ii + K_jj − 2 K_ij, floored at TAU.
+        b = np.maximum(f_max[:, None] - f_low, 0.0)
+        K_i = K_rows.take(fi + shift, axis=0)
+        a = np.maximum(diag_.take(fi)[:, None] + diag_ - 2.0 * K_i, TAU)
+        fj = base + (b * b / a).argmax(axis=1)
+        ij = np.concatenate((fi, fj)).reshape(2, -1)
+        old = a_.take(ij)
+        y_ij = y_.take(ij)
+        s = y_ij * sign
+        grows = s > 0
+        cap = np.where(grows, C - old, old)
+        # t = min(b_j / a_j, cap_i, cap_j).  No value is NaN or −0.0, so
+        # np.minimum returns the very float Python's min would.
+        t = np.minimum(b.take(fj) / a.take(fj), np.minimum(cap[0], cap[1]))
         # A clipped step lands exactly on the bound.
-        if t == cap_i:
-            alpha[i] = C if pos[i] else 0.0
-        if t == cap_j:
-            alpha[j] = 0.0 if pos[j] else C
-        F -= K[i] * (y[i] * (alpha[i] - old_i)) + K[j] * (y[j] * (alpha[j] - old_j))
-        for s in (i, j):
-            up[s] = alpha[s] < C if pos[s] else alpha[s] > 0
-            low[s] = alpha[s] > 0 if pos[s] else alpha[s] < C
-    else:
+        new = np.where(t == cap, grows * C, old + s * t)
+        a_.put(ij, new)
+        delta = y_ij * (new - old)
+        F_ -= (K_i * delta[0][:, None]
+               + K_rows.take(fj + shift, axis=0) * delta[1][:, None])
+        below, above, pos_ij = new < C, new > 0, y_ij > 0
+        up_.put(ij, np.where(pos_ij, below, above))
+        low_.put(ij, np.where(pos_ij, above, below))
+    for _ in idx:
         log.warning("SMO stopped after %d iterations without full KKT", SMO_MAX_ITER)
-    free = (alpha > 0) & (alpha < C)
-    if free.any():
-        rho = -float(F[free].mean())
-    else:
-        # LIBSVM calc_rho: midpoint of the bounds that the bounded α leave.
-        rho = -0.5 * float(np.where(up, F, -np.inf).max() + np.where(low, F, np.inf).min())
+    alpha[idx], F[idx], up[idx], low[idx] = a_, F_, up_, low_
+    rho = np.empty(P)
+    for p, n in enumerate(sizes.tolist()):
+        alpha_p, F_p = alpha[p, :n], F[p, :n]
+        free = (alpha_p > 0) & (alpha_p < C)
+        if free.any():
+            rho[p] = -float(F_p[free].mean())
+        else:
+            # LIBSVM calc_rho: midpoint of the bounds that the bounded α leave.
+            rho[p] = -0.5 * float(np.where(up[p, :n], F_p, -np.inf).max()
+                                  + np.where(low[p, :n], F_p, np.inf).min())
     return alpha, rho, converged
 
 
@@ -311,32 +356,47 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
     gammas = default_gamma_grid(d)
     sq = _sq_distances(X, X)
 
-    # Out-of-fold decisions per (C, gamma), filled one kernel at a time.
+    # Out-of-fold decisions per (C, gamma).  The folds that train on both
+    # classes, each under every gamma, are the ladders: problem
+    # g_index * len(trains) + f of one batched SMO per C.
     oof = np.zeros((len(DEFAULT_C_GRID), len(gammas), n))
-    cv_converged = True
+    tests, trains = [], []
+    for f_id in range(k):
+        test = folds == f_id
+        train = ~test
+        if not test.any():
+            continue
+        if labels[train].all() or not labels[train].any():
+            # Degenerate fold: constant prediction from the only class seen.
+            oof[:, :, test] = 1.0 if labels[train].all() else -1.0
+            continue
+        tests.append(test)
+        trains.append(train)
+    sizes = np.array([np.count_nonzero(train) for train in trains] * len(gammas), dtype=int)
+    width = int(sizes.max(initial=0))
+    K_train = np.zeros((len(sizes), width, width))
+    y_train = np.zeros((len(sizes), width))
+    K_test = []
     for g_index, gamma in enumerate(gammas):
         K = np.exp(-gamma * sq)
-        for f_id in range(k):
-            test = folds == f_id
-            train = ~test
-            if not test.any():
-                continue
-            if labels[train].all() or not labels[train].any():
-                # Degenerate fold: constant prediction from the only class seen.
-                oof[:, g_index, test] = 1.0 if labels[train].all() else -1.0
-                continue
-            y_train = y[train]
-            K_train = K[np.ix_(train, train)]
-            K_test = K[np.ix_(test, train)]
-            alphas, C_prev = None, None
-            for c_index, C in enumerate(DEFAULT_C_GRID):
-                if alphas is not None:
-                    # α·C/C_prev keeps yᵀα = 0 and the box; bounded α land on C exactly.
-                    alphas = alphas / C_prev * C
-                alphas, rho, fold_converged = _smo(K_train, y_train, C, alphas)
-                cv_converged = cv_converged and fold_converged
-                oof[c_index, g_index, test] = K_test @ _dual_coef(alphas, y_train) - rho
-                C_prev = C
+        for f, (test, train) in enumerate(zip(tests, trains)):
+            p, n_p = g_index * len(trains) + f, sizes[f]
+            K_train[p, :n_p, :n_p] = K[np.ix_(train, train)]
+            y_train[p, :n_p] = y[train]
+            K_test.append(K[np.ix_(test, train)])
+    alphas, C_prev = None, None
+    cv_converged = True
+    for c_index, C in enumerate(DEFAULT_C_GRID):
+        if alphas is not None:
+            # α·C/C_prev keeps yᵀα = 0 and the box; bounded α land on C exactly.
+            alphas = alphas / C_prev * C
+        alphas, rho, converged = _smo_batch(K_train, y_train, sizes, C, alphas)
+        cv_converged = cv_converged and bool(converged.all())
+        for p, n_p in enumerate(sizes.tolist()):
+            g_index, f = divmod(p, len(trains))
+            coef = _dual_coef(alphas[p, :n_p], y_train[p, :n_p])
+            oof[c_index, g_index, tests[f]] = K_test[p] @ coef - rho[p]
+        C_prev = C
 
     best = None  # (mean_f1, (C index, gamma index), fold_metrics)
     for c_index, g_index in product(range(len(DEFAULT_C_GRID)), range(len(gammas))):
@@ -354,21 +414,22 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
     C, gamma = DEFAULT_C_GRID[c_index], gammas[g_index]
     oof = oof[c_index, g_index]
     K = np.exp(-gamma * sq)
-    alphas, rho, converged = _smo(K, y, C)
+    alphas, rho, converged = _smo_batch(K[None], y[None], np.array([n]), C)
     platt_a, platt_b = fit_platt(oof, labels)
-    coef = _dual_coef(alphas, y)
-    degenerate = bool(np.unique(X, axis=0).shape[0] == 1)
+    coef = _dual_coef(alphas[0], y)
+    # Every row equals row 0 (0.0 == -0.0, as np.unique(X, axis=0) counts rows).
+    degenerate = bool(np.all(X == X[0]))
     if degenerate:
         log.warning("all training rows identical; classifier is degenerate")
     return SvmModel(
         support_x=X[coef != 0.0],
         dual_coef=coef[coef != 0.0],
-        bias=rho,
+        bias=float(rho[0]),
         gamma=gamma,
         penalty=C,
         platt_a=platt_a,
         platt_b=platt_b,
         cv_metrics=fold_metrics,
         degenerate=degenerate,
-        converged=converged and cv_converged,
+        converged=bool(converged[0]) and cv_converged,
     )

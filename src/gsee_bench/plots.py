@@ -54,13 +54,19 @@ def _png(rgb: np.ndarray) -> bytes:
             + chunk(b"IDAT", zlib.compress(raw.tobytes())) + chunk(b"IEND", b""))
 
 
+# The ten vertices of a five-pointed star from the top, clockwise in SVG's
+# y-down frame: (radius factor, cos, sin) of each, outer and inner in turn.
+_STAR = tuple(
+    (1.0 if i % 2 == 0 else 0.45,
+     math.cos(-math.pi / 2 + i * math.pi / 5), math.sin(-math.pi / 2 + i * math.pi / 5))
+    for i in range(10)
+)
+
+
 def _star_path(cx: float, cy: float, r: float) -> str:
-    points = []
-    for i in range(10):
-        radius = r if i % 2 == 0 else r * 0.45
-        angle = -math.pi / 2 + i * math.pi / 5
-        points.append(f"{cx + radius * math.cos(angle):.2f},{cy + radius * math.sin(angle):.2f}")
-    return " ".join(points)
+    return " ".join(
+        f"{cx + r * f * cos:.2f},{cy + r * f * sin:.2f}" for f, cos, sin in _STAR
+    )
 
 
 def render_latent_map(report: SolvabilityReport, title: str) -> str:

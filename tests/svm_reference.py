@@ -1,8 +1,13 @@
-"""Platt's heuristic SMO, kept as the oracle for the second-order solver.
+"""Reference SMO solvers, kept as oracles for `gsee_bench.ml.svm`.
 
-This is the trainer `gsee_bench.ml.svm` used before its LIBSVM-style
-working-set solver: Platt's two-heuristic loop with a rolling deterministic
-offset instead of random loop starts.  It solves the same dual,
+`smo` is the single-problem second-order solver (LIBSVM's `Solver`) that
+`svm._smo_batch` steps many of at once; the batch must give its α, ρ and
+convergence flag bit for bit.  It reads `svm.SMO_MAX_ITER` at call time, so a
+patched cap reaches both.
+
+`PlattSmo` is the trainer the package used before the second-order solver:
+Platt's two-heuristic loop with a rolling deterministic offset instead of
+random loop starts.  It solves the same dual,
 min ½ (αy)ᵀK(αy) − Σα over 0 ≤ α ≤ C, yᵀα = 0, to the same KKT tolerance,
 and its bias b follows the same convention, f(x) = K(x, ·)(αy) − b.
 """
@@ -13,9 +18,69 @@ import logging
 
 import numpy as np
 
-from gsee_bench.ml.svm import SMO_TOL
+from gsee_bench.ml import svm
+from gsee_bench.ml.svm import SMO_TOL, TAU
 
 log = logging.getLogger(__name__)
+
+
+def smo(K: np.ndarray, y: np.ndarray, C: float,
+        alpha: np.ndarray | None = None) -> tuple[np.ndarray, float, bool]:
+    """Solve min ½ (αy)ᵀK(αy) − Σα over 0 ≤ α ≤ C, yᵀα = 0 (LIBSVM's Solver).
+
+    alpha is a feasible start (zeros when None).  Returns α, the bias ρ of
+    f(x) = K(x, ·)(αy) − ρ, and whether the max-violating-pair gap fell
+    below SMO_TOL within svm.SMO_MAX_ITER steps.
+    """
+    n = len(y)
+    alpha = np.zeros(n) if alpha is None else alpha.copy()
+    pos = y > 0
+    # F = −y·G for the dual gradient G = Q·α − e, Q = yyᵀ∘K.
+    F = y - K @ (alpha * y)
+    # Curvature of every pair direction, a_ij = K_ii + K_jj − 2 K_ij.
+    diag = K.diagonal()
+    curvature = np.maximum(diag[:, None] + diag[None, :] - 2.0 * K, TAU)
+    # α may move up along y (up) or down along y (low) without leaving the box.
+    up = np.where(pos, alpha < C, alpha > 0)
+    low = np.where(pos, alpha > 0, alpha < C)
+    converged = False
+    for _ in range(svm.SMO_MAX_ITER):
+        f_up = np.where(up, F, -np.inf)
+        i = int(f_up.argmax())
+        f_max = f_up[i]
+        f_low = np.where(low, F, np.inf)
+        if f_max - f_low.min() < SMO_TOL:
+            converged = True
+            break
+        # Second-order choice of j: the largest gain b²/a along α_i += y_i t,
+        # α_j −= y_j t, with b = F_i − F_j > 0 and curvature a.
+        b = np.maximum(f_max - f_low, 0.0)
+        a = curvature[i]
+        j = int((b * b / a).argmax())
+        cap_i = C - alpha[i] if pos[i] else alpha[i]
+        cap_j = alpha[j] if pos[j] else C - alpha[j]
+        t = min(b[j] / a[j], cap_i, cap_j)
+        old_i, old_j = alpha[i], alpha[j]
+        alpha[i] = old_i + y[i] * t
+        alpha[j] = old_j - y[j] * t
+        # A clipped step lands exactly on the bound.
+        if t == cap_i:
+            alpha[i] = C if pos[i] else 0.0
+        if t == cap_j:
+            alpha[j] = 0.0 if pos[j] else C
+        F -= K[i] * (y[i] * (alpha[i] - old_i)) + K[j] * (y[j] * (alpha[j] - old_j))
+        for s in (i, j):
+            up[s] = alpha[s] < C if pos[s] else alpha[s] > 0
+            low[s] = alpha[s] > 0 if pos[s] else alpha[s] < C
+    else:
+        log.warning("SMO stopped after %d iterations without full KKT", svm.SMO_MAX_ITER)
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        rho = -float(F[free].mean())
+    else:
+        # LIBSVM calc_rho: midpoint of the bounds that the bounded α leave.
+        rho = -0.5 * float(np.where(up, F, -np.inf).max() + np.where(low, F, np.inf).min())
+    return alpha, rho, converged
 
 
 class PlattSmo:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
 import shutil
 import warnings
 from pathlib import Path
@@ -220,6 +221,47 @@ def test_float_csv_join_writes_the_bytes_of_csv_writer(tmp_path):
     cli._write_csv(tmp_path / "writer.csv", config, columns, rows)
     cli._write_float_csv(tmp_path / "join.csv", config, columns, rows)
     assert (tmp_path / "join.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0], [-0.0, -0.0, 0.5]],
+        [[0.1, 2.0, 0.5]] * 40 + [[-0.1, 2.0, 0.5], [0.1, 2.0, 5e-324]],
+        [[1e-300, -2.5, 0.75]],
+        [],
+    ],
+    ids=["signed-zeros", "repeats", "one-row", "no-rows"],
+)
+def test_float_csv_is_the_per_row_repr_join(tmp_path, rows):
+    config = RunConfig(CATALOG, tmp_path)
+    columns = ["latent_0", "latent_1", "probability"]
+    cli._write_float_csv(tmp_path / "cloud.csv", config, columns, np.array(rows).reshape(-1, 3))
+    expected = "".join(
+        [cli._header_comment(config) + "\n", ",".join(columns) + "\n"]
+        + [",".join(map(repr, row)) + "\n" for row in rows]
+    )
+    assert (tmp_path / "cloud.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkeypatch):
+    # A 2-D latent grid: each latent column holds r distinct values, r^2 rows.
+    r = 30
+    axis = np.linspace(-1.0, 2.0, r)
+    xx, yy = np.meshgrid(axis, axis)
+    table = np.column_stack([xx.ravel(), yy.ravel(), np.linspace(0.0, 1.0, r * r)])
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    cli._write_float_csv(tmp_path / "grid.csv", RunConfig(CATALOG, tmp_path),
+                         ["latent_0", "latent_1", "probability"], table)
+    assert len(calls) == r + r + r * r
+    lines = (tmp_path / "grid.csv").read_text(encoding="utf-8").splitlines()[2:]
+    assert lines == [",".join(map(repr, row)) for row in table.tolist()]
 
 
 def test_oracle_outputs_match_references(tmp_path):
@@ -457,6 +499,38 @@ def test_report_loads_catalog_and_solutions_once(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, counted)
     assert main(report_argv(tmp_path)) == 0
     assert calls == {"scan_catalog": 1, "scan_solutions": 1}
+
+
+def test_report_in_one_pool_matches_serial(tmp_path, monkeypatch):
+    # Three workers for three solvers: the oracle chunks run beside the
+    # solvability items.
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(report_argv(serial)) == 0
+    assert main(report_argv(pooled, SOLUTIONS, "--jobs", "3")) == 0
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in pooled.iterdir())
+    assert "oracle.json" in names and "solvability_size-limited.json" in names
+    for name in names:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage", ["run_evaluate", "run_oracle"])
+def test_failed_parallel_report_leaves_no_worker_behind(tmp_path, monkeypatch, caplog, stage):
+    # The main process fails after the pool has run the feature chunks; at
+    # run_oracle the solvability items are still pending or running.
+    def failing(*args, **kwargs):
+        raise OSError(f"{stage} failed")
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, stage, failing)
+    out = tmp_path / "out"
+    assert main(report_argv(out, SOLUTIONS, "--jobs", "2")) == 1
+    assert multiprocessing.active_children() == []
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{stage} failed"]
+    assert (out / "features.csv").exists()
+    assert not (out / "oracle.json").exists()
 
 
 def test_duplicate_solver_uuid_rejected(tmp_path, caplog):

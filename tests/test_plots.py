@@ -3,6 +3,7 @@
 import base64
 import csv
 import json
+import math
 import re
 import struct
 import xml.etree.ElementTree as ET
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 from gsee_bench.cli import main
-from gsee_bench.plots import _BLUE, _RED, _WHITE, HEIGHT, MARGIN, WIDTH, _prob_rgb
+from gsee_bench.plots import (
+    _BLUE, _RED, _WHITE, HEIGHT, MARGIN, WIDTH, _prob_rgb, _star_path,
+)
 
 DEMO = Path(__file__).parent.parent / "demo"
 SOLVER = "size-limited"
@@ -29,6 +32,16 @@ def _prob_color(p: float) -> str:
         lo, hi, t = _WHITE, _BLUE, (p - 0.5) / 0.5
     rgb = tuple(round(a + (b - a) * t) for a, b in zip(lo, hi))
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+
+
+def _star_oracle(cx: float, cy: float, r: float) -> str:
+    """Per-vertex oracle of the star: each vertex's cos and sin computed anew."""
+    points = []
+    for i in range(10):
+        radius = r if i % 2 == 0 else r * 0.45
+        angle = -math.pi / 2 + i * math.pi / 5
+        points.append(f"{cx + radius * math.cos(angle):.2f},{cy + radius * math.sin(angle):.2f}")
+    return " ".join(points)
 
 
 def run_solvability(out: Path, *flags: str, solutions: Path = DEMO / "solutions") -> dict:
@@ -163,3 +176,9 @@ def test_markup_in_solver_name_gives_well_formed_svg(tmp_path):
     root = ET.parse(tmp_path / "out" / f"latent_map_{SOLVER}.svg").getroot()
     titles = [t.text for t in root.findall(f"{SVG}text") if t.get("font-size") == "16"]
     assert titles == [f"{name} solvability"]
+
+
+def test_star_vertices_match_the_per_vertex_formula(rng):
+    centres = rng.uniform(-50.0, WIDTH + 50.0, size=(2000, 2)).tolist()
+    for (cx, cy), r in zip(centres, [7.0, 0.5, 12.25, 1e-3] * 500):
+        assert _star_path(cx, cy, r) == _star_oracle(cx, cy, r)

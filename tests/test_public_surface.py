@@ -75,6 +75,7 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.ml", "minmax_inverse"),
         ("gsee_bench.ml.scaling", "minmax_inverse"),
         ("gsee_bench.ml.svm", "_Smo"),
+        ("gsee_bench.ml.svm", "_smo"),
         ("gsee_bench.errors", "SizeMismatch"),
         ("gsee_bench.fcidump", "eri_orbit"),
         ("gsee_bench.plots", "_prob_color"),

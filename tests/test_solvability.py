@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,3 +162,23 @@ def test_deterministic_given_seed(rng):
     b = estimate_solvability(X, labels.tolist(), quick_config(seed=9))
     assert a.solvability_ratio == b.solvability_ratio
     assert np.array_equal(a.probabilities, b.probabilities)
+
+
+def test_solvability_reports_import_no_numpy_ma():
+    # numpy.ma costs a fresh process 13-15 ms; np.unique imports it on use.
+    code = """
+import sys
+import numpy as np
+from gsee_bench.ml import SolvabilityConfig, estimate_solvability
+rng = np.random.default_rng(0)
+X = rng.uniform(size=(40, 20))
+labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
+for latent, dim in (("pca", 2), ("pca", 3), ("nnmf", 2)):
+    estimate_solvability(X, labels, SolvabilityConfig(latent=latent, latent_dim=dim, n_samples=100))
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
