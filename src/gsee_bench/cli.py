@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from concurrent import futures
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -67,19 +68,12 @@ class RunConfig:
     solvability: SolvabilityConfig = SolvabilityConfig()
 
     def __post_init__(self):
+        # SolvabilityConfig checks its own ranges; these checks need the CLI.
         ml = self.solvability
-        if not 0.0 <= ml.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
-        if ml.latent not in ("pca", "nnmf"):
-            raise ValueError("latent must be 'pca' or 'nnmf'")
         if not (np.isfinite(self.df_threshold) and self.df_threshold >= 0.0):
             raise ValueError("df_threshold must be finite and >= 0")
-        # latent_dim: the training CSV and the latent map read two latent axes
-        for owner, name, least in (
-            (ml, "latent_dim", 2), (ml, "n_samples", 1), (ml, "seed", 0), (self, "jobs", 1)
-        ):
-            if getattr(owner, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         # a latent space has no more axes than the feature table has columns
         if ml.latent_dim > len(FEATURE_NAMES):
             raise ValueError(f"latent_dim must be <= {len(FEATURE_NAMES)}")
@@ -148,48 +142,35 @@ def _workers(jobs: int, items: int) -> int:
     return min(jobs, items, cpus)
 
 
-class _Pool:
-    """A process pool that several stages share.  A plain class: building a
-    frozen dataclass at import took 0.6 ms on a 2-core x86 machine, paid by
-    every fresh process."""
-
-    def __init__(self, executor: futures.Executor, workers: int):
-        self.executor, self.workers = executor, workers
-
-    def map(self, fn, items: list):
-        """fn over items, results in order as they are read.  Every chunk is
-        submitted now, about four per worker, so that a long list of small
-        items is not sent one round trip at a time."""
-        return self.executor.map(fn, items, chunksize=max(1, len(items) // (4 * self.workers)))
-
-
 @contextlib.contextmanager
-def _shared_pool(jobs: int, items: int):
-    """The _Pool of a command whose stages hold up to `items` items each, or
-    None when one worker would do.  On exit, pending items are cancelled and
-    the workers joined, also when the command fails."""
+def _pool(jobs: int, items: int):
+    """The one pool path: yields the map function that every stage of a
+    command calls, map(fn, work) -> fn over work in order, for stages of up
+    to `items` items each.  With one worker it is an eager list, computed at the
+    call.  Otherwise every chunk goes to this command's one process pool at
+    the call, about four per worker, so that a long list of small items is
+    not sent one round trip at a time.  On exit, pending items are cancelled
+    and the workers joined, also when the command fails."""
     workers = _workers(jobs, items)
     if workers <= 1:
-        yield None
+        yield lambda fn, work: [fn(item) for item in work]
         return
     executor = futures.ProcessPoolExecutor(max_workers=workers)
     try:
-        yield _Pool(executor, workers)
+        yield lambda fn, work: executor.map(
+            fn, work, chunksize=max(1, len(work) // (4 * workers))
+        )
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _map(jobs: int, fn, items: list, pool: _Pool | None = None) -> list:
-    """fn over items, results in order: in `pool` when one is given, else
-    inline, or in a pool of up to _workers(jobs, len(items)) processes of its
-    own."""
+def _map(jobs: int, fn, items: list, pool: Callable | None = None) -> list:
+    """fn over items, results in order: from `pool`, the map function of the
+    command's _pool, when one is given, else from a _pool of its own."""
     if pool is not None:
-        return list(pool.map(fn, items))
-    workers = _workers(jobs, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with futures.ProcessPoolExecutor(max_workers=workers) as executor:
-        return list(_Pool(executor, workers).map(fn, items))
+        return list(pool(fn, items))
+    with _pool(jobs, len(items)) as pool:
+        return list(pool(fn, items))
 
 
 def _load_tasks(config: RunConfig) -> list[Task]:
@@ -224,11 +205,11 @@ def _try_features(args: tuple[Task, float, bool]) -> np.ndarray | Exception:
 
 
 def _collect_features(
-    config: RunConfig, tasks: list[Task], pool: _Pool | None = None
+    config: RunConfig, tasks: list[Task], pool: Callable | None = None
 ) -> tuple[list[str], np.ndarray]:
     """(task_uuids, table): the tasks whose extraction succeeded, in catalog
-    order, and their (n, len(FEATURE_NAMES)) feature table (a worker pool
-    when jobs > 1); failures are logged."""
+    order, and their (n, len(FEATURE_NAMES)) feature table, computed in
+    `pool` or in a _pool of its own; failures are logged."""
     work = [(task, config.df_threshold, config.df_absolute) for task in tasks]
     task_uuids, rows = [], []
     for task, outcome in zip(tasks, _map(config.jobs, _try_features, work, pool)):
@@ -241,7 +222,7 @@ def _collect_features(
 
 
 def run_features(
-    config: RunConfig, tasks: list[Task], pool: _Pool | None = None
+    config: RunConfig, tasks: list[Task], pool: Callable | None = None
 ) -> tuple[list[str], np.ndarray]:
     """Extract per-task features; write features/correlation/histogram CSVs.
     Returns (task_uuids, table) as `_collect_features` does."""
@@ -385,10 +366,11 @@ def _try_oracle(task: Task) -> dict | Exception:
 
 
 def run_oracle(
-    config: RunConfig, tasks: list[Task] | None = None, pool: _Pool | None = None
+    config: RunConfig, tasks: list[Task] | None = None, pool: Callable | None = None
 ) -> Path:
     """Exact ground-state energies for every oracle-sized task (the catalog is
-    loaded here when no tasks are given; a worker pool when jobs > 1)."""
+    loaded here when no tasks are given), computed in `pool` or in a _pool
+    of its own."""
     if tasks is None:
         tasks = _load_tasks(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -420,18 +402,16 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
     solver (each solver writing its own files) and the oracle per task.  When
     jobs > 1 one worker pool serves every stage: it gets the feature chunks,
     then the solvability items and, without waiting for those, the oracle
-    chunks, so the oracle fills a worker that the solvers leave idle.
+    chunks, so the oracle fills a worker that the solvers leave idle.  With
+    one worker every stage runs inline, in that order.
     """
     tasks = _load_tasks(config)
     solutions = _load_solutions(solutions_dir)
-    with _shared_pool(config.jobs, max(len(tasks), len(solutions))) as pool:
+    with _pool(config.jobs, max(len(tasks), len(solutions))) as pool:
         features = run_features(config, tasks, pool)
         outcomes = run_evaluate(config, tasks, solutions)
         work = [(config, s, outcomes[s.solver_uuid], features) for s in solutions]
-        if pool is None:
-            notes = [_try_solvability(item) for item in work]
-        else:
-            notes = pool.map(_try_solvability, work)
+        notes = pool(_try_solvability, work)
         run_oracle(config, tasks, pool)
         for note in notes:
             if note:

@@ -175,6 +175,8 @@ _HEADER_ITEM = re.compile(
     r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([^=]*?)(?=[,\s]*[A-Za-z_][A-Za-z0-9_]*\s*=|$)",
     re.DOTALL,
 )
+# Values of the unrestricted flag UHF/IUHF: a Fortran logical (dots optional) or 0/1.
+_FLAG_VALUES = {"T": 1, "TRUE": 1, "1": 1, "F": 0, "FALSE": 0, "0": 0}
 
 
 def _parse_number(token: str) -> float:
@@ -194,6 +196,14 @@ def _parse_header(header: str) -> dict[str, list[int]]:
     for match in _HEADER_ITEM.finditer(body):
         key = match.group(1).upper()
         raw = match.group(2).replace(",", " ").split()
+        if key in ("UHF", "IUHF"):
+            flags = [_FLAG_VALUES.get(v.upper().strip(".")) for v in raw]
+            if not flags or None in flags:
+                raise MalformedLine(f"header field {key} is not a flag")
+            if any(flags):
+                raise InvalidFciDump(f"{key} is true: an unrestricted FCIDUMP is not supported")
+            fields[key] = flags
+            continue
         try:
             fields[key] = [int(v) for v in raw]
         except ValueError:

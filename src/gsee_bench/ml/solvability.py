@@ -35,6 +35,16 @@ class SolvabilityConfig:
     threshold: float = 0.5
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
+        if self.latent not in ("pca", "nnmf"):
+            raise ValueError("latent must be 'pca' or 'nnmf'")
+        # latent_dim: the latent map and the CLI's training CSV read two axes
+        for name, least in (("latent_dim", 2), ("n_samples", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+
 
 @dataclass(frozen=True)
 class SolvabilityReport:
@@ -106,9 +116,7 @@ def random_samples(bounds: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
 def _fit_latent(X: np.ndarray, config: SolvabilityConfig) -> LatentModel:
     if config.latent == "pca":
         return pca_fit(X, config.latent_dim)
-    if config.latent == "nnmf":
-        return nnmf_fit(X, config.latent_dim, seed=config.seed)
-    raise ValueError(f"unknown latent kind {config.latent!r}")
+    return nnmf_fit(X, config.latent_dim, seed=config.seed)
 
 
 def _mean_abs_attributions(

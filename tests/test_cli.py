@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import shutil
 import warnings
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -403,14 +404,11 @@ def test_pool_workers_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, wo
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items, chunksize):
             return map(fn, items)
+
+        def shutdown(self, wait, cancel_futures):
+            pass
 
     monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", InlinePool)
     if affinity is None:
@@ -421,6 +419,49 @@ def test_pool_workers_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, wo
     items = list(range(-50, 0))
     assert cli._map(10**6, abs, items) == [abs(i) for i in items]
     assert started == workers
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["features"], ["oracle"],
+     ["solvability", "--solutions", str(SOLUTIONS), "--solver", "size-limited"],
+     ["report", "--solutions", str(SOLUTIONS)]],
+    ids=["features", "oracle", "solvability", "report"],
+)
+def test_each_command_makes_at_most_one_pool(tmp_path, monkeypatch, command):
+    made, shutdowns = [], []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
+            super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
+    argv = ["--catalog", str(CATALOG), "--out", str(tmp_path), "--samples", "400", "--jobs", "2"]
+    assert main([*argv, *command]) == 0
+    assert made == [2]
+    assert shutdowns == [{"wait": True, "cancel_futures": True}]
+
+
+def test_inline_report_writes_every_solvability_report_before_the_oracle(tmp_path, monkeypatch):
+    # With one worker the stages stay eager and in order, so the solvability
+    # items are done, not merely queued, when run_oracle starts.
+    seen = []
+    oracle = cli.run_oracle
+
+    def checked_oracle(config, tasks=None, pool=None):
+        seen.append({p.name for p in config.output_dir.glob("solvability_*.json")})
+        return oracle(config, tasks, pool)
+
+    monkeypatch.setattr(cli, "run_oracle", checked_oracle)
+    assert main(report_argv(tmp_path, SOLUTIONS, "--jobs", "1")) == 0
+    assert seen == [{p.name for p in tmp_path.glob("solvability_*.json")}]
+    assert "solvability_size-limited.json" in seen[0]
 
 
 def test_parallel_features_match_serial(tmp_path):

@@ -157,6 +157,56 @@ def test_empty_header_value_is_malformed(field):
         parse_fcidump(f"&FCI NORB=1, NELEC=2, {field}=, &END\n")
 
 
+# A restricted two-orbital dump in the layout Psi4 writes, with {flag} where
+# Psi4 puts its unrestricted flag.
+FLAGGED = """&FCI
+NORB=2,
+NELEC=2,
+MS2=0,
+{flag}
+ORBSYM=1,1,
+ISYM=1,
+&END
+ 0.5 1 1 1 1
+ 0.25 2 1 2 1
+-1.0 1 1 0 0
+-0.5 2 2 0 0
+ 0.7 0 0 0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["UHF=.FALSE.,", "UHF=.false.,", "UHF=F,", "UHF=f,", "UHF=.F.,", "UHF=FALSE,",
+     "UHF=0,", "IUHF=0,", "iuhf=.False.,"],
+)
+def test_false_unrestricted_flag_parses_as_no_flag(flag):
+    plain = parse_fcidump(FLAGGED.format(flag=""))
+    assert plain.norb == 2 and plain.e_core == 0.7 and plain.orbsym == (1, 1)
+    assert parse_fcidump(FLAGGED.format(flag=flag)) == plain
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["UHF=.TRUE.,", "UHF=.true.,", "UHF=T,", "UHF=t,", "UHF=.T.,", "UHF=TRUE,",
+     "UHF=1,", "IUHF=1,", "iuhf=.True.,"],
+)
+def test_true_unrestricted_flag_is_refused(flag):
+    with pytest.raises(InvalidFciDump, match="unrestricted FCIDUMP is not supported"):
+        parse_fcidump(FLAGGED.format(flag=flag))
+
+
+@pytest.mark.parametrize("flag", ["UHF=.MAYBE.,", "UHF=2,", "IUHF=,"])
+def test_unrestricted_flag_of_no_logical_value_is_malformed(flag):
+    with pytest.raises(MalformedLine, match="is not a flag"):
+        parse_fcidump(FLAGGED.format(flag=flag))
+
+
+def test_header_fields_other_than_the_flag_stay_integer():
+    with pytest.raises(MalformedLine, match="non-integer value for header field ISYM"):
+        parse_fcidump(FLAGGED.format(flag="").replace("ISYM=1", "ISYM=.TRUE."))
+
+
 def test_invalid_spin():
     with pytest.raises(InvalidFciDump):
         parse_fcidump("&FCI NORB=2,NELEC=2,MS2=1,&END\n0.0 0 0 0 0\n")

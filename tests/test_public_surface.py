@@ -80,6 +80,7 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fcidump", "eri_orbit"),
         ("gsee_bench.plots", "_prob_color"),
         ("gsee_bench.cli", "_render_cell"),
+        ("gsee_bench.cli", "_Pool"),
         ("gsee_bench.fci", "_sector_dets"),
         ("gsee_bench.fci", "scipy"),
         ("gsee_bench.fci", "_plan"),

@@ -62,7 +62,7 @@ def test_all_positive_classifier_gives_ratio_one(rng):
 def test_threshold_extremes_and_monotonicity(rng):
     X, labels = planted_dataset(rng, 80, 0.5)
     ratios = []
-    for threshold in (0.0, 0.3, 0.5, 0.7, 1.0 + 1e-9):
+    for threshold in (0.0, 0.3, 0.5, 0.7, 1.0):
         report = estimate_solvability(
             X, labels.tolist(), quick_config(threshold=threshold)
         )
@@ -182,3 +182,21 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"threshold": -0.1}, "threshold must lie in [0, 1]"),
+        ({"threshold": 2.0}, "threshold must lie in [0, 1]"),
+        ({"threshold": float("nan")}, "threshold must lie in [0, 1]"),
+        ({"latent": "umap"}, "latent must be 'pca' or 'nnmf'"),
+        ({"latent_dim": 1}, "latent_dim must be >= 2"),
+        ({"latent_dim": 3, "n_samples": 0}, "n_samples must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+)
+def test_out_of_range_setting_rejected_when_the_config_is_built(setting, message):
+    with pytest.raises(ValueError) as info:
+        SolvabilityConfig(**setting)
+    assert str(info.value) == message
