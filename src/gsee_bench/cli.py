@@ -164,23 +164,8 @@ def _pool(jobs: int, items: int):
         executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _map(jobs: int, fn, items: list, pool: Callable | None = None) -> list:
-    """fn over items, results in order: from `pool`, the map function of the
-    command's _pool, when one is given, else from a _pool of its own."""
-    if pool is not None:
-        return list(pool(fn, items))
-    with _pool(jobs, len(items)) as pool:
-        return list(pool(fn, items))
-
-
-def _load_tasks(config: RunConfig) -> list[Task]:
-    tasks = catalog_tasks(scan_catalog(config.catalog_dir))
-    if not tasks:
-        raise EmptyCatalog(f"no *.problem.json under {config.catalog_dir}")
-    return tasks
-
-
-def _load_solutions(solutions_dir: Path) -> list[SolutionFile]:
+def _load_solutions(solutions_dir: Path, solver: str | None = None) -> list[SolutionFile]:
+    """The solution files under `solutions_dir`; only `solver`'s if one is named."""
     solutions = scan_solutions(solutions_dir)
     if not solutions:
         log.warning("no *.solution.json under %s", solutions_dir)
@@ -191,7 +176,36 @@ def _load_solutions(solutions_dir: Path) -> list[SolutionFile]:
                 f"duplicate solver_uuid {solution.solver_uuid} in {solutions_dir}"
             )
         seen.add(solution.solver_uuid)
-    return solutions
+    if solver is not None and solver not in seen:
+        raise GseeBenchError(f"no solution file for solver {solver}")
+    return [s for s in solutions if solver in (None, s.solver_uuid)]
+
+
+@contextlib.contextmanager
+def _inputs(config: RunConfig, solutions_dir: Path | None = None, solver: str | None = None):
+    """A command's inputs, each loaded and checked once: yields (tasks,
+    solutions, map).  The catalog is scanned, the solution files are loaded
+    when a command takes them, the command's one _pool is opened and, once
+    every input check has passed, the output directory is created."""
+    tasks = catalog_tasks(scan_catalog(config.catalog_dir))
+    if not tasks:
+        raise EmptyCatalog(f"no *.problem.json under {config.catalog_dir}")
+    solutions = [] if solutions_dir is None else _load_solutions(solutions_dir, solver)
+    with _pool(config.jobs, max(len(tasks), len(solutions))) as pmap:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        yield tasks, solutions, pmap
+
+
+def _succeeded(stage: str, tasks: list[Task], outcomes) -> list[tuple[Task, object]]:
+    """The (task, result) pairs of the tasks whose item returned a result;
+    an item that returned its exception is logged as the task's failure."""
+    pairs = []
+    for task, outcome in zip(tasks, outcomes):
+        if isinstance(outcome, Exception):
+            log.warning("%s failed for task %s: %s", stage, task.task_uuid, outcome)
+        else:
+            pairs.append((task, outcome))
+    return pairs
 
 
 def _try_features(args: tuple[Task, float, bool]) -> np.ndarray | Exception:
@@ -205,29 +219,23 @@ def _try_features(args: tuple[Task, float, bool]) -> np.ndarray | Exception:
 
 
 def _collect_features(
-    config: RunConfig, tasks: list[Task], pool: Callable | None = None
+    config: RunConfig, tasks: list[Task], pmap: Callable
 ) -> tuple[list[str], np.ndarray]:
     """(task_uuids, table): the tasks whose extraction succeeded, in catalog
-    order, and their (n, len(FEATURE_NAMES)) feature table, computed in
-    `pool` or in a _pool of its own; failures are logged."""
+    order, and their (n, len(FEATURE_NAMES)) feature table, computed by
+    `pmap`, the map function of the command's _pool; failures are logged."""
     work = [(task, config.df_threshold, config.df_absolute) for task in tasks]
-    task_uuids, rows = [], []
-    for task, outcome in zip(tasks, _map(config.jobs, _try_features, work, pool)):
-        if isinstance(outcome, Exception):
-            log.warning("features failed for task %s: %s", task.task_uuid, outcome)
-        else:
-            task_uuids.append(task.task_uuid)
-            rows.append(outcome)
-    return task_uuids, np.array(rows).reshape(len(rows), len(FEATURE_NAMES))
+    done = _succeeded("features", tasks, pmap(_try_features, work))
+    table = np.array([row for _, row in done]).reshape(len(done), len(FEATURE_NAMES))
+    return [task.task_uuid for task, _ in done], table
 
 
 def run_features(
-    config: RunConfig, tasks: list[Task], pool: Callable | None = None
+    config: RunConfig, tasks: list[Task], pmap: Callable
 ) -> tuple[list[str], np.ndarray]:
     """Extract per-task features; write features/correlation/histogram CSVs.
     Returns (task_uuids, table) as `_collect_features` does."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    task_uuids, table = _collect_features(config, tasks, pool)
+    task_uuids, table = _collect_features(config, tasks, pmap)
 
     rows = [[uuid, *row] for uuid, row in zip(task_uuids, table.tolist())]
     _write_csv(config.output_dir / "features.csv", config, ["task_uuid", *FEATURE_NAMES], rows)
@@ -266,8 +274,6 @@ def run_evaluate(
     config: RunConfig, tasks: list[Task], solutions: list[SolutionFile]
 ) -> dict[str, list[TaskOutcome]]:
     """Score every solver against the catalog; write per-solver outcome CSVs."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-
     summary_rows = []
     outcomes_by_solver: dict[str, list[TaskOutcome]] = {}
     for solution in solutions:
@@ -317,7 +323,6 @@ def run_solvability(
 
     report = estimate_solvability(table, labels, config.solvability, feature_names=FEATURE_NAMES)
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.output_dir / f"solvability_{solver_uuid}.json"
     cloud_name = f"latent_points_{solver_uuid}.csv"
     _write_json(report_path, config, {**report.to_dict(), "latent_points_file": cloud_name})
@@ -366,20 +371,14 @@ def _try_oracle(task: Task) -> dict | Exception:
 
 
 def run_oracle(
-    config: RunConfig, tasks: list[Task] | None = None, pool: Callable | None = None
+    config: RunConfig, tasks: list[Task] | None = None, pmap: Callable | None = None
 ) -> Path:
-    """Exact ground-state energies for every oracle-sized task (the catalog is
-    loaded here when no tasks are given), computed in `pool` or in a _pool
-    of its own."""
-    if tasks is None:
-        tasks = _load_tasks(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for task, outcome in zip(tasks, _map(config.jobs, _try_oracle, tasks, pool)):
-        if isinstance(outcome, Exception):
-            log.warning("oracle failed for task %s: %s", task.task_uuid, outcome)
-        else:
-            entries.append(outcome)
+    """Exact ground-state energies for every oracle-sized task, computed by
+    `pmap`, the map function of the command's _pool; a bare call loads its own."""
+    if pmap is None:
+        with _inputs(config) as (tasks, _, pmap):
+            return run_oracle(config, tasks, pmap)
+    entries = [entry for _, entry in _succeeded("oracle", tasks, pmap(_try_oracle, tasks))]
     path = config.output_dir / "oracle.json"
     _write_json(path, config, {"results": entries})
     return path
@@ -405,14 +404,12 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
     chunks, so the oracle fills a worker that the solvers leave idle.  With
     one worker every stage runs inline, in that order.
     """
-    tasks = _load_tasks(config)
-    solutions = _load_solutions(solutions_dir)
-    with _pool(config.jobs, max(len(tasks), len(solutions))) as pool:
-        features = run_features(config, tasks, pool)
+    with _inputs(config, solutions_dir) as (tasks, solutions, pmap):
+        features = run_features(config, tasks, pmap)
         outcomes = run_evaluate(config, tasks, solutions)
         work = [(config, s, outcomes[s.solver_uuid], features) for s in solutions]
-        notes = pool(_try_solvability, work)
-        run_oracle(config, tasks, pool)
+        notes = pmap(_try_solvability, work)
+        run_oracle(config, tasks, pmap)
         for note in notes:
             if note:
                 log.warning("%s", note)
@@ -514,22 +511,22 @@ def main(argv=None) -> int:
     _configure_logging(args.verbose)
     try:
         config = _make_config(args)
-        if args.command == "features":
-            run_features(config, _load_tasks(config))
-        elif args.command == "evaluate":
-            run_evaluate(config, _load_tasks(config), _load_solutions(args.solutions))
-        elif args.command == "solvability":
-            tasks = _load_tasks(config)
-            by_uuid = {s.solver_uuid: s for s in _load_solutions(args.solutions)}
-            if args.solver not in by_uuid:
-                raise GseeBenchError(f"no solution file for solver {args.solver}")
-            solution = by_uuid[args.solver]
-            outcomes, _ = evaluate_solver(tasks, solution)
-            run_solvability(config, solution, outcomes, _collect_features(config, tasks))
-        elif args.command == "oracle":
-            run_oracle(config)
-        elif args.command == "report":
+        if args.command == "report":
             run_report(config, args.solutions)
+        else:
+            solutions_dir, solver = getattr(args, "solutions", None), getattr(args, "solver", None)
+            with _inputs(config, solutions_dir, solver) as (tasks, solutions, pmap):
+                if args.command == "features":
+                    run_features(config, tasks, pmap)
+                elif args.command == "evaluate":
+                    run_evaluate(config, tasks, solutions)
+                elif args.command == "solvability":
+                    (solution,) = solutions
+                    outcomes, _ = evaluate_solver(tasks, solution)
+                    features = _collect_features(config, tasks, pmap)
+                    run_solvability(config, solution, outcomes, features)
+                else:
+                    run_oracle(config, tasks, pmap)
     except (GseeBenchError, OSError, OverflowError, ValueError) as exc:
         log.error("%s", exc)
         return 1

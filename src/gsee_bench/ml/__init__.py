@@ -1,7 +1,7 @@
 """Solvability-region estimation: scaling, latent spaces, SVM, attribution."""
 
 from .latent import LatentModel, nnmf_fit, pca_fit
-from .scaling import ScaledDataset, minmax_scale
+from .scaling import minmax_scale
 from .shapley import exact_shapley
 from .solvability import SolvabilityConfig, SolvabilityReport, estimate_solvability
 from .svm import (
@@ -15,7 +15,6 @@ from .svm import (
 __all__ = [
     "ClassificationMetrics",
     "LatentModel",
-    "ScaledDataset",
     "SolvabilityConfig",
     "SolvabilityReport",
     "SvmModel",

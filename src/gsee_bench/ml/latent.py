@@ -1,8 +1,9 @@
 """Invertible low-dimensional latent spaces: PCA and non-negative NNMF.
 
 PCA is the default (deterministic spectral decomposition of the covariance
-with a fixed sign convention); NNMF with multiplicative updates is the
-alternative that keeps the inverse transform entrywise non-negative.
+with a fixed sign convention); NNMF by hierarchical alternating least squares
+(HALS) is the alternative that keeps the inverse transform entrywise
+non-negative.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ from ..errors import RankDeficient
 log = logging.getLogger(__name__)
 
 NNMF_EPS = 1e-12
-NNMF_MAX_ITER = 2000
+# HALS sweeps per fit.  The 2- and 3-axis fits of the demo and of the seed-1
+# benchmark catalogs (12 x 20 and 400 x 20) converge in 22-363 sweeps, 4-axis
+# fits in up to 6773.  On a 2-core x86 machine a capped 400-row fit takes
+# 0.45 s at 2 axes and 1.0 s at 5.
+NNMF_MAX_ITER = 10_000
 NNMF_TOL = 1e-9
 
 
@@ -75,11 +80,14 @@ def pca_fit(X, dim: int) -> LatentModel:
 
 
 def nnmf_fit(X, dim: int, seed: int = 0) -> LatentModel:
-    """Multiplicative-update factorization X ~= W H with W, H >= 0.
+    """Factorization X ~= W H with W, H >= 0 by HALS (Cichocki and Phan,
+    IEICE Trans. Fundamentals E92-A, 708, 2009).
 
-    Starts from seeded uniform factors and iterates until the relative
-    Frobenius-error improvement drops below NNMF_TOL or NNMF_MAX_ITER is
-    reached; a stalled fit is returned with converged=False.
+    Starts from seeded uniform factors.  A sweep sets each row of H, then each
+    column of W, to its exact non-negative least-squares update with the
+    others held, floored at NNMF_EPS so that no factor dies.  Sweeps stop when
+    the relative Frobenius-error improvement drops below NNMF_TOL or at
+    NNMF_MAX_ITER; a stalled fit is returned with converged=False.
     """
     X = np.asarray(X, dtype=float)
     if np.any(X < 0):
@@ -96,8 +104,12 @@ def nnmf_fit(X, dim: int, seed: int = 0) -> LatentModel:
     converged = False
     error = float(np.linalg.norm(X - W @ H))
     for _ in range(NNMF_MAX_ITER):
-        H *= (W.T @ X) / (W.T @ W @ H + NNMF_EPS)
-        W *= (X @ H.T) / (W @ H @ H.T + NNMF_EPS)
+        WtX, WtW = W.T @ X, W.T @ W
+        for k in range(dim):
+            H[k] = np.maximum(H[k] + (WtX[k] - WtW[k] @ H) / WtW[k, k], NNMF_EPS)
+        XHt, HHt = X @ H.T, H @ H.T
+        for k in range(dim):
+            W[:, k] = np.maximum(W[:, k] + (XHt[:, k] - W @ HHt[:, k]) / HHt[k, k], NNMF_EPS)
         error = float(np.linalg.norm(X - W @ H))
         if prev_error - error < NNMF_TOL * max(error, NNMF_EPS):
             converged = True

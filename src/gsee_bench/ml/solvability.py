@@ -163,13 +163,13 @@ def estimate_solvability(
     if n_labeled < MIN_LABELED_ROWS:
         raise InsufficientLabels(f"{n_labeled} labeled rows < {MIN_LABELED_ROWS}")
 
-    scaled = minmax_scale(X_raw)
-    X_labeled = scaled.X[labeled_mask]
+    X = minmax_scale(X_raw)
+    X_labeled = X[labeled_mask]
     y_labeled = np.array([bool(lab) for lab, m in zip(labels, labeled_mask) if m])
 
     model = svm_fit_cv(X_labeled, y_labeled, seed=config.seed)
 
-    latent = _fit_latent(scaled.X, config)
+    latent = _fit_latent(X, config)
     if config.latent_dim == 2:
         samples, resolution = grid_samples(latent.bounds, config.n_samples)
     else:

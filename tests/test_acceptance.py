@@ -174,10 +174,13 @@ def test_criterion_5_solvability_pipeline_fidelity():
             assert abs(report.solvability_ratio - frac) <= 0.05, f"frac={frac}"
 
             split = int(0.8 * len(X))
-            scaled = minmax_scale(X[:split])
-            model = svm_fit_cv(scaled.X, labels[:split], seed=0)
-            held = minmax_scale(X[split:], params=(scaled.mins, scaled.maxs))
-            predicted = predict_proba(model, held.X) >= 0.5
+            model = svm_fit_cv(minmax_scale(X[:split]), labels[:split], seed=0)
+            # held-out rows on the training columns' scale; a constant column maps to 0
+            mins = X[:split].min(axis=0)
+            span = X[:split].max(axis=0) - mins
+            held = (X[split:] - mins) / np.where(span == 0.0, 1.0, span)
+            held[:, span == 0.0] = 0.0
+            predicted = predict_proba(model, held) >= 0.5
             metrics = classification_metrics(predicted, labels[split:])
             assert metrics.precision >= 0.9, f"frac={frac}"
             assert metrics.recall >= 0.9, f"frac={frac}"

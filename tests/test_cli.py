@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import json
 import multiprocessing
 import shutil
@@ -28,6 +29,12 @@ def tasks_in(catalog: Path):
     return catalog_tasks(scan_catalog(catalog))
 
 
+def features_of(config: RunConfig):
+    """run_features on the inputs and in the pool of a features command."""
+    with cli._inputs(config) as (tasks, _, pmap):
+        return run_features(config, tasks, pmap)
+
+
 def read_rows(path: Path) -> list[list[str]]:
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# gsee-bench")
@@ -36,7 +43,7 @@ def read_rows(path: Path) -> list[list[str]]:
 
 def test_features_csv_shape(tmp_path):
     config = RunConfig(CATALOG, tmp_path)
-    run_features(config, tasks_in(CATALOG))
+    features_of(config)
     rows = read_rows(tmp_path / "features.csv")
     header, data = rows[0], rows[1:]
     assert header == ["task_uuid", *FEATURE_NAMES]
@@ -76,7 +83,7 @@ def test_features_single_instance(tmp_path):
     mini = tmp_path / "catalog"
     shutil.copytree(CATALOG / "inst-03", mini / "inst-03")
     out = tmp_path / "out"
-    run_features(RunConfig(mini, out), tasks_in(mini))
+    features_of(RunConfig(mini, out))
     rows = read_rows(out / "features.csv")
     assert len(rows) == 2  # header + one data row
     assert not (out / "correlation.csv").exists()
@@ -90,7 +97,7 @@ def test_features_resilient_to_bad_fcidump(tmp_path, caplog):
     shutil.copytree(CATALOG / "inst-03", mini / "inst-03")
     (mini / "inst-01" / "task-01-1.fcidump").write_text("garbage", encoding="utf-8")
     out = tmp_path / "out"
-    run_features(RunConfig(mini, out), tasks_in(mini))
+    features_of(RunConfig(mini, out))
     rows = read_rows(out / "features.csv")
     assert len(rows) == 3  # header + 2 surviving rows
     assert "task-01-1" not in {r[0] for r in rows[1:]}
@@ -389,7 +396,8 @@ def test_oracle_skips_truncated_fcidump(tmp_path, caplog, jobs):
 
 def test_pool_map_keeps_item_order_over_uneven_chunks():
     items = list(range(-19, 0))  # 19 items, chunks of 19 // 8 = 2: the last one short
-    assert cli._map(2, abs, items) == [abs(i) for i in items]
+    with cli._pool(2, len(items)) as pmap:
+        assert list(pmap(abs, items)) == [abs(i) for i in items]
 
 
 @pytest.mark.parametrize(
@@ -417,16 +425,17 @@ def test_pool_workers_capped_at_usable_cpus(monkeypatch, affinity, cpu_count, wo
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
     items = list(range(-50, 0))
-    assert cli._map(10**6, abs, items) == [abs(i) for i in items]
+    with cli._pool(10**6, len(items)) as pmap:
+        assert list(pmap(abs, items)) == [abs(i) for i in items]
     assert started == workers
 
 
 @pytest.mark.parametrize(
     "command",
-    [["features"], ["oracle"],
+    [["features"], ["oracle"], ["evaluate", "--solutions", str(SOLUTIONS)],
      ["solvability", "--solutions", str(SOLUTIONS), "--solver", "size-limited"],
      ["report", "--solutions", str(SOLUTIONS)]],
-    ids=["features", "oracle", "solvability", "report"],
+    ids=["features", "oracle", "evaluate", "solvability", "report"],
 )
 def test_each_command_makes_at_most_one_pool(tmp_path, monkeypatch, command):
     made, shutdowns = [], []
@@ -454,9 +463,9 @@ def test_inline_report_writes_every_solvability_report_before_the_oracle(tmp_pat
     seen = []
     oracle = cli.run_oracle
 
-    def checked_oracle(config, tasks=None, pool=None):
+    def checked_oracle(config, tasks=None, pmap=None):
         seen.append({p.name for p in config.output_dir.glob("solvability_*.json")})
-        return oracle(config, tasks, pool)
+        return oracle(config, tasks, pmap)
 
     monkeypatch.setattr(cli, "run_oracle", checked_oracle)
     assert main(report_argv(tmp_path, SOLUTIONS, "--jobs", "1")) == 0
@@ -467,8 +476,8 @@ def test_inline_report_writes_every_solvability_report_before_the_oracle(tmp_pat
 def test_parallel_features_match_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    run_features(RunConfig(CATALOG, serial), tasks_in(CATALOG))
-    run_features(RunConfig(CATALOG, parallel, jobs=2), tasks_in(CATALOG))
+    features_of(RunConfig(CATALOG, serial))
+    features_of(RunConfig(CATALOG, parallel, jobs=2))
     assert (serial / "features.csv").read_bytes() == (parallel / "features.csv").read_bytes()
 
 
@@ -529,6 +538,7 @@ def report_argv(out: Path, solutions: Path = SOLUTIONS, *flags: str) -> list[str
 
 
 def test_report_loads_catalog_and_solutions_once(tmp_path, monkeypatch):
+    # Every command, not only report: features and oracle take no solutions.
     calls = {"scan_catalog": 0, "scan_solutions": 0}
     for name in calls:
         scan = getattr(cli, name)
@@ -538,8 +548,66 @@ def test_report_loads_catalog_and_solutions_once(tmp_path, monkeypatch):
             return _scan(root)
 
         monkeypatch.setattr(cli, name, counted)
-    assert main(report_argv(tmp_path)) == 0
-    assert calls == {"scan_catalog": 1, "scan_solutions": 1}
+    solutions = ["--solutions", str(SOLUTIONS)]
+    commands = {
+        "features": [], "oracle": [], "evaluate": solutions,
+        "solvability": [*solutions, "--solver", "size-limited"], "report": solutions,
+    }
+    for command, args in commands.items():
+        calls.update(scan_catalog=0, scan_solutions=0)
+        argv = ["--catalog", str(CATALOG), "--out", str(tmp_path / command), "--samples", "400"]
+        assert main([*argv, command, *args]) == 0
+        assert calls == {"scan_catalog": 1, "scan_solutions": int(bool(args))}, command
+
+
+def test_unknown_solver_leaves_no_output(tmp_path, caplog):
+    out = tmp_path / "out"
+    argv = ["--catalog", str(CATALOG), "--out", str(out)]
+    assert main([*argv, "solvability", "--solutions", str(SOLUTIONS), "--solver", "nope"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["no solution file for solver nope"]
+    assert not out.exists()
+
+
+def _benchmark_hooks(monkeypatch) -> list[tuple]:
+    """perfbench/tracer.py:HOOKS, the (module, attribute, span, size) rows the
+    benchmark's tracer wraps, imported from the benchmark's own directory."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    return importlib.import_module("tracer").HOOKS
+
+
+def test_every_benchmark_hook_point_resolves(monkeypatch):
+    for module, attr, *_ in _benchmark_hooks(monkeypatch):
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_bare_oracle_call_loads_its_own_inputs(tmp_path):
+    # The benchmark's correctness gate calls run_oracle with a config only.
+    out = tmp_path / "out"
+    run_oracle(RunConfig(catalog_dir=CATALOG, output_dir=out))
+    results = json.loads((out / "oracle.json").read_text())["results"]
+    assert [r["task_uuid"] for r in results] == [t.task_uuid for t in tasks_in(CATALOG)]
+
+
+def test_inline_report_calls_every_benchmark_hook_of_the_cli(tmp_path, monkeypatch):
+    # The tracer wraps these names where the CLI looks them up at call time,
+    # and the benchmark reads the oracle's span as starting after evaluation.
+    hooks = _benchmark_hooks(monkeypatch)
+    names = [attr for module, attr, *_ in hooks if module == "gsee_bench.cli"]
+    events = []
+    for name in names:
+        fn = getattr(cli, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            events.append(("start", _name))
+            result = _fn(*args, **kwargs)
+            events.append(("end", _name))
+            return result
+
+        monkeypatch.setattr(cli, name, counted)
+    assert main(report_argv(tmp_path, SOLUTIONS, "--jobs", "1")) == 0
+    assert {name for _, name in events} == set(names)
+    assert events.index(("start", "run_oracle")) > events.index(("end", "run_evaluate"))
 
 
 def test_report_in_one_pool_matches_serial(tmp_path, monkeypatch):
@@ -781,3 +849,13 @@ def test_config_file_gives_valid_config_or_exit_1(tmp_path, file_conf):
     assert np.isfinite(config.df_threshold) and config.df_threshold >= 0.0
     assert ml.latent_dim >= 2 and ml.n_samples >= 1
     assert ml.seed >= 0 and config.jobs >= 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_demo_nnmf_latent_space_converges(tmp_path, dim):
+    argv = report_argv(tmp_path, SOLUTIONS, "--latent", "nnmf", "--latent-dim", str(dim))
+    assert main(argv) == 0
+    reports = sorted(tmp_path.glob("solvability_*.json"))
+    assert reports
+    for path in reports:
+        assert json.loads(path.read_text())["flags"]["latent_converged"] is True, path.name

@@ -81,6 +81,10 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.plots", "_prob_color"),
         ("gsee_bench.cli", "_render_cell"),
         ("gsee_bench.cli", "_Pool"),
+        ("gsee_bench.cli", "_map"),
+        ("gsee_bench.cli", "_load_tasks"),
+        ("gsee_bench.ml", "ScaledDataset"),
+        ("gsee_bench.ml.scaling", "ScaledDataset"),
         ("gsee_bench.fci", "_sector_dets"),
         ("gsee_bench.fci", "scipy"),
         ("gsee_bench.fci", "_plan"),
