@@ -186,14 +186,23 @@ def _inputs(config: RunConfig, solutions_dir: Path | None = None, solver: str | 
     """A command's inputs, each loaded and checked once: yields (tasks,
     solutions, map).  The catalog is scanned, the solution files are loaded
     when a command takes them, the command's one _pool is opened and, once
-    every input check has passed, the output directory is created."""
+    every input check has passed, the output directory is created.  If the
+    command then fails, a directory created here that is still empty is
+    removed, after the workers are joined; one that existed is never touched."""
     tasks = catalog_tasks(scan_catalog(config.catalog_dir))
     if not tasks:
         raise EmptyCatalog(f"no *.problem.json under {config.catalog_dir}")
     solutions = [] if solutions_dir is None else _load_solutions(solutions_dir, solver)
-    with _pool(config.jobs, max(len(tasks), len(solutions))) as pmap:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        yield tasks, solutions, pmap
+    out, created = config.output_dir, False
+    try:
+        with _pool(config.jobs, max(len(tasks), len(solutions))) as pmap:
+            created = not out.exists()
+            out.mkdir(parents=True, exist_ok=True)
+            yield tasks, solutions, pmap
+    except BaseException:
+        if created and out.is_dir() and not any(out.iterdir()):
+            out.rmdir()
+        raise
 
 
 def _succeeded(stage: str, tasks: list[Task], outcomes) -> list[tuple[Task, object]]:

@@ -31,8 +31,8 @@ from .fcidump import FciDump
 
 MAX_ORBITALS = 16
 # Cap on the Slater-Condon element count of a sector (`nnz`), checked on the
-# closed form before anything is allocated.  Sigma stores no elements, and
-# the count bounds its work per product.  Measured on a 2-core machine with
+# closed form when a DeterminantBasis is built.  Sigma stores no elements,
+# and the count bounds its work per product.  Measured on a 2-core machine with
 # one BLAS thread, one random dump (demo generator, seed 1) per sector, build
 # plus two-root Davidson on sigma in a fresh process: the largest sector under
 # the cap, norb 12 with 6+2 electrons (dim 60,984, 63.9M elements), took 9.5 s
@@ -72,14 +72,32 @@ DAVIDSON_MAX_SUBSPACE = 30
 @dataclass(frozen=True)
 class DeterminantBasis:
     """The (alpha, beta) occupations of a fixed particle-number sector, alpha
-    major and each spin's strings in lexicographic order; len() counts them."""
+    major and each spin's strings in lexicographic order; len() counts them.
+    A sector over a cap cannot be built: construction raises TooLarge above
+    MAX_ORBITALS or MAX_NONZEROS elements (`nnz`), and InvalidOccupation for
+    an occupation outside [0, norb]."""
 
     norb: int
     n_alpha: int
     n_beta: int
 
+    def __post_init__(self):
+        if self.norb > MAX_ORBITALS:
+            raise TooLarge(f"norb={self.norb} exceeds oracle cap {MAX_ORBITALS}")
+        for occ in (self.n_alpha, self.n_beta):
+            if not 0 <= occ <= self.norb:
+                raise InvalidOccupation(f"{occ} electrons in {self.norb} orbitals")
+        if self.nnz > MAX_NONZEROS:
+            raise TooLarge(f"FCI sector of dimension {len(self)} stores {self.nnz} elements, "
+                           f"over the cap of {MAX_NONZEROS}")
+
     def __len__(self) -> int:
         return math.comb(self.norb, self.n_alpha) * math.comb(self.norb, self.n_beta)
+
+    @property
+    def nnz(self) -> int:
+        """Slater-Condon elements of the sector Hamiltonian, exact zeros included."""
+        return len(self) * _row_elements(self.norb, self.n_alpha, self.n_beta)
 
 
 @dataclass(frozen=True)
@@ -99,7 +117,7 @@ class _Strings:
     read-only).
 
     <I|E_pq + E_qp|J> (p < q, the singles of I) and <I|E_pp|I> (p occupied
-    in I) are `pair_sign` for J = `pair_to`, with `pair` the `_pair_index`
+    in I) are `pair_sign` for J = `pair_to`, with `pair` the `_pairs` index
     of (p, q); no pair repeats within a row.  With the same elements,
     `pair_source[I, pair]` is the row of the stack [c; -c; 0] (n strings of
     c) that holds that element times c_J: J, J + n for a -1, or 2n where the
@@ -123,13 +141,16 @@ def _parity(bits: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
 
 
-def _pair_index(norb: int) -> np.ndarray:
-    """norb x norb table: the packed index of (min(p, q), max(p, q)), pairs
-    packed in np.triu_indices order."""
-    index = np.zeros((norb, norb), dtype=np.intp)
+@lru_cache(maxsize=32)
+def _pairs(norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, index), read-only: the pairs p <= q in packed (np.triu_indices)
+    order, and the norb x norb table of the packed index of either (p, q)."""
     p, q = np.triu_indices(norb)
+    index = np.zeros((norb, norb), dtype=np.intp)
     index[p, q] = index[q, p] = np.arange(len(p))
-    return index
+    for array in (p, q, index):
+        array.flags.writeable = False
+    return p, q, index
 
 
 @lru_cache(maxsize=32)
@@ -151,7 +172,7 @@ def _strings(norb: int, n_occ: int) -> _Strings:
     single_sign = _parity(mask & between)
     single_to = index[mask ^ _bit(p) ^ _bit(q)]
     # the pairs: the singles, then E_pp on each occupied p
-    pair_index = _pair_index(norb)
+    pair_index = _pairs(norb)[2]
     pair = np.concatenate([pair_index[p, q], pair_index[occupied, occupied]], axis=1)
     pair_to = np.concatenate([single_to, np.repeat(index[mask], n_occ, axis=1)], axis=1)
     pair_sign = np.concatenate([single_sign, np.ones((n, n_occ))], axis=1)
@@ -173,14 +194,6 @@ def _row_elements(norb: int, n_alpha: int, n_beta: int) -> int:
     return 1 + sa + sb + sa * sb + da + db
 
 
-def _check_size(norb: int, n_alpha: int, n_beta: int) -> None:
-    dim = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
-    stored = dim * _row_elements(norb, n_alpha, n_beta)
-    if stored > MAX_NONZEROS:
-        raise TooLarge(f"FCI sector of dimension {dim} stores {stored} elements, "
-                       f"over the cap of {MAX_NONZEROS}")
-
-
 def build_basis(
     norb: int,
     n_alpha: int,
@@ -189,19 +202,13 @@ def build_basis(
 ) -> DeterminantBasis:
     """The sector basis, in lexicographic (alpha-major) order.
 
-    Raises TooLarge above MAX_ORBITALS, above MAX_NONZEROS matrix elements,
-    or above max_dim determinants when that is given.
+    Raises what DeterminantBasis raises (a sector over a cap cannot be
+    built), then TooLarge above max_dim determinants when that is given.
     """
-    if norb > MAX_ORBITALS:
-        raise TooLarge(f"norb={norb} exceeds oracle cap {MAX_ORBITALS}")
-    for occ in (n_alpha, n_beta):
-        if not 0 <= occ <= norb:
-            raise InvalidOccupation(f"{occ} electrons in {norb} orbitals")
-    dim = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
-    if max_dim is not None and dim > max_dim:
-        raise TooLarge(f"FCI dimension {dim} exceeds cap {max_dim}")
-    _check_size(norb, n_alpha, n_beta)
-    return DeterminantBasis(norb, n_alpha, n_beta)
+    basis = DeterminantBasis(norb, n_alpha, n_beta)
+    if max_dim is not None and len(basis) > max_dim:
+        raise TooLarge(f"FCI dimension {len(basis)} exceeds cap {max_dim}")
+    return basis
 
 
 def _diagonal(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
@@ -233,23 +240,20 @@ class SectorHamiltonian:
 
     `H @ x` is sigma (the module docstring) for a vector or a (dim, m) block;
     `toarray()` expands the same factorization into a dense matrix.  `nnz`
-    counts the elements the Slater-Condon rules leave, exact zeros
-    included.
+    is `basis.nnz`; the string tables and the phase are bound once, here.
     """
 
     def __init__(self, dump: FciDump, basis: DeterminantBasis):
         self.dump = dump
         self.basis = basis
-        dim = len(basis)
-        self.shape = (dim, dim)
-        self.nnz = dim * _row_elements(basis.norb, basis.n_alpha, basis.n_beta)
-
-    def _sector(self) -> tuple[int, int, int]:
-        return self.basis.norb, self.basis.n_alpha, self.basis.n_beta
+        self.shape = (len(basis), len(basis))
+        self.nnz = basis.nnz
+        self._alpha = _strings(basis.norb, basis.n_alpha)
+        self._beta = _strings(basis.norb, basis.n_beta)
+        self._phase = _interleave_phase(basis.norb, basis.n_alpha, basis.n_beta)
 
     def diagonal(self) -> np.ndarray:
-        norb, n_alpha, n_beta = self._sector()
-        return _diagonal(self.dump, _strings(norb, n_alpha), _strings(norb, n_beta)).ravel()
+        return _diagonal(self.dump, self._alpha, self._beta).ravel()
 
     @cached_property
     def _integrals(self) -> np.ndarray:
@@ -258,8 +262,7 @@ class SectorHamiltonian:
         count N, so sum_r (k / N) D_rr = k c and G is one product; with no
         electrons D is zero and k drops out."""
         norb = self.basis.norb
-        # np.triu_indices(norb) at a fifth of its call overhead
-        p, q = np.nonzero(np.tri(norb, dtype=bool).T)
+        p, q, _ = _pairs(norb)
         pq = p * norb + q
         eri = self.dump.two_body_tensor()
         k = self.dump.h1 - 0.5 * np.einsum("prrq->pq", eri)
@@ -287,10 +290,8 @@ class SectorHamiltonian:
         return out
 
     def _sigma(self, x: np.ndarray) -> np.ndarray:
-        norb, n_alpha, n_beta = self._sector()
-        a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
+        a, b, phase = self._alpha, self._beta, self._phase
         n_a, n_b, n_pairs = len(a.masks), len(b.masks), len(self._integrals)
-        phase = _interleave_phase(norb, n_alpha, n_beta)
         c = (x * phase).reshape(n_a, n_b)
         d, d_beta, g = (buffer.reshape(n_a, n_pairs, n_b) for buffer in self._scratch)
         # D[I, r, J] = (E_r c)[I, J] is a gather of [c; -c; 0], per spin
@@ -316,9 +317,7 @@ class SectorHamiltonian:
         products of two table entries, so that a sector with one string of
         a spin does not need (pairs, dim, dim) scratch.  Made exactly
         symmetric as 1/2 (H + H^T)."""
-        norb, n_alpha, n_beta = self._sector()
-        a, b = _strings(norb, n_alpha), _strings(norb, n_beta)
-        w = self._integrals
+        a, b, w = self._alpha, self._beta, self._integrals
         n_a, n_b = len(a.masks), len(b.masks)
         dim = n_a * n_b
         # <I J|A_r (x) B_s|I' J'>: a pair entry of I times one of J, per (I, J)
@@ -331,9 +330,8 @@ class SectorHamiltonian:
         blocks[:, np.arange(n_b), :, np.arange(n_b)] += _one_spin(a, w)
         blocks[np.arange(n_a), :, np.arange(n_a), :] += _one_spin(b, w)
         h.flat[::dim + 1] += self.dump.e_core
-        phase = _interleave_phase(norb, n_alpha, n_beta)
-        h *= phase[:, None]
-        h *= phase
+        h *= self._phase[:, None]
+        h *= self._phase
         return 0.5 * (h + h.T)
 
 
@@ -356,8 +354,8 @@ def _one_spin(t: _Strings, w: np.ndarray) -> np.ndarray:
 def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> SectorHamiltonian:
     """Matrix-free sector Hamiltonian over a build_basis basis.
 
-    Raises InconsistentBasis when the basis sector is not the dump's and
-    TooLarge above MAX_NONZEROS elements; nothing else is computed here.
+    Raises InconsistentBasis when the basis sector is not the dump's; the
+    caps were checked when the basis was built, and `H.nnz` is `basis.nnz`.
     """
     norb, n_alpha, n_beta = basis.norb, basis.n_alpha, basis.n_beta
     if norb != dump.norb or n_alpha != dump.n_alpha or n_beta != dump.n_beta:
@@ -365,7 +363,6 @@ def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> SectorHamiltonia
             f"basis sector ({norb}, {n_alpha}, {n_beta}) does not "
             f"match Hamiltonian ({dump.norb}, {dump.n_alpha}, {dump.n_beta})"
         )
-    _check_size(norb, n_alpha, n_beta)
     return SectorHamiltonian(dump, basis)
 
 
@@ -390,7 +387,7 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
     if n <= max(DENSE_CUTOFF, 3 * max_subspace):
         dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
         eigvals = np.linalg.eigvalsh(dense)
-        return _spectrum(eigvals[:k_eff], k, 0, True)
+        return _spectrum(eigvals[:k_eff], 0, True)
 
     diag = matrix.diagonal()
     n_guess = min(n, max(2 * k_eff, k_eff + 2))
@@ -439,7 +436,7 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
         basis = grown
 
     order = np.argsort(theta)
-    return _spectrum(theta[order], k, iteration, converged)
+    return _spectrum(theta[order], iteration, converged)
 
 
 def _extend_basis(basis: np.ndarray, new_dirs: list[np.ndarray]) -> np.ndarray | None:
@@ -459,7 +456,7 @@ def _extend_basis(basis: np.ndarray, new_dirs: list[np.ndarray]) -> np.ndarray |
     return current
 
 
-def _spectrum(energies: np.ndarray, k: int, iterations: int, converged: bool) -> SpectrumResult:
+def _spectrum(energies: np.ndarray, iterations: int, converged: bool) -> SpectrumResult:
     energies = np.sort(np.asarray(energies, dtype=float))
     gap = float(energies[1] - energies[0]) if energies.size >= 2 else None
     return SpectrumResult(tuple(float(e) for e in energies), gap, iterations, converged)

@@ -50,12 +50,7 @@ K_FOLDS = 5
 
 
 def default_gamma_grid(n_features: int) -> tuple[float, ...]:
-    grid = [0.01, 0.1, 1.0, 1.0 / n_features]
-    out: list[float] = []
-    for g in grid:
-        if g not in out:
-            out.append(g)
-    return tuple(out)
+    return tuple(dict.fromkeys((0.01, 0.1, 1.0, 1.0 / n_features)))
 
 
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -319,6 +319,17 @@ def test_solvability_single_class_solver_fails_cleanly(tmp_path):
         ]
     )
     assert code == 1
+    # --out existed before the command, so it stays, empty
+    assert tmp_path.is_dir() and not any(tmp_path.iterdir())
+
+
+def test_failed_solvability_leaves_no_output(tmp_path, caplog):
+    out = tmp_path / "out"
+    argv = ["--catalog", str(CATALOG), "--out", str(out), "--jobs", "2"]
+    assert main([*argv, "solvability", "--solutions", str(SOLUTIONS), "--solver", "exact-echo"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["training labels contain a single class"]
+    assert not out.exists()
 
 
 def test_report_skips_solver_whose_pipeline_fails(tmp_path, caplog):

@@ -67,10 +67,45 @@ def test_basis_masks_have_right_popcount():
 def test_basis_caps():
     with pytest.raises(TooLarge):
         build_basis(17, 1, 1)
-    with pytest.raises(TooLarge):
+    # the basis checks its caps before max_dim, so over both the nnz cap speaks
+    with pytest.raises(TooLarge, match="over the cap"):
         build_basis(16, 8, 8, max_dim=1000)
+    with pytest.raises(TooLarge, match="exceeds cap 1000"):
+        build_basis(8, 3, 3, max_dim=1000)
     with pytest.raises(InvalidOccupation):
         build_basis(3, 4, 0)
+
+
+def test_sector_checks_live_in_the_basis():
+    with pytest.raises(TooLarge):
+        DeterminantBasis(17, 1, 1)
+    with pytest.raises(InvalidOccupation):
+        DeterminantBasis(3, 4, 0)
+    with pytest.raises(TooLarge):
+        DeterminantBasis(12, 6, 3)
+    assert DeterminantBasis(12, 6, 2).nnz == 60_984 * _row_elements(12, 6, 2)
+
+
+def test_sector_hamiltonian_binds_its_tables_once(rng, monkeypatch):
+    d = random_fcidump(rng, 4, 3, 1)
+    mat = build_fci_matrix(d, build_basis(4, d.n_alpha, d.n_beta))
+    calls = []
+
+    def counted(name):
+        original = getattr(fci, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("_strings", "_interleave_phase"):
+        monkeypatch.setattr(fci, name, counted(name))
+    x = rng.normal(size=(mat.shape[0], 2))
+    mat.diagonal(), mat @ x[:, 0], mat @ x, mat.toarray()
+    assert calls == []
+    build_fci_matrix(d, mat.basis)
+    assert sorted(calls) == ["_interleave_phase", "_strings", "_strings"]
 
 
 def test_interleave():

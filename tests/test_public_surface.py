@@ -93,10 +93,18 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fci", "_cached_plan"),
         ("gsee_bench.fci", "_BLOCK_ELEMENTS"),
         ("gsee_bench.fci", "_CACHED_PLAN_ELEMENTS"),
+        ("gsee_bench.fci", "_check_size"),
+        ("gsee_bench.fci", "_pair_index"),
     ],
 )
 def test_reference_path_not_in_package(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_sector_hamiltonian_has_no_per_call_sector_lookup():
+    from gsee_bench.fci import SectorHamiltonian
+
+    assert not hasattr(SectorHamiltonian, "_sector")
 
 
 def test_fcidump_keeps_one_integral_store():

@@ -20,6 +20,13 @@ def blobs(rng, n_per_class=40, margin=2.0):
     return X, labels
 
 
+def test_default_gamma_grid_drops_repeats_in_order():
+    assert svm.default_gamma_grid(1) == (0.01, 0.1, 1.0)
+    assert svm.default_gamma_grid(10) == (0.01, 0.1, 1.0)
+    assert svm.default_gamma_grid(100) == (0.01, 0.1, 1.0)
+    assert svm.default_gamma_grid(20) == (0.01, 0.1, 1.0, 0.05)
+
+
 def test_separable_blobs_perfect_training(rng):
     X, labels = blobs(rng)
     model = svm_fit_cv(X, labels, seed=0)
