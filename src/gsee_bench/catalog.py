@@ -115,9 +115,9 @@ def _require_text(obj: dict, key: str, where: str) -> str:
     return _check_text(_require(obj, key, str, where), key, where)
 
 
-def _optional_number(obj: dict, key: str, where: str) -> float | None:
+def _optional_number(obj: dict, key: str, where: str, default=None) -> float | None:
     if key not in obj or obj[key] is None:
-        return None
+        return default
     value = _require(obj, key, float, where)
     if not math.isfinite(value):  # json.load accepts NaN and Infinity
         raise SchemaViolation(f"{where}: field {key!r} must be finite, got {value}")
@@ -129,14 +129,10 @@ def _parse_task(obj: dict, base_dir: Path, where: str) -> Task:
         raise SchemaViolation(f"{where}: task entry is not an object")
     task_uuid = _require_text(obj, "task_uuid", where)
     fcidump_path = _require(obj, "fcidump_path", str, where)
-    accuracy_tol = _optional_number(obj, "accuracy_tol", where)
-    if accuracy_tol is None:
-        accuracy_tol = DEFAULT_ACCURACY_TOL
+    accuracy_tol = _optional_number(obj, "accuracy_tol", where, DEFAULT_ACCURACY_TOL)
     if accuracy_tol <= 0:
         raise SchemaViolation(f"{where}: accuracy_tol must be > 0")
-    runtime_limit = _optional_number(obj, "runtime_limit", where)
-    if runtime_limit is None:
-        runtime_limit = DEFAULT_RUNTIME_LIMIT
+    runtime_limit = _optional_number(obj, "runtime_limit", where, DEFAULT_RUNTIME_LIMIT)
     if runtime_limit <= 0:
         raise SchemaViolation(f"{where}: runtime_limit must be > 0")
     reference_energy = _optional_number(obj, "reference_energy", where)
@@ -161,6 +157,17 @@ def _parse_task(obj: dict, base_dir: Path, where: str) -> Task:
     )
 
 
+def _read_object(path: str | Path, where: str) -> dict:
+    """Parse a JSON file whose top level must be an object."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise SchemaViolation(f"{where}: nests too deeply") from None
+    if not isinstance(obj, dict):
+        raise SchemaViolation(f"{where}: top level is not an object")
+    return obj
+
+
 _INSTANCE_KEYS = {"instance_uuid", "short_name", "tasks"}
 _SOLUTION_KEYS = {"solver_uuid", "solver_short_name", "results"}
 
@@ -169,10 +176,7 @@ def load_instance(path: str | Path) -> ProblemInstance:
     """Load and validate one problem-instance file."""
     path = Path(path)
     where = path.name
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise SchemaViolation(f"{where}: top level is not an object")
+    obj = _read_object(path, where)
     instance_uuid = _require_text(obj, "instance_uuid", where)
     short_name = _require_text(obj, "short_name", where)
     raw_tasks = _require(obj, "tasks", list, where)
@@ -194,10 +198,7 @@ def load_solution(path: str | Path) -> SolutionFile:
     """Load and validate one solution file."""
     path = Path(path)
     where = path.name
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise SchemaViolation(f"{where}: top level is not an object")
+    obj = _read_object(path, where)
     solver_uuid = _require(obj, "solver_uuid", str, where)
     # The ID names output files, so it must be one plain path component.
     if solver_uuid in ("", ".", "..") or any(c in solver_uuid for c in "/\\\0"):
@@ -243,12 +244,7 @@ def evaluate_task(task: Task, result: SolutionResult | None) -> TaskOutcome:
     abs_error = None
     if attempted and result.energy is not None and task.reference_energy is not None:
         abs_error = abs(result.energy - task.reference_energy)
-    solved = (
-        attempted
-        and abs_error is not None
-        and abs_error <= task.accuracy_tol
-        and within_runtime
-    )
+    solved = abs_error is not None and abs_error <= task.accuracy_tol and within_runtime
     verdict = Verdict.SOLVED if solved else Verdict.UNSOLVED
     return TaskOutcome(task.task_uuid, verdict, abs_error, within_runtime, attempted)
 

@@ -30,6 +30,7 @@ from .catalog import (
     Task,
     TaskOutcome,
     Verdict,
+    _read_object,
     _require,
     catalog_tasks,
     evaluate_solver,
@@ -479,11 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _make_config(args: argparse.Namespace) -> RunConfig:
     settings: dict = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            file_conf = json.load(fh)
         where = f"config {args.config}"
-        if not isinstance(file_conf, dict):
-            raise GseeBenchError(f"{where}: top level is not an object")
+        file_conf = _read_object(args.config, where)
         unknown = sorted(set(file_conf) - set(_SETTINGS))
         if unknown:
             raise GseeBenchError(f"{where}: unknown keys {', '.join(unknown)}")

@@ -5,9 +5,9 @@ in alpha-major order.  `build_fci_matrix` returns the sector Hamiltonian
 matrix-free.  Its product H @ c, which Davidson iterates on, is the
 string-driven direct-CI sigma of Knowles and Handy (CPL 111, 315, 1984) and
 Olsen et al. (JCP 89, 2185, 1988): with H = sum k_pq E_pq
-+ 1/2 sum (pq|rs) E_pq E_rs and k = h - 1/2 sum_r (pr|rq), it forms
-D_rs = E_rs c from the cached string tables, G = k c + 1/2 (pq|rs) D as one
-matrix product, and sigma = sum E_pq G_pq as a gather over the same tables.
++ 1/2 sum (pq|rs) E_pq E_rs and k = h - 1/2 sum_r (pr|rq) (`pair_integrals`),
+it forms D_rs = E_rs c from the cached string tables, G = k c + 1/2 (pq|rs) D
+as one matrix product, and sigma = sum E_pq G_pq as a gather over them.
 Dense sectors never apply sigma: `toarray` expands the same factorization,
 H = sum_rs W_rs E_r E_s + e_core with E_r = A_r (x) 1 + 1 (x) B_r over each
 spin's pair operators, into two one-spin parts and an alpha-beta part, each
@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InconsistentBasis, InvalidOccupation, TooLarge
-from .fcidump import FciDump
+from .fcidump import FciDump, pair_integrals, pair_order
 
 MAX_ORBITALS = 16
 # Cap on the Slater-Condon element count of a sector (`nnz`), checked on the
@@ -117,11 +117,11 @@ class _Strings:
     read-only).
 
     <I|E_pq + E_qp|J> (p < q, the singles of I) and <I|E_pp|I> (p occupied
-    in I) are `pair_sign` for J = `pair_to`, with `pair` the `_pairs` index
-    of (p, q); no pair repeats within a row.  With the same elements,
-    `pair_source[I, pair]` is the row of the stack [c; -c; 0] (n strings of
-    c) that holds that element times c_J: J, J + n for a -1, or 2n where the
-    pair does not couple I to any string.
+    in I) are `pair_sign` for J = `pair_to`, with `pair` the index of (p, q)
+    in `fcidump.pair_order`; no pair repeats within a row.  With the same
+    elements, `pair_source[I, pair]` is the row of the stack [c; -c; 0] (n
+    strings of c) that holds that element times c_J: J, J + n for a -1, or
+    2n where the pair does not couple I to any string.
     """
 
     masks: np.ndarray
@@ -139,18 +139,6 @@ def _bit(orbital: np.ndarray) -> np.ndarray:
 def _parity(bits: np.ndarray) -> np.ndarray:
     """+1.0 or -1.0 for an even or odd number of set bits."""
     return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
-
-
-@lru_cache(maxsize=32)
-def _pairs(norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, q, index), read-only: the pairs p <= q in packed (np.triu_indices)
-    order, and the norb x norb table of the packed index of either (p, q)."""
-    p, q = np.triu_indices(norb)
-    index = np.zeros((norb, norb), dtype=np.intp)
-    index[p, q] = index[q, p] = np.arange(len(p))
-    for array in (p, q, index):
-        array.flags.writeable = False
-    return p, q, index
 
 
 @lru_cache(maxsize=32)
@@ -172,7 +160,7 @@ def _strings(norb: int, n_occ: int) -> _Strings:
     single_sign = _parity(mask & between)
     single_to = index[mask ^ _bit(p) ^ _bit(q)]
     # the pairs: the singles, then E_pp on each occupied p
-    pair_index = _pairs(norb)[2]
+    pair_index = pair_order(norb)[2]
     pair = np.concatenate([pair_index[p, q], pair_index[occupied, occupied]], axis=1)
     pair_to = np.concatenate([single_to, np.repeat(index[mask], n_occ, axis=1)], axis=1)
     pair_sign = np.concatenate([single_sign, np.ones((n, n_occ))], axis=1)
@@ -257,18 +245,15 @@ class SectorHamiltonian:
 
     @cached_property
     def _integrals(self) -> np.ndarray:
-        """(pairs, pairs): 1/2 (pq|rs) over packed pairs, with k_pq / N added
+        """(pairs, pairs): 1/2 V of `pair_integrals`, with k_pq / N added
         to every diagonal pair rr.  On the sector sum_r E_rr is the electron
         count N, so sum_r (k / N) D_rr = k c and G is one product; with no
         electrons D is zero and k drops out."""
-        norb = self.basis.norb
-        p, q, _ = _pairs(norb)
-        pq = p * norb + q
-        eri = self.dump.two_body_tensor()
-        k = self.dump.h1 - 0.5 * np.einsum("prrq->pq", eri)
+        p, q, _ = pair_order(self.basis.norb)
+        k, v = pair_integrals(self.dump)
         n_electrons = max(self.basis.n_alpha + self.basis.n_beta, 1)
-        integrals = 0.5 * eri.reshape(norb * norb, -1)[np.ix_(pq, pq)]
-        integrals[:, p == q] += k[p, q][:, None] / n_electrons
+        integrals = 0.5 * v
+        integrals[:, p == q] += k[:, None] / n_electrons
         return integrals
 
     @cached_property

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import TextIO
 
@@ -156,7 +157,8 @@ class FciDump:
         agree with its orbit's canonical entry to DUPLICATE_TOL and takes its value."""
         if h1 is not None:
             h1 = np.asarray(h1, dtype=float)
-            h1 = (h1 + h1.T) / 2.0
+            # halved first: h1 + h1.T overflows for finite entries near the float max
+            h1 = h1 / 2.0 + h1.T / 2.0
         if h2 is not None:
             h2 = np.asarray(h2, dtype=float)
             if h2.shape != (norb,) * 4:
@@ -169,6 +171,28 @@ class FciDump:
                 raise InvalidFciDump(f"h2 violates 8-fold symmetry at {key}")
             h2 = canon
         return cls(norb, nelec, ms2, float(e_core), h1, h2, orbsym, isym)
+
+
+@lru_cache(maxsize=32)
+def pair_order(norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, index), read-only: the orbital pairs p <= q in packed
+    (np.triu_indices) order, and the norb x norb table of the packed index
+    of either (p, q)."""
+    p, q = np.triu_indices(norb)
+    index = np.zeros((norb, norb), dtype=np.intp)
+    index[p, q] = index[q, p] = np.arange(len(p))
+    for array in (p, q, index):
+        array.flags.writeable = False
+    return p, q, index
+
+
+def pair_integrals(dump: FciDump) -> tuple[np.ndarray, np.ndarray]:
+    """(k, V) over the pairs of `pair_order`: the normal-ordered one-body
+    term k_pq = h_pq - 1/2 sum_r (pr|rq) and the symmetric pairs x pairs
+    matrix V[pq, rs] = (pq|rs); both are fresh, C-ordered arrays."""
+    p, q, _ = pair_order(dump.norb)
+    k = dump.h1 - 0.5 * np.einsum("prrq->pq", dump.h2)
+    return k[p, q], dump.h2[p[:, None], q[:, None], p, q]
 
 
 _HEADER_ITEM = re.compile(

@@ -1,15 +1,15 @@
 """Fermionic-representation features: the FCI space size and the double
 factorization (DF) rank and gap.
 
-Reshaped into the symmetric norb^2 x norb^2 matrix V[(i,j),(k,l)], the
+Reshaped into the symmetric norb^2 x norb^2 matrix [(ij), (kl)], the
 two-electron tensor (ij|kl) factorizes as sum_l lambda_l g^(l)_ij g^(l)_kl
 with symmetric g^(l) (Motta et al., npj QI 7, 83, 2021).  The features are
 the number L of eigenvalues lambda_l kept by a cutoff and the gap
-|lambda_0 - lambda_1| between the two largest in magnitude.  V maps every
-index-antisymmetric vector to zero, so its nonzero eigenvalues are those of
-the packed pairs x pairs matrix M[pq, rs] = w_pq w_rs (pq|rs) over p <= q,
-with w = sqrt(2) on p < q and 1 on p = q; the factors themselves are not
-formed.
+|lambda_0 - lambda_1| between the two largest in magnitude.  That matrix
+maps every index-antisymmetric vector to zero, so its nonzero eigenvalues
+are those of M[pq, rs] = w_pq w_rs V[pq, rs], with V = (pq|rs) the pairs x
+pairs matrix of `fcidump.pair_integrals` and w = sqrt(2) on p < q and 1 on
+p = q; the factors themselves are not formed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import EigenFailure, InvalidOccupation
-from .fcidump import FciDump
+from .fcidump import FciDump, pair_integrals, pair_order
 
 DEFAULT_DF_THRESHOLD = 1e-6
 
@@ -53,13 +53,9 @@ def double_factorize(
     is at most the norb(norb+1)/2 pairs.  An all-zero tensor yields rank 0
     and gap 0; that is a degenerate input, not an error.
     """
-    n = dump.norb
-    # np.triu_indices(n) at a fifth of its call overhead
-    p, q = np.nonzero(np.tri(n, dtype=bool).T)
-    pq = p * n + q
+    p, q, _ = pair_order(dump.norb)
     weight = np.where(p == q, 1.0, math.sqrt(2.0))
-    packed = dump.two_body_tensor().reshape(n * n, n * n)[np.ix_(pq, pq)]
-    packed *= np.outer(weight, weight)
+    packed = pair_integrals(dump)[1] * np.outer(weight, weight)
     try:
         eigvals = np.linalg.eigvalsh(packed)
     except np.linalg.LinAlgError as exc:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TooLarge
-from .fcidump import FciDump
+from .fcidump import FciDump, pair_integrals, pair_order
 
 # Coefficients smaller than this are floating-point cancellation noise and are
 # pruned so term counts and weight statistics stay meaningful.
@@ -64,11 +64,11 @@ def _pair_operators(norb: int):
     operator is S = a+_p a_q + a+_q a_p when p < q and S = a+_p a_p when
     p = q.  Jordan-Wigner maps them to two real terms each:
     S = (X_p Z...Z X_q + Y_p Z...Z Y_q) / 2, Z on the qubits strictly between,
-    and S = (I - Z_p) / 2.  Operators run in (i, j, s) order; returns their
-    spatial indices and (n_ops, 2) arrays of x masks, z masks and coefficients.
+    and S = (I - Z_p) / 2.  Operator a is spin a % 2 on pair a // 2 of
+    `pair_order`; returns their spatial indices and (n_ops, 2) arrays of x
+    masks, z masks and coefficients.
     """
-    i, j = np.triu_indices(norb)
-    i, j = np.repeat(i, 2), np.repeat(j, 2)
+    i, j = np.repeat(pair_order(norb)[:2], 2, axis=1)
     spin = np.tile([0, 1], len(i) // 2)
     one = np.uint64(1)
     bp = one << (2 * i + spin).astype(np.uint64)
@@ -87,16 +87,15 @@ class _JwPlan:
     """What the Jordan-Wigner encoding of a norb-orbital Hamiltonian keeps
     from one dump to the next: everything but the integral values.
 
-    The one-body terms are h'[i, j] * c_ops.  The two-body terms are
-    g.ravel()[source] * factor, sorted by string within each first-index
+    For (k, V) of `pair_integrals`, the one-body terms are
+    np.repeat(k, 2)[:, None] * c_ops and the two-body terms
+    V.ravel()[source] * factor, sorted by string within each first-index
     block and summed over the runs that start at block_starts.  The final
     coefficients gather [e_core, one-body terms, block sums] through order
     and sum over the runs that start at starts; string t is (x[t], z[t]).
     The index arrays are int32, which holds every index up to norb 32.
     """
 
-    i: np.ndarray
-    j: np.ndarray
     c_ops: np.ndarray
     source: np.ndarray
     factor: np.ndarray
@@ -120,7 +119,7 @@ def _merge_order(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _jw_plan(norb: int) -> _JwPlan:
     """Build the plan with the symplectic product rule, in blocks of one
     first spatial index to bound memory; its arrays are read-only."""
-    i, j, x_ops, z_ops, c_ops = _pair_operators(norb)
+    i, _, x_ops, z_ops, c_ops = _pair_operators(norb)
     xs = [np.zeros(1, dtype=np.uint64), x_ops.ravel()]
     zs = [np.zeros(1, dtype=np.uint64), z_ops.ravel()]
     sources, factors, block_starts = [], [], []
@@ -141,7 +140,7 @@ def _jw_plan(norb: int) -> _JwPlan:
         # every factor is a signed power of two, so weight * factor is exact
         factor = (np.where(a == b, 0.5, 1.0)[:, None, None] * c_ops[a][:, :, None]
                   * c_ops[b][:, None, :] * (1 - k))
-        source = ((i[a] * norb + j[a]) * norb + i[b]) * norb + j[b]
+        source = a // 2 * (n_ops // 2) + b // 2
         source = np.broadcast_to(source.astype(np.int32)[:, None, None], x.shape)
         x, z, source, factor = x[commute], z[commute], source[commute], factor[commute]
         order, starts = _merge_order(x, z)
@@ -154,7 +153,7 @@ def _jw_plan(norb: int) -> _JwPlan:
 
     x, z = np.concatenate(xs), np.concatenate(zs)
     order, starts = _merge_order(x, z)
-    plan = _JwPlan(i, j, c_ops, np.concatenate(sources), np.concatenate(factors),
+    plan = _JwPlan(c_ops, np.concatenate(sources), np.concatenate(factors),
                    np.concatenate(block_starts), order, starts,
                    x[order][starts], z[order][starts])
     for array in vars(plan).values():
@@ -177,10 +176,10 @@ def jordan_wigner_hamiltonian(dump: FciDump) -> PauliTable:
 
         H = e_core + sum_a h'_a S_a + sum_{a<=b} w_ab {S_a, S_b} / 2,
 
-    with h'_ij = h_ij - (1/2) sum_r (ir|rj), w_ab = (ij|kl) for a < b and
-    (ij|kl)/2 for a = b.  Each anticommutator of two Pauli strings is their
-    product when they commute and zero otherwise, so every coefficient is
-    real.  The strings, the order in which equal ones are summed and the
+    with h'_ij = h_ij - (1/2) sum_r (ir|rj) (the k of `pair_integrals`),
+    w_ab = (ij|kl) for a < b and (ij|kl)/2 for a = b.  Each anticommutator
+    of two Pauli strings is their product when they commute and zero
+    otherwise, so every coefficient is real.  The strings, the order in which equal ones are summed and the
     factor each integral is scaled by depend on norb alone; `_jw_plan` holds
     them, cached up to `_CACHED_JW_NORB`.  Per dump, the integrals are
     gathered and scaled, summed by string within each first-index block and
@@ -190,10 +189,9 @@ def jordan_wigner_hamiltonian(dump: FciDump) -> PauliTable:
     if n > MAX_TABLE_QUBITS:
         raise TooLarge(f"{n} qubits exceeds the {MAX_TABLE_QUBITS}-bit masks")
     plan = (_cached_jw_plan if dump.norb <= _CACHED_JW_NORB else _jw_plan)(dump.norb)
-    g = dump.two_body_tensor()
-    h_eff = dump.h1 - 0.5 * np.einsum("irrj->ij", g)
-    block_sums = np.add.reduceat(g.ravel()[plan.source] * plan.factor, plan.block_starts)
-    coeff = np.concatenate([[dump.e_core], (h_eff[plan.i, plan.j][:, None] * plan.c_ops).ravel(),
+    k, v = pair_integrals(dump)
+    block_sums = np.add.reduceat(v.ravel()[plan.source] * plan.factor, plan.block_starts)
+    coeff = np.concatenate([[dump.e_core], (np.repeat(k, 2)[:, None] * plan.c_ops).ravel(),
                             block_sums])
     coeff = np.add.reduceat(coeff[plan.order], plan.starts)
     keep = np.abs(coeff) >= COEFF_PRUNE_TOL

@@ -747,6 +747,25 @@ def test_text_outside_xml_char_rejected_before_any_output(tmp_path, caplog, fiel
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["problem", "solution"])
+def test_deeply_nested_input_file_gives_one_error_line(tmp_path, caplog, kind):
+    catalog, solutions = tmp_path / "catalog", tmp_path / "solutions"
+    shutil.copytree(CATALOG, catalog)
+    shutil.copytree(SOLUTIONS, solutions)
+    if kind == "problem":
+        path = catalog / "inst-02" / "inst-02.problem.json"
+    else:
+        path = solutions / "perturbed.solution.json"
+    path.write_text(DEEP_JSON)
+    out = tmp_path / "out"
+    argv = ["--catalog", str(catalog), "--out", str(out), "report", "--solutions", str(solutions)]
+    assert main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert f"{path.name}: nests too deeply" in errors[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--latent-dim", "1"), ("--latent-dim", "3", "--samples", "0"), ("--jobs", "0"),
@@ -791,14 +810,19 @@ def test_json_artifacts_reject_nan(tmp_path):
         cli._write_json(tmp_path / "x.json", RunConfig(CATALOG, tmp_path), {"ratio": float("nan")})
 
 
+# JSON nested this deep makes json.load raise RecursionError; json.dumps
+# cannot build it, so it is written as text.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
 @pytest.mark.parametrize(
     "file_conf",
-    [{"sampels": 400}, {"seed": "7"}, [1, 2], {"threshold": 10**400}],
-    ids=["unknown-key", "str-seed", "list", "int-too-big-for-float"],
+    [{"sampels": 400}, {"seed": "7"}, [1, 2], {"threshold": 10**400}, DEEP_JSON],
+    ids=["unknown-key", "str-seed", "list", "int-too-big-for-float", "nested-too-deeply"],
 )
 def test_bad_config_file_rejected(tmp_path, caplog, file_conf):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps(file_conf))
+    conf.write_text(file_conf if isinstance(file_conf, str) else json.dumps(file_conf))
     out = tmp_path / "out"
     argv = ["--config", str(conf), "--catalog", str(CATALOG), "--out", str(out), "features"]
     assert main(argv) == 1

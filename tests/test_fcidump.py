@@ -16,6 +16,8 @@ from gsee_bench.fcidump import (
     FciDump,
     _canonical_flat,
     canonical_eri_index,
+    pair_integrals,
+    pair_order,
     parse_fcidump,
     write_fcidump,
 )
@@ -343,6 +345,39 @@ def test_from_tensors_accepts_symmetrized(rng):
     eri = random_eri(rng, 3)
     d = FciDump.from_tensors(3, 2, 0, h2=eri)
     assert np.allclose(d.two_body_tensor(), eri)
+
+
+def test_from_tensors_symmetrizes_h1_without_overflow(rng):
+    # the mean of h1 and h1.T, bit for bit, and finite near the float max,
+    # where (h1 + h1.T) / 2 overflows to inf
+    h1 = rng.normal(size=(4, 4))
+    assert np.array_equal(FciDump.from_tensors(4, 2, 0, h1=h1).h1, (h1 + h1.T) / 2.0)
+    big = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+    assert np.array_equal(FciDump.from_tensors(2, 2, 0, h1=big).h1, big)
+
+
+def test_pair_integrals_pack_h1_and_h2_over_the_pair_order(rng):
+    for norb in range(1, 9):
+        d = random_fcidump(rng, norb)
+        p, q, index = pair_order(norb)
+        k, v = pair_integrals(d)
+        assert list(zip(p.tolist(), q.tolist())) == [
+            (a, b) for a in range(norb) for b in range(a, norb)
+        ]
+        assert k.shape == (len(p),) and v.shape == (len(p), len(p))
+        # C order: the BLAS products over V sum in the order they always have
+        assert v.flags.c_contiguous
+        h2 = d.two_body_tensor()
+        for a, b, c, e in np.ndindex((norb,) * 4):
+            assert v[index[a, b], index[c, e]] == h2[a, b, c, e]
+        expected_k = d.h1 - 0.5 * np.einsum("prrq->pq", h2)
+        assert np.array_equal(k, expected_k[p, q])
+
+
+def test_pair_order_is_cached_and_read_only():
+    assert pair_order(5) is pair_order(5)
+    for array in pair_order(5):
+        assert not array.flags.writeable
 
 
 def test_from_tensors_snaps_to_canonical_entry_within_tolerance(rng):

@@ -95,6 +95,7 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fci", "_CACHED_PLAN_ELEMENTS"),
         ("gsee_bench.fci", "_check_size"),
         ("gsee_bench.fci", "_pair_index"),
+        ("gsee_bench.fci", "_pairs"),
     ],
 )
 def test_reference_path_not_in_package(module, name):
