@@ -41,7 +41,7 @@ from .errors import EmptyCatalog, GseeBenchError
 from .fcidump import parse_fcidump
 from .fermionic import DEFAULT_DF_THRESHOLD
 from .fci import solve_ground_state
-from .ml.solvability import SolvabilityConfig, estimate_solvability
+from .ml.solvability import SAMPLE_BLOCK, SolvabilityConfig, estimate_solvability
 from .plots import render_latent_map
 from .qubit_features import (
     FEATURE_NAMES,
@@ -54,8 +54,10 @@ log = logging.getLogger(__name__)
 
 HISTOGRAM_BIN_WIDTH = 10
 # Latent samples scored per solver.  The cap is reachable: on a 2-core x86
-# machine the demo report at 1M samples takes 32 s (726 MB peak RSS, 208 MB of
-# artifacts for its one solvability report); each more solver costs about that.
+# machine with one BLAS thread, the demo report at 1M samples takes 1.9 s at
+# 73 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
+# solvability report), and 7.5 s at 326 MB with 3 (144 MB of artifacts, 66 MB
+# of them the SVG's one circle per sample); each more solver costs about that.
 MAX_SAMPLES = 1_000_000
 
 
@@ -104,20 +106,24 @@ def _write_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_float_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
-    """A table of floats (an array, or rows of Python floats) in the bytes
-    _write_csv gives its rows: each float's repr, nothing quoted.  Each
-    distinct float of a column is formatted once; floats are told apart by
-    their bits, so 0.0 and -0.0 keep their own text."""
-    table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
-    cells = []
-    for column in table.T:
-        bits = column.view(np.int64).tolist()
-        text = {key: repr(value) for key, value in dict(zip(bits, column.tolist())).items()}
-        cells.append(map(text.__getitem__, bits))
+def _write_float_csv(path: Path, config: RunConfig, columns: list[str], *arrays) -> None:
+    """One float array per column, all of one length, as the table whose
+    bytes _write_csv gives its rows of Python floats: each float's repr,
+    nothing quoted.  The rows are formatted and appended SAMPLE_BLOCK at a
+    time, and each distinct float of a column within a block is formatted
+    once; floats are told apart by their bits, so 0.0 and -0.0 keep their
+    own text."""
+    arrays = [np.asarray(array, dtype=float) for array in arrays]
     _write_csv(path, config, columns, [])
     with open(path, "a", encoding="utf-8", newline="") as fh:
-        fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+        for start in range(0, len(arrays[0]), SAMPLE_BLOCK):
+            cells = []
+            for array in arrays:
+                block = array[start:start + SAMPLE_BLOCK]
+                bits = block.view(np.int64).tolist()
+                text = {key: repr(value) for key, value in dict(zip(bits, block.tolist())).items()}
+                cells.append(map(text.__getitem__, bits))
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -342,7 +348,8 @@ def run_solvability(
         config.output_dir / cloud_name,
         config,
         [*latent_cols, "probability"],
-        np.column_stack([report.latent_points, report.probabilities]),
+        *report.latent_points.T,
+        report.probabilities,
     )
     train_rows = [
         [uuid, *map(float, row[:2]), "" if lab is None else str(bool(lab)).lower()]

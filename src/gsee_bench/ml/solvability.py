@@ -5,8 +5,9 @@ full-dimensional scaled features of the labeled rows, fit a latent space on
 all rows, bound the latent axes by the training embedding, sample latent
 points (a uniform grid in 2-D, seeded uniform draws otherwise), inverse
 transform the samples back to feature space, clip into the scaled unit box,
-and score them with the calibrated SVM.  The solvability ratio is the exact
-fraction of samples whose probability meets the threshold.
+and score them with the calibrated SVM, SAMPLE_BLOCK rows at a time.  The
+solvability ratio is the exact fraction of samples whose probability meets
+the threshold.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .svm import SvmModel, predict_proba, svm_fit_cv
 MIN_LABELED_ROWS = 10
 # Labeled rows whose mean absolute attributions the report gives.
 ATTRIBUTION_POINTS = 3
+# Rows of the latent cloud that are scored, written or coloured at a time.
+# Each step works row by row, so the results are those of one pass over the
+# cloud, while the working memory stays that of one block.
+SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,21 @@ def grid_samples(bounds: np.ndarray, n_samples: int) -> tuple[np.ndarray, int]:
     """Uniform 2-D grid of about n_samples points over the latent rectangle."""
     r = max(2, math.ceil(math.sqrt(n_samples)))
     axes = [np.linspace(lo, hi, r) for lo, hi in bounds]
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="xy")
-    return np.column_stack([xx.ravel(), yy.ravel()]), r
+    # Point iy * r + ix is (axes[0][ix], axes[1][iy]).
+    samples = np.empty((r, r, 2))
+    samples[..., 0] = axes[0]
+    samples[..., 1] = axes[1][:, None]
+    return samples.reshape(r * r, 2), r
 
 
 def random_samples(bounds: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lo = bounds[:, 0]
     hi = bounds[:, 1]
-    return rng.uniform(0.0, 1.0, size=(n_samples, len(bounds))) * (hi - lo) + lo
+    samples = rng.uniform(0.0, 1.0, size=(n_samples, len(bounds)))
+    samples *= hi - lo
+    samples += lo
+    return samples
 
 
 def _fit_latent(X: np.ndarray, config: SolvabilityConfig) -> LatentModel:
@@ -176,8 +187,14 @@ def estimate_solvability(
         samples = random_samples(latent.bounds, config.n_samples, config.seed)
         resolution = None
 
-    X_novel = np.clip(latent.inverse(samples), 0.0, 1.0)
-    probabilities = predict_proba(model, X_novel)
+    n = len(samples)
+    probabilities = np.empty(n)
+    # A last block of one row would take numpy's vector paths, which round
+    # differently from the matrix kernels, so it joins the block before it.
+    ends = [*range(SAMPLE_BLOCK, n - 1, SAMPLE_BLOCK), n]
+    for start, end in zip([0, *ends[:-1]], ends):
+        X_novel = np.clip(latent.inverse(samples[start:end]), 0.0, 1.0)
+        probabilities[start:end] = predict_proba(model, X_novel)
     ratio = float(np.count_nonzero(probabilities >= config.threshold) / len(probabilities))
 
     cv = model.mean_cv_metrics()

@@ -3,6 +3,8 @@
 Probabilities color a red-to-blue gradient (red = likely unsolved, blue =
 likely solved).  A 2-D grid is one embedded PNG image, one pixel per grid
 point, built with the standard library; a 3-D+ sample draws as circles.
+The ramp colours SAMPLE_BLOCK points at a time: raster rows of the grid, or
+samples of the scatter.
 Labeled training points draw as filled circles and unlabeled ones as stars,
 as vector elements over the image.  The output is deterministic text, so
 reruns are byte-identical.
@@ -18,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from .ml.solvability import SolvabilityReport
+from .ml.solvability import SAMPLE_BLOCK, SolvabilityReport
 
 _RED = (178, 24, 43)
 _WHITE = (247, 247, 247)
@@ -104,7 +106,12 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
         ch = (HEIGHT - 2 * MARGIN) / max(r - 1, 1)
         x0, y1 = to_px(bounds[:, 0])
         x1, y0 = to_px(bounds[:, 1])
-        png = _png(_prob_rgb(probs.reshape(r, r)[::-1]))
+        grid = probs.reshape(r, r)[::-1]
+        rgb = np.empty((r, r, 3), dtype=np.uint8)
+        rows = max(1, SAMPLE_BLOCK // r)
+        for top in range(0, r, rows):
+            rgb[top:top + rows] = _prob_rgb(grid[top:top + rows])
+        png = _png(rgb)
         href = "data:image/png;base64," + binascii.b2a_base64(png, newline=False).decode("ascii")
         parts.append(
             f'<image x="{x0 - cw / 2:.2f}" y="{y0 - ch / 2:.2f}" '
@@ -112,10 +119,12 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
             f'preserveAspectRatio="none" style="image-rendering:pixelated" href="{href}"/>'
         )
     else:
-        pts = np.asarray(report.latent_points, dtype=float)
-        for pt, (r, g, b) in zip(pts[:, :2], _prob_rgb(probs).tolist()):
-            x, y = to_px(pt)
-            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="rgb({r},{g},{b})"/>')
+        pts = np.asarray(report.latent_points, dtype=float)[:, :2]
+        for start in range(0, len(pts), SAMPLE_BLOCK):
+            block = slice(start, start + SAMPLE_BLOCK)
+            for pt, (r, g, b) in zip(pts[block], _prob_rgb(probs[block]).tolist()):
+                x, y = to_px(pt)
+                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="rgb({r},{g},{b})"/>')
 
     for row, label in zip(report.training_embedding, report.training_labels):
         x, y = to_px(np.asarray(row, dtype=float)[:2])

@@ -227,7 +227,7 @@ def test_float_csv_join_writes_the_bytes_of_csv_writer(tmp_path):
     config = RunConfig(CATALOG, tmp_path)
     columns = ["latent_0", "latent_1", "probability"]
     cli._write_csv(tmp_path / "writer.csv", config, columns, rows)
-    cli._write_float_csv(tmp_path / "join.csv", config, columns, rows)
+    cli._write_float_csv(tmp_path / "join.csv", config, columns, *np.array(rows).T)
     assert (tmp_path / "join.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
 
@@ -244,7 +244,7 @@ def test_float_csv_join_writes_the_bytes_of_csv_writer(tmp_path):
 def test_float_csv_is_the_per_row_repr_join(tmp_path, rows):
     config = RunConfig(CATALOG, tmp_path)
     columns = ["latent_0", "latent_1", "probability"]
-    cli._write_float_csv(tmp_path / "cloud.csv", config, columns, np.array(rows).reshape(-1, 3))
+    cli._write_float_csv(tmp_path / "cloud.csv", config, columns, *np.array(rows).reshape(-1, 3).T)
     expected = "".join(
         [cli._header_comment(config) + "\n", ",".join(columns) + "\n"]
         + [",".join(map(repr, row)) + "\n" for row in rows]
@@ -253,8 +253,10 @@ def test_float_csv_is_the_per_row_repr_join(tmp_path, rows):
 
 
 def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkeypatch):
-    # A 2-D latent grid: each latent column holds r distinct values, r^2 rows.
+    # A 2-D latent grid in one block: each latent column holds r distinct
+    # values, r^2 rows.
     r = 30
+    assert r * r <= cli.SAMPLE_BLOCK
     axis = np.linspace(-1.0, 2.0, r)
     xx, yy = np.meshgrid(axis, axis)
     table = np.column_stack([xx.ravel(), yy.ravel(), np.linspace(0.0, 1.0, r * r)])
@@ -266,10 +268,39 @@ def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkey
 
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
     cli._write_float_csv(tmp_path / "grid.csv", RunConfig(CATALOG, tmp_path),
-                         ["latent_0", "latent_1", "probability"], table)
+                         ["latent_0", "latent_1", "probability"], *table.T)
     assert len(calls) == r + r + r * r
     lines = (tmp_path / "grid.csv").read_text(encoding="utf-8").splitlines()[2:]
     assert lines == [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def one_shot_float_csv(config: RunConfig, columns: list[str], table: np.ndarray) -> bytes:
+    """Oracle of the blocked writer: the whole table formatted in one pass,
+    each distinct float of a column once."""
+    cells = []
+    for column in table.T:
+        bits = column.view(np.int64).tolist()
+        text = {key: repr(value) for key, value in dict(zip(bits, column.tolist())).items()}
+        cells.append(map(text.__getitem__, bits))
+    lines = [cli._header_comment(config), ",".join(columns)] + [",".join(row) for row in zip(*cells)]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def test_float_csv_in_blocks_is_the_one_shot_formatter(tmp_path):
+    # Two full blocks and a short third; repeats cross the block edges, and
+    # 0.0 sits beside -0.0 in every column.
+    n = 2 * cli.SAMPLE_BLOCK + 5
+    rng = np.random.default_rng(11)
+    table = np.column_stack([
+        np.tile(np.linspace(-1.0, 1.0, 7), n)[:n],
+        rng.choice([0.0, -0.0, 0.5, -2.5e-7, 1e300], size=n),
+        rng.random(n),
+    ])
+    table[-3:] = [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 5e-324]]
+    config = RunConfig(CATALOG, tmp_path)
+    columns = ["latent_0", "latent_1", "probability"]
+    cli._write_float_csv(tmp_path / "cloud.csv", config, columns, *table.T)
+    assert (tmp_path / "cloud.csv").read_bytes() == one_shot_float_csv(config, columns, table)
 
 
 def test_oracle_outputs_match_references(tmp_path):

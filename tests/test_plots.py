@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from gsee_bench.cli import main
+from gsee_bench.ml import SolvabilityConfig, estimate_solvability
+from gsee_bench.ml.solvability import SAMPLE_BLOCK
 from gsee_bench.plots import (
-    _BLUE, _RED, _WHITE, HEIGHT, MARGIN, WIDTH, _prob_rgb, _star_path,
+    _BLUE, _RED, _WHITE, HEIGHT, MARGIN, WIDTH, _prob_rgb, _star_path, render_latent_map,
 )
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -155,6 +157,24 @@ def test_scatter_for_three_latent_axes(tmp_path):
     fills = [c.get("fill") for c in root.findall(f"{SVG}circle")]
     cloud = read_table(tmp_path / report["latent_points_file"])
     assert fills[:len(cloud)] == [_prob_color(float(row["probability"])) for row in cloud]
+
+
+@pytest.mark.parametrize("dim, n_samples", [(2, 100 * 100), (3, 2 * SAMPLE_BLOCK + 7)])
+def test_colours_in_blocks_are_the_one_pass_ramp(rng, dim, n_samples):
+    # The grid's 100 raster rows and the scatter's samples span several blocks.
+    X = rng.uniform(size=(40, 4))
+    labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
+    report = estimate_solvability(X, labels, SolvabilityConfig(latent_dim=dim, n_samples=n_samples))
+    root = ET.fromstring(render_latent_map(report, "blocks"))
+    probs = report.probabilities
+    if dim == 2:
+        r = report.grid_resolution
+        href = root.find(f"{SVG}image").get("href")
+        pixels = decode_png(base64.b64decode(href.split(",", 1)[1]))
+        assert np.array_equal(pixels, _prob_rgb(probs.reshape(r, r)[::-1]))
+    else:
+        fills = [rgb(c.get("fill")) for c in root.findall(f"{SVG}circle")[:n_samples]]
+        assert fills == _prob_rgb(probs).tolist()
 
 
 def test_array_ramp_matches_scalar_ramp():

@@ -1,14 +1,21 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gsee_bench import cli
+from gsee_bench.catalog import Verdict, evaluate_solver
 from gsee_bench.errors import InsufficientLabels, SingleClass
 from gsee_bench.ml import SolvabilityConfig, estimate_solvability
-from gsee_bench.ml.solvability import grid_samples, random_samples
+from gsee_bench.ml.solvability import SAMPLE_BLOCK, grid_samples, random_samples
+from gsee_bench.qubit_features import FEATURE_NAMES
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def planted_dataset(rng, n, frac):
@@ -38,6 +45,17 @@ def test_grid_sampler_counts_and_coverage():
     assert pts.shape == (10_000, 2)
     assert pts[:, 0].min() == 0.0 and pts[:, 0].max() == 1.0
     assert pts[:, 1].min() == -2.0 and pts[:, 1].max() == 2.0
+
+
+def test_samplers_equal_their_one_expression_forms():
+    bounds = np.array([[-0.3, 1.7], [2.0, 2.5]])
+    pts, r = grid_samples(bounds, 1000)
+    xx, yy = np.meshgrid(np.linspace(-0.3, 1.7, r), np.linspace(2.0, 2.5, r), indexing="xy")
+    assert pts.tobytes() == np.column_stack([xx.ravel(), yy.ravel()]).tobytes()
+    bounds = np.array([[0.0, 1.0], [5.0, 6.5], [-1.0, -0.5]])
+    expected = (np.random.default_rng(4).uniform(0.0, 1.0, size=(999, 3))
+                * (bounds[:, 1] - bounds[:, 0]) + bounds[:, 0])
+    assert random_samples(bounds, 999, seed=4).tobytes() == expected.tobytes()
 
 
 def test_random_sampler_respects_bounds():
@@ -200,3 +218,73 @@ def test_out_of_range_setting_rejected_when_the_config_is_built(setting, message
     with pytest.raises(ValueError) as info:
         SolvabilityConfig(**setting)
     assert str(info.value) == message
+
+
+# Oracle: the cloud scored in one pass.  Numpy sends a one-row product down
+# its vector paths, and a multi-threaded BLAS rounds the rows where it splits
+# a product between threads by other kernels, so the blocks equal one pass in
+# a process with single-threaded BLAS.
+BLOCKED_SCORING = """
+import sys
+import numpy as np
+from gsee_bench.ml.scaling import minmax_scale
+from gsee_bench.ml.solvability import (
+    SAMPLE_BLOCK, SolvabilityConfig, _fit_latent, estimate_solvability,
+)
+from gsee_bench.ml.svm import predict_proba, svm_fit_cv
+
+rng = np.random.default_rng(5)
+X = rng.uniform(size=(60, 20))
+labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
+B = SAMPLE_BLOCK
+# A grid of r * r points over several blocks, then random draws of k blocks
+# and a tail of 7 rows, or of one row, which joins the block before it.
+cases = [(2, 100 * 100), (3, 2 * B + 7), (3, 3 * B + 1), (3, B + 1)]
+assert all(n > 2 * B and n % B for _, n in cases[:3])
+for dim, n in cases:
+    config = SolvabilityConfig(latent_dim=dim, n_samples=n, seed=2)
+    report = estimate_solvability(X, labels, config)
+    assert report.n_samples == n
+    scaled = minmax_scale(X)
+    model = svm_fit_cv(scaled, np.array(labels), seed=config.seed)
+    latent = _fit_latent(scaled, config)
+    one_pass = predict_proba(model, np.clip(latent.inverse(report.latent_points), 0.0, 1.0))
+    assert report.probabilities.tobytes() == one_pass.tobytes(), (dim, n)
+print("ok")
+"""
+
+
+def test_blocked_scoring_is_bit_identical_to_one_pass():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", BLOCKED_SCORING], capture_output=True, text=True,
+                         timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+@pytest.fixture(scope="module")
+def demo_table(tmp_path_factory):
+    """The demo catalog's feature table and the size-limited solver's labels."""
+    config = cli.RunConfig(DEMO / "catalog", tmp_path_factory.mktemp("demo"))
+    with cli._inputs(config, DEMO / "solutions", "size-limited") as (tasks, solutions, pmap):
+        task_uuids, table = cli.run_features(config, tasks, pmap)
+    verdicts = {o.task_uuid: o.verdict for o in evaluate_solver(tasks, solutions[0])[0]}
+    labels = [None if verdicts[uuid] is Verdict.UNLABELED else verdicts[uuid] is Verdict.SOLVED
+              for uuid in task_uuids]
+    return table, labels
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scoring_memory_is_the_cloud_plus_one_block(demo_table, dim):
+    table, labels = demo_table
+    config = SolvabilityConfig(latent_dim=dim, n_samples=200_000)
+    tracemalloc.start()
+    try:
+        report = estimate_solvability(table, labels, config, feature_names=FEATURE_NAMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = report.latent_points.nbytes + report.probabilities.nbytes
+    assert report.n_samples >= 200_000
+    assert peak < 2 * held, (peak, held)
