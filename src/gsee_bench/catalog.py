@@ -269,9 +269,16 @@ def scan_catalog(root: str | Path) -> list[ProblemInstance]:
 
 
 def scan_solutions(root: str | Path) -> list[SolutionFile]:
-    """Recursively load every `*.solution.json` under root, in path order."""
+    """Recursively load every `*.solution.json` under root, in path order; no
+    two files may share a solver_uuid."""
     root = Path(root)
-    return [load_solution(p) for p in sorted(root.rglob("*.solution.json"))]
+    solutions = [load_solution(p) for p in sorted(root.rglob("*.solution.json"))]
+    seen: set[str] = set()
+    for solution in solutions:
+        if solution.solver_uuid in seen:
+            raise SchemaViolation(f"duplicate solver_uuid {solution.solver_uuid} in {root}")
+        seen.add(solution.solver_uuid)
+    return solutions
 
 
 def catalog_tasks(instances: list[ProblemInstance]) -> list[Task]:

@@ -54,10 +54,11 @@ log = logging.getLogger(__name__)
 
 HISTOGRAM_BIN_WIDTH = 10
 # Latent samples scored per solver.  The cap is reachable: on a 2-core x86
-# machine with one BLAS thread, the demo report at 1M samples takes 1.9 s at
-# 73 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
-# solvability report), and 7.5 s at 326 MB with 3 (144 MB of artifacts, 66 MB
-# of them the SVG's one circle per sample); each more solver costs about that.
+# machine with one BLAS thread, the demo report at 1M samples takes 2.6-2.8 s
+# at 83 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
+# solvability report, nearly all of it the latent-points CSV), and 4.2-5.4 s
+# at 77 MB with 3 (78 MB, of which the latent map raster is 0.29 MB); each
+# more solver costs about that.
 MAX_SAMPLES = 1_000_000
 
 
@@ -176,14 +177,7 @@ def _load_solutions(solutions_dir: Path, solver: str | None = None) -> list[Solu
     solutions = scan_solutions(solutions_dir)
     if not solutions:
         log.warning("no *.solution.json under %s", solutions_dir)
-    seen: set[str] = set()
-    for solution in solutions:
-        if solution.solver_uuid in seen:
-            raise GseeBenchError(
-                f"duplicate solver_uuid {solution.solver_uuid} in {solutions_dir}"
-            )
-        seen.add(solution.solver_uuid)
-    if solver is not None and solver not in seen:
+    if solver is not None and solver not in {s.solver_uuid for s in solutions}:
         raise GseeBenchError(f"no solution file for solver {solver}")
     return [s for s in solutions if solver in (None, s.solver_uuid)]
 

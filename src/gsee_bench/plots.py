@@ -1,10 +1,12 @@
 """Dependency-free SVG rendering of solvability latent maps.
 
 Probabilities color a red-to-blue gradient (red = likely unsolved, blue =
-likely solved).  A 2-D grid is one embedded PNG image, one pixel per grid
-point, built with the standard library; a 3-D+ sample draws as circles.
-The ramp colours SAMPLE_BLOCK points at a time: raster rows of the grid, or
-samples of the scatter.
+likely solved).  Every map is one embedded PNG image over latent axes 1-2,
+built with the standard library.  A 2-D grid gives one pixel per grid point;
+a 3-D+ cloud is projected onto axes 1-2, about four samples to a pixel, and a
+pixel shows the mean probability of its samples, or white if it has none.
+Samples are binned, and pixels coloured, SAMPLE_BLOCK at a time, so neither
+the document nor the working memory grows with the cloud beyond the raster.
 Labeled training points draw as filled circles and unlabeled ones as stars,
 as vector elements over the image.  The output is deterministic text, so
 reruns are byte-identical.
@@ -78,8 +80,7 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
     since a comment may not contain one.
     """
     bounds = np.asarray(report.bounds, dtype=float)
-    span = bounds[:, 1] - bounds[:, 0]
-    span = np.where(span == 0.0, 1.0, span)
+    span = np.where(bounds[:, 1] > bounds[:, 0], bounds[:, 1] - bounds[:, 0], 1.0)
 
     def to_px(pt) -> tuple[float, float]:
         x = MARGIN + (pt[0] - bounds[0, 0]) / span[0] * (WIDTH - 2 * MARGIN)
@@ -96,35 +97,38 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
-    probs = np.asarray(report.probabilities, dtype=float)
-    if report.grid_resolution:
-        # Grid point (ix, iy) sits at index iy * r + ix; PNG rows run top down,
-        # so the rows flip to put latent axis 2 up.  Each pixel spans one grid
-        # cell centred on its point.
-        r = report.grid_resolution
-        cw = (WIDTH - 2 * MARGIN) / max(r - 1, 1)
-        ch = (HEIGHT - 2 * MARGIN) / max(r - 1, 1)
-        x0, y1 = to_px(bounds[:, 0])
-        x1, y0 = to_px(bounds[:, 1])
-        grid = probs.reshape(r, r)[::-1]
-        rgb = np.empty((r, r, 3), dtype=np.uint8)
-        rows = max(1, SAMPLE_BLOCK // r)
-        for top in range(0, r, rows):
-            rgb[top:top + rows] = _prob_rgb(grid[top:top + rows])
-        png = _png(rgb)
-        href = "data:image/png;base64," + binascii.b2a_base64(png, newline=False).decode("ascii")
-        parts.append(
-            f'<image x="{x0 - cw / 2:.2f}" y="{y0 - ch / 2:.2f}" '
-            f'width="{x1 - x0 + cw:.2f}" height="{y1 - y0 + ch:.2f}" '
-            f'preserveAspectRatio="none" style="image-rendering:pixelated" href="{href}"/>'
-        )
-    else:
-        pts = np.asarray(report.latent_points, dtype=float)[:, :2]
-        for start in range(0, len(pts), SAMPLE_BLOCK):
-            block = slice(start, start + SAMPLE_BLOCK)
-            for pt, (r, g, b) in zip(pts[block], _prob_rgb(probs[block]).tolist()):
-                x, y = to_px(pt)
-                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="rgb({r},{g},{b})"/>')
+    # The raster is r x r pixels centred on the lattice of r points per axis:
+    # the grid's own r, or about four samples a pixel for a random cloud.  An
+    # axis of zero span is one pixel wide.  A pixel is the ramp colour of its
+    # samples' mean probability, page white if it has none; a grid puts one
+    # sample on each pixel, and p / 1 is p.  PNG rows run top down, so the rows
+    # flip to put latent axis 2 up.
+    probs, pts = report.probabilities, report.latent_points[:, :2]
+    r = report.grid_resolution or max(2, math.ceil(math.sqrt(len(probs) / 4)))
+    nx, ny = np.where(bounds[:2, 1] > bounds[:2, 0], r, 1)
+    sums, counts = np.zeros((2, ny * nx))
+    for start in range(0, len(probs), SAMPLE_BLOCK):
+        block = slice(start, start + SAMPLE_BLOCK)
+        ix, iy = np.rint((pts[block] - bounds[:2, 0]) / span[:2] * (nx - 1, ny - 1)).T
+        pixel = (iy * nx + ix).astype(np.intp)
+        np.add.at(sums, pixel, probs[block])
+        np.add.at(counts, pixel, 1.0)
+    means = np.divide(sums, counts, out=sums, where=counts > 0).reshape(ny, nx)[::-1]
+    rgb = np.empty((ny, nx, 3), dtype=np.uint8)
+    rows = max(1, SAMPLE_BLOCK // nx)
+    for top in range(0, ny, rows):
+        rgb[top:top + rows] = _prob_rgb(means[top:top + rows])
+    rgb[counts.reshape(ny, nx)[::-1] == 0] = 255
+    del sums, counts, means  # so the r x r sums do not add to the PNG's peak
+    cw, ch = (WIDTH - 2 * MARGIN) / (r - 1), (HEIGHT - 2 * MARGIN) / (r - 1)
+    x0, y1 = to_px(bounds[:, 0])
+    x1, y0 = to_px(bounds[:, 1])
+    href = "data:image/png;base64," + binascii.b2a_base64(_png(rgb), newline=False).decode()
+    parts.append(
+        f'<image x="{x0 - cw / 2:.2f}" y="{y0 - ch / 2:.2f}" '
+        f'width="{x1 - x0 + cw:.2f}" height="{y1 - y0 + ch:.2f}" '
+        f'preserveAspectRatio="none" style="image-rendering:pixelated" href="{href}"/>'
+    )
 
     for row, label in zip(report.training_embedding, report.training_labels):
         x, y = to_px(np.asarray(row, dtype=float)[:2])

@@ -303,6 +303,20 @@ def test_scan_rejects_duplicate_task_across_instances(tmp_path):
         scan_catalog(tmp_path)
 
 
+def test_scan_solutions_rejects_a_solver_uuid_in_two_files(tmp_path):
+    def solution(uuid):
+        return {"solver_uuid": uuid, "solver_short_name": "demo", "results": []}
+
+    write_json(tmp_path / "a.solution.json", solution("solver-1"))
+    write_json(tmp_path / "b.solution.json", solution("solver-2"))
+    assert [s.solver_uuid for s in scan_solutions(tmp_path)] == ["solver-1", "solver-2"]
+    (tmp_path / "nested").mkdir()
+    write_json(tmp_path / "nested" / "c.solution.json", solution("solver-1"))
+    message = f"duplicate solver_uuid solver-1 in {tmp_path}"
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+        scan_solutions(tmp_path)
+
+
 def test_not_xml_char_matches_the_complement_of_xml_char_everywhere():
     """The positive class against the negated Char production, at every code point."""
     char = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")

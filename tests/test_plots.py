@@ -1,7 +1,8 @@
-"""The latent-map SVG: one embedded PNG for the 2-D grid, vector task markers."""
+"""The latent-map SVG: one embedded PNG for every map, vector task markers."""
 
 import base64
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -15,7 +16,7 @@ import pytest
 
 from gsee_bench.cli import main
 from gsee_bench.ml import SolvabilityConfig, estimate_solvability
-from gsee_bench.ml.solvability import SAMPLE_BLOCK
+from gsee_bench.ml.solvability import SAMPLE_BLOCK, grid_samples, random_samples
 from gsee_bench.plots import (
     _BLUE, _RED, _WHITE, HEIGHT, MARGIN, WIDTH, _prob_rgb, _star_path, render_latent_map,
 )
@@ -89,6 +90,12 @@ def decode_png(data: bytes) -> np.ndarray:
     return raw[:, 1:].reshape(height, width, 3)
 
 
+def map_pixels(root: ET.Element) -> np.ndarray:
+    """The pixels of a map's one embedded PNG."""
+    (image,) = root.findall(f"{SVG}image")
+    return decode_png(base64.b64decode(image.get("href").split(",", 1)[1]))
+
+
 @pytest.fixture(scope="module")
 def grid_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("grid")
@@ -150,31 +157,95 @@ def test_task_markers_stay_vector(grid_run):
 
 
 def test_scatter_for_three_latent_axes(tmp_path):
+    # A 3-D cloud is one image too, over latent axes 1-2 with about four
+    # samples a pixel; only the labeled training points draw as circles.
     report = run_solvability(tmp_path, "--samples", "200", "--latent-dim", "3")
     assert report["grid_resolution"] is None
     root = ET.parse(tmp_path / f"latent_map_{SOLVER}.svg").getroot()
-    assert root.find(f"{SVG}image") is None
-    fills = [c.get("fill") for c in root.findall(f"{SVG}circle")]
-    cloud = read_table(tmp_path / report["latent_points_file"])
-    assert fills[:len(cloud)] == [_prob_color(float(row["probability"])) for row in cloud]
+    assert map_pixels(root).shape == (8, 8, 3)  # ceil(sqrt(200 / 4)) pixels a side
+    training = read_table(tmp_path / f"training_points_{SOLVER}.csv")
+    labeled = [row for row in training if row["solved"] != ""]
+    fills = {"true": "rgb(5,48,97)", "false": "rgb(103,0,31)"}
+    assert [c.get("fill") for c in root.findall(f"{SVG}circle")] == [
+        fills[row["solved"]] for row in labeled
+    ]
 
 
-@pytest.mark.parametrize("dim, n_samples", [(2, 100 * 100), (3, 2 * SAMPLE_BLOCK + 7)])
+def _cloud_oracle(report) -> np.ndarray:
+    """Per-sample oracle of a cloud's raster: a dict from pixel to the
+    probabilities of its samples, then each pixel's mean through the ramp, and
+    white where a pixel has no sample."""
+    r = max(2, math.ceil(math.sqrt(len(report.probabilities) / 4)))
+    (x_lo, x_hi), (y_lo, y_hi) = report.bounds[:2].tolist()
+    pixels: dict[tuple[int, int], list[float]] = {}
+    for (x, y, *_), p in zip(report.latent_points.tolist(), report.probabilities.tolist()):
+        ix = round((x - x_lo) / (x_hi - x_lo) * (r - 1))
+        iy = round((y - y_lo) / (y_hi - y_lo) * (r - 1))
+        pixels.setdefault((ix, iy), []).append(p)
+    want = np.full((r, r, 3), 255, dtype=np.uint8)
+    for (ix, iy), ps in pixels.items():
+        want[r - 1 - iy, ix] = _prob_rgb(np.float64(sum(ps) / len(ps)))
+    return want
+
+
+@pytest.mark.parametrize(
+    "dim, n_samples", [(2, 100 * 100), (3, 2 * SAMPLE_BLOCK + 7), (5, 2 * SAMPLE_BLOCK + 7)]
+)
 def test_colours_in_blocks_are_the_one_pass_ramp(rng, dim, n_samples):
-    # The grid's 100 raster rows and the scatter's samples span several blocks.
-    X = rng.uniform(size=(40, 4))
+    # The grid's 100 raster rows and the cloud's samples span several blocks.
+    X = rng.uniform(size=(40, max(4, dim)))
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
     report = estimate_solvability(X, labels, SolvabilityConfig(latent_dim=dim, n_samples=n_samples))
-    root = ET.fromstring(render_latent_map(report, "blocks"))
+    pixels = map_pixels(ET.fromstring(render_latent_map(report, "blocks")))
     probs = report.probabilities
     if dim == 2:
         r = report.grid_resolution
-        href = root.find(f"{SVG}image").get("href")
-        pixels = decode_png(base64.b64decode(href.split(",", 1)[1]))
         assert np.array_equal(pixels, _prob_rgb(probs.reshape(r, r)[::-1]))
     else:
-        fills = [rgb(c.get("fill")) for c in root.findall(f"{SVG}circle")[:n_samples]]
-        assert fills == _prob_rgb(probs).tolist()
+        want = _cloud_oracle(report)
+        assert np.array_equal(pixels, want)
+        assert 0 < np.all(want == 255, axis=-1).sum() < 0.05 * want.shape[0] ** 2
+
+
+@pytest.mark.parametrize("r", [2, 3, 317])
+def test_grid_map_is_the_grid_ramp_bit_for_bit(rng, r):
+    # One sample on each pixel: the raster is the grid's own colours, rows
+    # flipped to put latent axis 2 up.
+    X = rng.uniform(size=(40, 4))
+    labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
+    report = estimate_solvability(X, labels, SolvabilityConfig(n_samples=r * r))
+    assert report.grid_resolution == r
+    pixels = map_pixels(ET.fromstring(render_latent_map(report, "grid")))
+    assert np.array_equal(pixels, _prob_rgb(report.probabilities.reshape(r, r)[::-1]))
+
+
+@pytest.mark.parametrize("dim, flat", [(2, 0), (3, 1)])
+def test_zero_span_axis_gives_a_filled_strip(rng, dim, flat):
+    X = rng.uniform(size=(40, 4))
+    labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
+    report = estimate_solvability(X, labels, SolvabilityConfig(latent_dim=dim, n_samples=900))
+    bounds = report.bounds.copy()
+    bounds[flat] = bounds[flat, 0]
+    if dim == 2:
+        points = grid_samples(bounds, 900)[0]
+    else:
+        points = random_samples(bounds, 900, seed=0)
+    assert np.all(points[:, flat] == bounds[flat, 0])
+    report = dataclasses.replace(report, bounds=bounds, latent_points=points)
+    root = ET.fromstring(render_latent_map(report, "flat"))
+    r = report.grid_resolution or 15  # ceil(sqrt(900 / 4))
+    pixels = map_pixels(root)
+    assert pixels.shape == ((r, 1, 3) if flat == 0 else (1, r, 3))
+    assert not np.any(np.all(pixels == 255, axis=-1))  # every pixel has samples
+    # Across the flat axis the strip is one lattice cell wide, as a grid's
+    # strip is; along the other it spans the plot and half a cell each side.
+    image = root.find(f"{SVG}image")
+    box = [float(image.get(k)) for k in ("x", "y", "width", "height")]
+    assert all(math.isfinite(v) for v in box)
+    extent = np.array([WIDTH, HEIGHT]) - 2.0 * MARGIN
+    size = extent + extent / (r - 1)
+    size[flat] = extent[flat] / (r - 1)
+    assert box[2:] == pytest.approx(size.tolist(), abs=0.01)
 
 
 def test_array_ramp_matches_scalar_ramp():
