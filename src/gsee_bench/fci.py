@@ -32,34 +32,38 @@ from .fcidump import FciDump, pair_integrals, pair_order
 MAX_ORBITALS = 16
 # Cap on the Slater-Condon element count of a sector (`nnz`), checked on the
 # closed form when a DeterminantBasis is built.  Sigma stores no elements,
-# and the count bounds its work per product.  Measured on a 2-core machine with
-# one BLAS thread, one random dump (demo generator, seed 1) per sector, build
-# plus two-root Davidson on sigma in a fresh process: the largest sector under
-# the cap, norb 12 with 6+2 electrons (dim 60,984, 63.9M elements), took 9.5 s
-# (75 iterations) at 247 MB peak RSS; norb 10 with 5+5 (dim 63,504, 55.6M)
-# 6.9 s (57 iterations) at 235 MB.  So a sector under the cap fits about 10 s
-# and 250 MB.
+# and the count bounds its work per product.  What the oracle holds is fixed
+# per sector: sigma's two (dim x pairs) buffers plus Davidson's basis and
+# product rows, 2 (DAVIDSON_MAX_SUBSPACE + k) x dim.  Measured on a 2-core
+# machine with one BLAS thread, one random dump (demo generator, seed 1) per
+# sector, build plus two-root Davidson on sigma in a fresh process, medians of
+# 4-5 runs: the largest sector under the cap, norb 12 with 6+2 electrons
+# (dim 60,984, 63.9M elements, 78 pairs), took 9.3 s (75 iterations) at
+# 152 MB peak RSS; norb 10 with 5+5 (dim 63,504, 55.6M, 55 pairs) 5.0 s
+# (57 iterations) at 132 MB.  So a sector under the cap fits about 10 s and
+# 160 MB.
 MAX_NONZEROS = 64_000_000
 # Sectors of at most this many determinants are solved densely (`toarray`
 # and eigvalsh), larger ones by Davidson on sigma.  Medians on a 2-core
-# machine with one BLAS thread, two demo-generator dumps per sector, each
-# from a fresh matrix, k = 2:
+# machine with one BLAS thread, two demo-generator dumps per sector (seeds 0
+# and 1), five fresh matrices each, k = 2, over three passes:
 #   (norb, n_alpha, n_beta)   dim   dense   Davidson
-#   (6, 3, 3)                 400   14 ms     25 ms
-#   (10, 2, 1)                450   14 ms     25 ms
-#   (8, 4, 1)                 560   36 ms     21 ms
-#   (16, 3, 0)                560   43 ms    204 ms
-#   (11, 2, 1)                605   24 ms     40 ms
-#   (13, 4, 0)                715   63 ms    138 ms
-#   (7, 3, 2)                 735   45 ms     19 ms
-#   (8, 2, 2)                 784   61 ms     29 ms
-#   (14, 4, 0)               1001  136 ms    201 ms
-#   (7, 3, 3)                1225  178 ms     28 ms
+#   (6, 3, 3)                 400   15 ms     17 ms
+#   (10, 2, 1)                450   20 ms     35 ms
+#   (8, 4, 1)                 560   32 ms     18 ms
+#   (16, 3, 0)                560   52 ms    224 ms
+#   (11, 2, 1)                605   34 ms     60 ms
+#   (13, 4, 0)                715   76 ms    174 ms
+#   (7, 3, 2)                 735   54 ms     25 ms
+#   (8, 2, 2)                 784   64 ms     21 ms
+#   (14, 4, 0)               1001  176 ms    250 ms
+#   (7, 3, 3)                1225  215 ms     29 ms
 # Davidson's cost grows with the pair count norb(norb+1)/2 and the dense
-# cost with dim^3, so the crossover moves from about 450 at norb 7-8 to
-# above 1000 for one-spin sectors of norb 12-16.  Over 25 sectors of
-# dim 400-1300, a cutoff of 700 keeps the path taken within 2.2x of the
-# faster one; 2000 cost up to 6.3x there, and 13x at (8, 3, 2), dim 1568.
+# cost with dim^3, so the crossover moves from about 400-500 at norb 6-8 to
+# above 1000 for one-spin sectors of norb 12-16.  On these sectors a cutoff
+# of 700 keeps the path taken within 2.3x of the faster one, the worst being
+# (13, 4, 0).  An earlier measurement over 25 sectors of dim 400-1300 put a
+# cutoff of 2000 at up to 6.3x there, and 13x at (8, 3, 2), dim 1568.
 DENSE_CUTOFF = 700
 # Davidson stops when every residual norm is below DAVIDSON_TOL, gives up
 # after DAVIDSON_MAX_ITERATIONS, and restarts above DAVIDSON_MAX_SUBSPACE
@@ -130,6 +134,31 @@ class _Strings:
     pair_to: np.ndarray
     pair_sign: np.ndarray
     pair_source: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Scratch:
+    """The fixed working set of sigma, bound once to a SectorHamiltonian and
+    rewritten by every product, so that a product allocates only its result.
+
+    `d` and `g` are (alpha strings, pairs, beta strings): D, with its beta
+    half gathered into `g`'s buffer first, then G in `g`; once G is formed
+    each spin's gather back is a view carved from `d`.  `stack_alpha` is
+    [c; -c; 0] over alpha strings and `stack_beta` [c, -c, 0] over beta
+    strings; their zero row and column are written once, here.
+    `beta_source` is the beta `pair_source` transposed and contiguous, and
+    `alpha_back` / `beta_back` are the flat indices into G of each spin's
+    (string, pair) entries.  `terms` holds the alpha and beta parts of sigma.
+    """
+
+    d: np.ndarray
+    g: np.ndarray
+    stack_alpha: np.ndarray
+    stack_beta: np.ndarray
+    beta_source: np.ndarray
+    alpha_back: np.ndarray
+    beta_back: np.ndarray
+    terms: np.ndarray
 
 
 def _bit(orbital: np.ndarray) -> np.ndarray:
@@ -226,9 +255,13 @@ def _interleave_phase(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
 class SectorHamiltonian:
     """Matrix-free symmetric sector Hamiltonian over a build_basis basis.
 
-    `H @ x` is sigma (the module docstring) for a vector or a (dim, m) block;
-    `toarray()` expands the same factorization into a dense matrix.  `nnz`
-    is `basis.nnz`; the string tables and the phase are bound once, here.
+    `H @ x` is sigma (the module docstring) for a vector or a (dim, m) block,
+    one column at a time in one `_Scratch` bound at the first product: two
+    (dim x pairs) buffers, two [c; -c; 0] stacks and a few dim-sized arrays,
+    so that a product allocates only its result.  One SectorHamiltonian is
+    therefore not for concurrent use.  `toarray()` expands the same
+    factorization into a dense matrix.  `nnz` is `basis.nnz`; the string
+    tables and the phase are bound once, here.
     """
 
     def __init__(self, dump: FciDump, basis: DeterminantBasis):
@@ -257,41 +290,63 @@ class SectorHamiltonian:
         return integrals
 
     @cached_property
-    def _scratch(self) -> np.ndarray:
-        """D, its beta part and G of sigma, each (alpha strings, pairs, beta
-        strings).  Every product reuses them, so that fresh pages are not
-        faulted in per product; one SectorHamiltonian is not for concurrent
-        use."""
-        n_pairs = len(self._integrals)
-        return np.empty((3, self.shape[0] * n_pairs))
+    def _scratch(self) -> _Scratch:
+        a, b = self._alpha, self._beta
+        n_a, n_b, n_pairs = len(a.masks), len(b.masks), len(self._integrals)
+        return _Scratch(
+            d=np.empty((n_a, n_pairs, n_b)),
+            g=np.empty((n_a, n_pairs, n_b)),
+            stack_alpha=np.zeros((2 * n_a + 1, n_b)),
+            stack_beta=np.zeros((n_a, 2 * n_b + 1)),
+            beta_source=np.ascontiguousarray(b.pair_source.T),
+            alpha_back=(a.pair_to * n_pairs + a.pair).astype(np.intp),
+            beta_back=(b.pair * n_b + b.pair_to).astype(np.intp),
+            terms=np.empty((2, n_a, n_b)),
+        )
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._sigma(x)
         out = np.empty_like(x)
-        for j in range(x.shape[1]):
-            out[:, j] = self._sigma(x[:, j])
+        if x.ndim == 1:
+            self._sigma(x, out)
+        else:
+            for j in range(x.shape[1]):
+                self._sigma(x[:, j], out[:, j])
         return out
 
-    def _sigma(self, x: np.ndarray) -> np.ndarray:
-        a, b, phase = self._alpha, self._beta, self._phase
+    def _sigma(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out = H @ x for one vector; every intermediate is in `_scratch`."""
+        a, b, s = self._alpha, self._beta, self._scratch
+        d, g = s.d, s.g
         n_a, n_b, n_pairs = len(a.masks), len(b.masks), len(self._integrals)
-        c = (x * phase).reshape(n_a, n_b)
-        d, d_beta, g = (buffer.reshape(n_a, n_pairs, n_b) for buffer in self._scratch)
-        # D[I, r, J] = (E_r c)[I, J] is a gather of [c; -c; 0], per spin
-        np.take(np.concatenate([c, -c, np.zeros((1, n_b))]), a.pair_source, axis=0,
-                out=d, mode="clip")
-        np.take(np.concatenate([c, -c, np.zeros((n_a, 1))], axis=1), b.pair_source.T, axis=1,
-                out=d_beta, mode="clip")
-        d += d_beta
+        phase = self._phase.reshape(n_a, n_b)
+        c, minus_c = s.stack_alpha[:n_a], s.stack_alpha[n_a:2 * n_a]
+        np.multiply(x.reshape(n_a, n_b), phase, out=c)
+        np.negative(c, out=minus_c)
+        s.stack_beta[:, :n_b] = c
+        s.stack_beta[:, n_b:2 * n_b] = minus_c
+        # D[I, r, J] = (E_r c)[I, J] is a gather of [c; -c; 0], per spin; the
+        # beta half lands in G's buffer, which the product then overwrites
+        np.take(s.stack_alpha, a.pair_source, axis=0, out=d, mode="clip")
+        np.take(s.stack_beta, s.beta_source, axis=1, out=g, mode="clip")
+        d += g
         np.matmul(self._integrals, d, out=g)
-        # sigma = sum_r E_r G_r, gathered with the same tables
-        alpha = np.take(g.reshape(n_a * n_pairs, n_b), a.pair_to * n_pairs + a.pair, axis=0)
-        beta = np.take(g.reshape(n_a, n_pairs * n_b), b.pair * n_b + b.pair_to, axis=1)
-        sigma = (np.einsum("ie,iej->ij", a.pair_sign, alpha)
-                 + np.einsum("je,ije->ij", b.pair_sign, beta) + self.dump.e_core * c)
-        return sigma.ravel() * phase
+        # sigma = sum_r E_r G_r, gathered with the same tables into D, which
+        # the product has consumed, one spin at a time
+        alpha_term, beta_term = s.terms
+        e_a, e_b = a.pair.shape[1], b.pair.shape[1]
+        alpha = d.reshape(-1)[:n_a * e_a * n_b].reshape(n_a, e_a, n_b)
+        np.take(g.reshape(n_a * n_pairs, n_b), s.alpha_back, axis=0, out=alpha, mode="clip")
+        np.einsum("ie,iej->ij", a.pair_sign, alpha, out=alpha_term)
+        beta = d.reshape(-1)[:n_a * n_b * e_b].reshape(n_a, n_b, e_b)
+        np.take(g.reshape(n_a, n_pairs * n_b), s.beta_back, axis=1, out=beta, mode="clip")
+        np.einsum("je,ije->ij", b.pair_sign, beta, out=beta_term)
+        # (alpha + beta) + e_core c, in that order: sigma stays bit-identical
+        # to the one-pass form that tests/fci_reference.py keeps
+        alpha_term += beta_term
+        np.multiply(c, self.dump.e_core, out=beta_term)
+        alpha_term += beta_term
+        np.multiply(alpha_term.reshape(-1), self._phase, out=out)
 
     def toarray(self) -> np.ndarray:
         """Dense H = sum_rs W_rs E_r E_s + e_core, E_r = A_r (x) 1 + 1 (x) B_r,
@@ -357,11 +412,17 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
     SciPy sparse matrix).
 
     Problems up to DENSE_CUTOFF are solved densely; larger ones by Davidson
-    iteration with a diagonal preconditioner, restarting when the subspace
-    exceeds DAVIDSON_MAX_SUBSPACE.  The products H @ v are kept between
-    iterations, so H is applied once to each basis direction; a restart
-    rotates them with the basis.  If the iteration stalls the best estimates are returned with
-    converged=False rather than raising.
+    iteration with a diagonal preconditioner, in arrays allocated once: the
+    basis vectors and their products H @ v are the rows of two
+    (DAVIDSON_MAX_SUBSPACE + k) x n arrays, and the projected matrix
+    V H V^T is one square array of that order.  Each iteration forms the k
+    residuals in the rows after the basis, turns them into new directions
+    in place, applies H to those alone and fills only their rows and
+    columns of the projected matrix.  Above DAVIDSON_MAX_SUBSPACE vectors
+    the subspace restarts: the leading 2k + 2 Ritz vectors, orthonormalized,
+    and their products are rotated into the leading rows.  If the iteration
+    stalls the best estimates are returned with converged=False rather than
+    raising.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -375,70 +436,87 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
         return _spectrum(eigvals[:k_eff], 0, True)
 
     diag = matrix.diagonal()
-    n_guess = min(n, max(2 * k_eff, k_eff + 2))
-    guess_idx = np.argsort(diag, kind="stable")[:n_guess]
-    basis = np.zeros((n, n_guess))
-    basis[guess_idx, np.arange(n_guess)] = 1.0
+    m = min(n, max(2 * k_eff, k_eff + 2))
+    rows = max(max_subspace, m) + k_eff
+    basis = np.zeros((rows, n))
+    products = np.empty((rows, n))
+    projected = np.empty((rows, rows))
+    basis[np.arange(m), np.argsort(diag, kind="stable")[:m]] = 1.0
 
-    sigma = matrix @ basis
+    def project(start: int, stop: int) -> None:
+        """Rows and columns start:stop of the projected matrix, symmetric."""
+        cross = basis[:stop] @ products[start:stop].T
+        projected[:start, start:stop] = cross[:start]
+        projected[start:stop, :start] = cross[:start].T
+        projected[start:stop, start:stop] = (cross[start:] + cross[start:].T) / 2.0
+
+    def apply(start: int, stop: int) -> None:
+        products[start:stop] = (matrix @ basis[start:stop].T).T
+        project(start, stop)
+
+    def restart(rotation: np.ndarray) -> int:
+        """Rotate the basis and the products into their leading rows:
+        rotation^T V = L Q with L L^T its Gram matrix, so the basis becomes
+        Q and the products rotate by the same L^-1 rotation^T."""
+        used, kept = rotation.shape
+        rotated = rotation.T @ basis[:used]
+        to_q = np.linalg.inv(np.linalg.cholesky(rotated @ rotated.T))
+        np.matmul(to_q, rotated, out=basis[:kept])
+        np.matmul(to_q @ rotation.T, products[:used], out=rotated)
+        products[:kept] = rotated
+        project(0, kept)
+        return kept
+
+    apply(0, m)
     theta = np.zeros(k_eff)
     converged = False
     iteration = 0
 
     for iteration in range(1, DAVIDSON_MAX_ITERATIONS + 1):
-        projected = basis.T @ sigma
-        projected = (projected + projected.T) / 2.0
-        eigvals, eigvecs = np.linalg.eigh(projected)
+        eigvals, eigvecs = np.linalg.eigh(projected[:m, :m])
         theta = eigvals[:k_eff]
         y = eigvecs[:, :k_eff]
-        ritz = basis @ y
-        residuals = sigma @ y - ritz * theta
-        norms = np.linalg.norm(residuals, axis=0)
+        # residuals H x - theta x of the Ritz vectors x = V^T y, with the
+        # scaled Ritz vectors parked in the free rows of the products
+        residuals, ritz = basis[m:m + k_eff], products[m:m + k_eff]
+        np.matmul(y.T, basis[:m], out=ritz)
+        np.matmul(y.T, products[:m], out=residuals)
+        ritz *= theta[:, None]
+        residuals -= ritz
+        norms = np.linalg.norm(residuals, axis=1)
         if np.all(norms < tol):
             converged = True
             break
 
-        if basis.shape[1] + k_eff > max_subspace:
-            rotation = eigvecs[:, :min(2 * k_eff + 2, eigvecs.shape[1])]
-            # basis @ rotation = Q R, so the products rotate by rotation @ R^-1
-            basis, r = np.linalg.qr(basis @ rotation)
-            sigma = sigma @ np.linalg.solve(r.T, rotation.T).T
+        if m + k_eff > max_subspace:
+            m = restart(eigvecs[:, :min(2 * k_eff + 2, m)])
             continue
 
-        new_dirs = []
+        added = 0
         for root in range(k_eff):
             if norms[root] < tol:
                 continue
             denom = theta[root] - diag
             denom = np.where(np.abs(denom) < 1e-8, np.copysign(1e-8, denom + 1e-300), denom)
-            new_dirs.append(residuals[:, root] / denom)
-        grown = _extend_basis(basis, new_dirs)
-        if grown is None:
+            # root's residual is row m + root, at or after row m + added, so
+            # its direction overwrites it or a row already consumed
+            vec = basis[m + added]
+            np.divide(residuals[root], denom, out=vec)
+            for _ in range(2):
+                vec -= basis[:m + added].T @ (basis[:m + added] @ vec)
+            norm = np.linalg.norm(vec)
+            if norm > 1e-10:
+                vec /= norm
+                added += 1
+        if not added:
             # No independent direction left; the subspace is exhausted.
             converged = bool(np.all(norms < max(tol, 1e-6)))
             break
-        sigma = np.column_stack([sigma, matrix @ grown[:, basis.shape[1]:]])
-        basis = grown
+        apply(m, m + added)
+        m += added
 
     order = np.argsort(theta)
     return _spectrum(theta[order], iteration, converged)
-
-
-def _extend_basis(basis: np.ndarray, new_dirs: list[np.ndarray]) -> np.ndarray | None:
-    added = []
-    current = basis
-    for direction in new_dirs:
-        vec = direction.copy()
-        for _ in range(2):
-            vec -= current @ (current.T @ vec)
-        norm = np.linalg.norm(vec)
-        if norm > 1e-10:
-            vec /= norm
-            current = np.column_stack([current, vec])
-            added.append(vec)
-    if not added:
-        return None
-    return current
 
 
 def _spectrum(energies: np.ndarray, iterations: int, converged: bool) -> SpectrumResult:

@@ -7,6 +7,9 @@ chemist-notation integrals, stored as a CSR array with exact zeros dropped.
 Of the package it shares only the diagonal, the interleaving phase and two
 bit helpers, so it checks both sigma and `toarray`.  `sector_dets` lists
 the (alpha, beta) bitmask pairs of a sector in build_basis order.
+`sigma_reference` is the direct-CI sigma with fresh arrays for every
+intermediate, the oracle that the fixed-scratch product must equal bit for
+bit.
 """
 
 from __future__ import annotations
@@ -21,12 +24,37 @@ import scipy.sparse
 from gsee_bench.fcidump import FciDump
 from gsee_bench.fci import (
     DeterminantBasis,
+    SectorHamiltonian,
     _bit,
     _diagonal,
     _interleave_phase,
     _parity,
     _strings,
 )
+
+
+def sigma_reference(h: SectorHamiltonian, x: np.ndarray) -> np.ndarray:
+    """H @ x for one vector, computed as the package's sigma is but with
+    every stack, gather and sum in a fresh array."""
+    a, b, phase = h._alpha, h._beta, h._phase
+    n_a, n_b, n_pairs = len(a.masks), len(b.masks), len(h._integrals)
+    c = (x * phase).reshape(n_a, n_b)
+    d = np.empty((n_a, n_pairs, n_b))
+    d_beta = np.empty_like(d)
+    g = np.empty_like(d)
+    # D[I, r, J] = (E_r c)[I, J] is a gather of [c; -c; 0], per spin
+    np.take(np.concatenate([c, -c, np.zeros((1, n_b))]), a.pair_source, axis=0,
+            out=d, mode="clip")
+    np.take(np.concatenate([c, -c, np.zeros((n_a, 1))], axis=1), b.pair_source.T, axis=1,
+            out=d_beta, mode="clip")
+    d += d_beta
+    np.matmul(h._integrals, d, out=g)
+    # sigma = sum_r E_r G_r, gathered with the same tables
+    alpha = np.take(g.reshape(n_a * n_pairs, n_b), a.pair_to * n_pairs + a.pair, axis=0)
+    beta = np.take(g.reshape(n_a, n_pairs * n_b), b.pair * n_b + b.pair_to, axis=1)
+    sigma = (np.einsum("ie,iej->ij", a.pair_sign, alpha)
+             + np.einsum("je,ije->ij", b.pair_sign, beta) + h.dump.e_core * c)
+    return sigma.ravel() * phase
 
 
 def sector_dets(norb: int, n_alpha: int, n_beta: int) -> list[tuple[int, int]]:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from gsee_bench.errors import InconsistentBasis, InvalidOccupation, TooLarge
 from gsee_bench.fcidump import FciDump, parse_fcidump
 from gsee_bench.fermionic import log_fci_size
 from gsee_bench.fci import (
+    DAVIDSON_MAX_SUBSPACE,
     DENSE_CUTOFF,
     DeterminantBasis,
     MAX_NONZEROS,
@@ -26,7 +28,7 @@ from gsee_bench.fci import (
 )
 
 from conftest import brute_force_fci_matrix, interleave, random_fcidump, random_symmetric
-from fci_reference import build_csr, sector_dets
+from fci_reference import build_csr, sector_dets, sigma_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -187,6 +189,13 @@ def test_sigma_matches_csr_oracle(norb, n_alpha, n_beta):
     assert np.abs(mat @ block - oracle @ block).max() <= 1e-12
     assert (mat @ block[:, 0]).shape == (len(basis),)
     assert np.abs(mat @ block[:, 0] - oracle @ block[:, 0]).max() <= 1e-12
+    # the fixed scratch gives the one-pass sigma bit for bit, and again on a
+    # second use of the same buffers
+    sigma = mat @ block[:, 0]
+    assert np.array_equal(sigma, sigma_reference(mat, block[:, 0]))
+    assert np.array_equal(mat @ sigma, sigma_reference(mat, sigma))
+    reference = np.column_stack([sigma_reference(mat, column) for column in block.T])
+    assert np.array_equal(mat @ block, reference)
     assert np.array_equal(mat.diagonal(), oracle.diagonal())
     if norb <= 6:  # (8, 3, 3) is compared in the dim-3136 test below
         assert np.abs(mat.toarray() - oracle.toarray()).max() <= 1e-12
@@ -203,6 +212,45 @@ def test_build_symmetry_and_stored_elements_at_dim_3136(rng):
     dense = mat.toarray()
     assert np.abs(dense - oracle.toarray()).max() <= 1e-12
     assert np.array_equal(dense, dense.T)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while `call` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sigma_allocates_only_its_result_after_the_first_product(rng):
+    d = random_fcidump(rng, 8, 6, 0, scale=0.5)
+    mat = build_fci_matrix(d, build_basis(8, 3, 3))
+    dim = mat.shape[0]
+    x, block = rng.normal(size=dim), rng.normal(size=(dim, 3))
+    mat @ x  # binds the scratch
+    # no buffer of dim x pairs floats, nor a gather back of dim x (pairs of
+    # one string): the one-pass sigma peaked at 40 dim floats here
+    assert _traced_peak(lambda: mat @ x) < 4 * dim * 8
+    assert _traced_peak(lambda: mat @ block) < (3 + 4) * dim * 8
+
+
+def test_davidson_working_set_is_the_closed_form(rng):
+    d = random_fcidump(rng, 8, 6, 0, scale=0.5)
+    mat = build_fci_matrix(d, build_basis(8, 3, 3))
+    dim, pairs, k = mat.shape[0], 8 * 9 // 2, 2
+    results = []
+    peak = _traced_peak(lambda: results.append(lowest_eigenvalues(mat, k=k)))
+    assert results[0].converged and results[0].n_iterations > 0
+    # sigma's D and G, and the basis and product rows; the slack is the
+    # scratch's [c; -c; 0] stacks and sigma terms (6 dim), the diagonal and
+    # the denominators, a restart's 2k + 2 rotated rows and a product block
+    # (the one-pass sigma with a column-stacked subspace peaked at 246 dim
+    # floats here, 110 over the closed form)
+    closed_form = 2 * dim * pairs + 2 * (DAVIDSON_MAX_SUBSPACE + k) * dim
+    slack = 24 * dim
+    assert peak < (closed_form + slack) * 8
 
 
 def test_oracle_cap_reachable_and_enforced_at_once():
