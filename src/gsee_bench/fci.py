@@ -230,9 +230,10 @@ def build_basis(
 
 def _diagonal(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
     """(alpha strings, beta strings): the diagonal elements, e_core included."""
-    eri = dump.two_body_tensor()
-    coulomb = np.einsum("ppqq->pq", eri)
-    same_spin_pair = coulomb - np.einsum("pqqp->pq", eri)
+    index = pair_order(dump.norb)[2]
+    pp = np.diagonal(index)
+    coulomb = dump.v[np.ix_(pp, pp)]  # (pp|qq)
+    same_spin_pair = coulomb - np.diagonal(dump.v)[index]  # minus (pq|qp)
     h_diag = dump.h1.diagonal()
 
     def energies(t: _Strings) -> np.ndarray:
@@ -419,10 +420,12 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
     residuals in the rows after the basis, turns them into new directions
     in place, applies H to those alone and fills only their rows and
     columns of the projected matrix.  Above DAVIDSON_MAX_SUBSPACE vectors
-    the subspace restarts: the leading 2k + 2 Ritz vectors, orthonormalized,
-    and their products are rotated into the leading rows.  If the iteration
-    stalls the best estimates are returned with converged=False rather than
-    raising.
+    the subspace restarts: the leading 2k + 2 Ritz vectors, at most
+    DAVIDSON_MAX_SUBSPACE - 2k (room for two blocks of k directions) but no
+    fewer than k, orthonormalized, and their products are rotated into the
+    leading rows; so a k above DAVIDSON_MAX_SUBSPACE / 2 raises ValueError.
+    If the iteration stalls the best estimates are returned with
+    converged=False rather than raising.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -435,6 +438,8 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
         eigvals = np.linalg.eigvalsh(dense)
         return _spectrum(eigvals[:k_eff], 0, True)
 
+    if 2 * k_eff > max_subspace:
+        raise ValueError(f"k={k} exceeds half the Davidson subspace of {max_subspace}")
     diag = matrix.diagonal()
     m = min(n, max(2 * k_eff, k_eff + 2))
     rows = max(max_subspace, m) + k_eff
@@ -489,7 +494,8 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
             break
 
         if m + k_eff > max_subspace:
-            m = restart(eigvecs[:, :min(2 * k_eff + 2, m)])
+            keep = max(k_eff, min(2 * k_eff + 2, m, max_subspace - 2 * k_eff))
+            m = restart(eigvecs[:, :keep])
             continue
 
         added = 0

@@ -1,11 +1,12 @@
-"""FCIDUMP integral file parsing, dense storage, and writing.
+"""FCIDUMP integral file parsing, pair-packed storage, and writing.
 
 An FCIDUMP file carries the one- and two-electron integrals of an electronic
 structure Hamiltonian over spatial molecular orbitals, plus a constant core
-energy.  Two-electron integrals use chemist notation (ij|kl) and are stored
-here as one dense, read-only (norb,)*4 tensor with the 8-fold permutational
-symmetry (ij|kl) = (ji|kl) = (ij|lk) = (ji|lk) = (kl|ij) = (lk|ij) = (kl|ji)
-= (lk|ji); a file lists each orbit once, under its canonical index tuple.
+energy.  Two-electron integrals use chemist notation (ij|kl), with the 8-fold
+symmetry generated by (ij|kl) = (ji|kl) = (ij|lk) = (kl|ij); a file lists
+each orbit once, under its canonical index tuple.  They are stored as one
+read-only pairs x pairs matrix V[pq, rs] = (pq|rs) over the orbital pairs
+p <= q of `pair_order`, which holds that symmetry as V = V^T.
 """
 
 from __future__ import annotations
@@ -29,17 +30,9 @@ from .errors import (
 
 # Two symmetry-equivalent entries in one file must agree to this tolerance.
 DUPLICATE_TOL = 1e-10
-# The dense tensor holds norb**4 floats, 128 MB at this cap: twice the feature
-# cap and four times the oracle cap, so no stage accepts a larger dump.
+# V holds (norb (norb + 1) / 2)**2 floats, 34.6 MB at this cap: twice the
+# feature cap and four times the oracle cap, so no stage accepts a larger dump.
 MAX_NORB = 64
-# Positions in (i, j, k, l) of the 8 orbit members of (ij|kl), one row each:
-# (ij|kl), (ji|kl), (ij|lk), (ji|lk), (kl|ij), (lk|ij), (kl|ji), (lk|ji).
-_ORBIT = np.array([
-    (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-    (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
-])
-# (ji|kl), (ij|lk) and (kl|ij): the transposes that generate the orbit.
-_ORBIT_GENERATORS = ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1))
 
 
 def canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
@@ -50,25 +43,13 @@ def canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, 
     return first + second if first <= second else second + first
 
 
-def _canonical_flat(n: int) -> np.ndarray:
-    """canonical_eri_index over a whole (n,)*4 tensor, as C-order flat indices.
-
-    A sorted pair (a, b) ranks as a*n + b, so the canonical member of
-    (ij|kl) sits at min(rank)*n**2 + max(rank) of its two pairs.
-    """
-    r = np.arange(n)
-    rank = (np.minimum.outer(r, r) * n + np.maximum.outer(r, r)).ravel()
-    flat = np.minimum.outer(rank, rank) * n * n + np.maximum.outer(rank, rank)
-    return flat.reshape((n,) * 4)
-
-
 @dataclass(frozen=True, eq=False)
 class FciDump:
     """One FCIDUMP worth of integral data over spatial orbitals.
 
-    h1 is the symmetric norb x norb one-electron table and h2 the 8-fold
-    symmetric (norb,)*4 chemist-notation tensor, both 0-based, copied in and
-    read-only.  Spin enters only downstream (encodings and the exact solver).
+    h1 is the symmetric norb x norb one-electron table and v the symmetric
+    pairs x pairs matrix V of (pq|rs), both 0-based, copied in and read-only.
+    Spin enters only downstream (encodings and the exact solver).
     """
 
     norb: int
@@ -76,7 +57,7 @@ class FciDump:
     ms2: int = 0
     e_core: float = 0.0
     h1: np.ndarray = None  # type: ignore[assignment]
-    h2: np.ndarray = None  # type: ignore[assignment]
+    v: np.ndarray = None  # type: ignore[assignment]
     orbsym: tuple[int, ...] = None  # type: ignore[assignment]
     isym: int = 1
 
@@ -93,23 +74,23 @@ class FciDump:
                 f"nelec={self.nelec}, ms2={self.ms2}: more electrons of one spin "
                 f"({max(self.n_alpha, self.n_beta)}) than orbitals ({n})"
             )
+        pairs = n * (n + 1) // 2
         h1 = np.zeros((n, n)) if self.h1 is None else np.array(self.h1, dtype=float)
-        h2 = np.zeros((n,) * 4) if self.h2 is None else np.array(self.h2, dtype=float)
+        v = np.zeros((pairs, pairs)) if self.v is None else np.array(self.v, dtype=float, order="C")
         if h1.shape != (n, n):
             raise InvalidFciDump(f"h1 shape {h1.shape} != ({n}, {n})")
-        if h2.shape != (n,) * 4:
-            raise InvalidFciDump(f"h2 shape {h2.shape} != {(n,) * 4}")
-        if not (np.isfinite(h1).all() and np.isfinite(h2).all() and np.isfinite(self.e_core)):
+        if v.shape != (pairs, pairs):
+            raise InvalidFciDump(f"v shape {v.shape} != ({pairs}, {pairs})")
+        if not (np.isfinite(h1).all() and np.isfinite(v).all() and np.isfinite(self.e_core)):
             raise InvalidFciDump("non-finite integral value")
         if not np.array_equal(h1, h1.T):
             raise InvalidFciDump("h1 is not symmetric")
-        for axes in _ORBIT_GENERATORS:
-            if not np.array_equal(h2, h2.transpose(axes)):
-                raise InvalidFciDump(f"h2 is not symmetric under the transpose {axes}")
+        if not np.array_equal(v, v.T):
+            raise InvalidFciDump("v is not symmetric")
         h1.flags.writeable = False
-        h2.flags.writeable = False
+        v.flags.writeable = False
         object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "v", v)
         if self.orbsym is None:
             object.__setattr__(self, "orbsym", (1,) * n)
         if len(self.orbsym) != n:
@@ -124,7 +105,7 @@ class FciDump:
             and self.ms2 == other.ms2
             and self.e_core == other.e_core
             and np.array_equal(self.h1, other.h1)
-            and np.array_equal(self.h2, other.h2)
+            and np.array_equal(self.v, other.v)
             and self.orbsym == other.orbsym
             and self.isym == other.isym
         )
@@ -138,8 +119,9 @@ class FciDump:
         return (self.nelec - self.ms2) // 2
 
     def two_body_tensor(self) -> np.ndarray:
-        """The dense (norb,)*4 chemist-notation tensor h2 (read-only)."""
-        return self.h2
+        """The dense (norb,)*4 chemist-notation tensor (ij|kl), gathered fresh from v."""
+        index = pair_order(self.norb)[2]
+        return self.v[index[:, :, None, None], index[None, None]]
 
     @classmethod
     def from_tensors(
@@ -159,18 +141,22 @@ class FciDump:
             h1 = np.asarray(h1, dtype=float)
             # halved first: h1 + h1.T overflows for finite entries near the float max
             h1 = h1 / 2.0 + h1.T / 2.0
+        v = None
         if h2 is not None:
             h2 = np.asarray(h2, dtype=float)
             if h2.shape != (norb,) * 4:
                 raise InvalidFciDump(f"h2 shape {h2.shape} != {(norb,) * 4}")
+            p, q, _ = pair_order(norb)
             # + 0.0 stores a canonical -0.0 as the 0.0 an unset entry is
-            canon = h2.ravel()[_canonical_flat(norb)] + 0.0
-            off = np.abs(h2 - canon) > DUPLICATE_TOL
+            v = np.triu(h2[p[:, None], q[:, None], p, q]) + 0.0
+            v += np.triu(v, 1).T
+        dump = cls(norb, nelec, ms2, float(e_core), h1, v, orbsym, isym)
+        if h2 is not None:
+            off = np.abs(h2 - dump.two_body_tensor()) > DUPLICATE_TOL
             if off.any():
                 key = tuple(int(x) for x in np.argwhere(off)[0])
                 raise InvalidFciDump(f"h2 violates 8-fold symmetry at {key}")
-            h2 = canon
-        return cls(norb, nelec, ms2, float(e_core), h1, h2, orbsym, isym)
+        return dump
 
 
 @lru_cache(maxsize=32)
@@ -188,11 +174,11 @@ def pair_order(norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def pair_integrals(dump: FciDump) -> tuple[np.ndarray, np.ndarray]:
     """(k, V) over the pairs of `pair_order`: the normal-ordered one-body
-    term k_pq = h_pq - 1/2 sum_r (pr|rq) and the symmetric pairs x pairs
-    matrix V[pq, rs] = (pq|rs); both are fresh, C-ordered arrays."""
-    p, q, _ = pair_order(dump.norb)
-    k = dump.h1 - 0.5 * np.einsum("prrq->pq", dump.h2)
-    return k[p, q], dump.h2[p[:, None], q[:, None], p, q]
+    term k_pq = h_pq - 1/2 sum_r (pr|rq), a fresh array, and the dump's own
+    read-only, C-ordered V[pq, rs] = (pq|rs), `dump.v`."""
+    p, q, index = pair_order(dump.norb)
+    k = dump.h1 - 0.5 * np.einsum("prq->pq", dump.v[index[:, :, None], index[None]])
+    return k[p, q], dump.v
 
 
 _HEADER_ITEM = re.compile(
@@ -310,32 +296,33 @@ def parse_fcidump(source: str | TextIO) -> FciDump:
             h2[key] = value
         else:
             h1[key[2] - 1, key[3] - 1] = h1[key[3] - 1, key[2] - 1] = value
-    # keys @ radix.T: the flat index of every orbit member of every h2 key;
+    # each h2 key goes to V[a, b] and V[b, a] of its two pairs;
     # + 0.0 stores a listed -0.0 as the 0.0 of an unset entry
     count = len(h2)
     keys = np.fromiter(chain.from_iterable(h2), np.intp, 4 * count).reshape(count, 4) - 1
-    radix = norb ** (3 - np.argsort(_ORBIT, axis=1))
-    eri = np.zeros(norb**4)
-    eri[keys @ radix.T] = np.fromiter(h2.values(), float, count)[:, None] + 0.0
-    return FciDump(norb, nelec, ms2, e_core, h1, eri.reshape((norb,) * 4), orbsym, isym)
+    index = pair_order(norb)[2]
+    a, b = index[keys[:, 0], keys[:, 1]], index[keys[:, 2], keys[:, 3]]
+    v = np.zeros((norb * (norb + 1) // 2,) * 2)
+    v[a, b] = v[b, a] = np.fromiter(h2.values(), float, count) + 0.0
+    return FciDump(norb, nelec, ms2, e_core, h1, v, orbsym, isym)
 
 
 def write_fcidump(dump: FciDump) -> str:
     """Render an FciDump as FCIDUMP text.
 
-    Emits one line per nonzero canonical two-electron integral, in index
-    order, then the nonzero lower-triangle h1 entries, and always ends with
-    the core-energy line; parse(write(d)) == d.
+    Emits one line per nonzero canonical two-electron integral (v's upper
+    triangle), in index order, then the nonzero lower-triangle h1 entries,
+    and always ends with the core-energy line; parse(write(d)) == d.
     """
     out = io.StringIO()
     out.write(f"&FCI NORB={dump.norb},NELEC={dump.nelec},MS2={dump.ms2},\n")
     out.write(f" ORBSYM={','.join(str(s) for s in dump.orbsym)},\n")
     out.write(f" ISYM={dump.isym},\n")
     out.write("&END\n")
-    canon = _canonical_flat(dump.norb).ravel()
-    flat = np.flatnonzero((canon == np.arange(canon.size)) & (dump.h2.ravel() != 0.0))
-    keys = np.column_stack(np.unravel_index(flat, dump.h2.shape)) + 1
-    for (i, j, k, l), value in zip(keys.tolist(), dump.h2.ravel()[flat].tolist()):
+    p, q, _ = pair_order(dump.norb)
+    a, b = np.nonzero(np.triu(dump.v))
+    keys = np.column_stack([p[a], q[a], p[b], q[b]]) + 1
+    for (i, j, k, l), value in zip(keys.tolist(), dump.v[a, b].tolist()):
         out.write(f" {value!r} {i} {j} {k} {l}\n")
     for i in range(dump.norb):
         for j in range(i + 1):

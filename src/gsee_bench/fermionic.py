@@ -8,7 +8,7 @@ the number L of eigenvalues lambda_l kept by a cutoff and the gap
 |lambda_0 - lambda_1| between the two largest in magnitude.  That matrix
 maps every index-antisymmetric vector to zero, so its nonzero eigenvalues
 are those of M[pq, rs] = w_pq w_rs V[pq, rs], with V = (pq|rs) the pairs x
-pairs matrix of `fcidump.pair_integrals` and w = sqrt(2) on p < q and 1 on
+pairs matrix the dump stores (`FciDump.v`) and w = sqrt(2) on p < q and 1 on
 p = q; the factors themselves are not formed.
 """
 
@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import EigenFailure, InvalidOccupation
-from .fcidump import FciDump, pair_integrals, pair_order
+from .fcidump import FciDump, pair_order
 
 DEFAULT_DF_THRESHOLD = 1e-6
 
@@ -55,7 +55,7 @@ def double_factorize(
     """
     p, q, _ = pair_order(dump.norb)
     weight = np.where(p == q, 1.0, math.sqrt(2.0))
-    packed = pair_integrals(dump)[1] * np.outer(weight, weight)
+    packed = dump.v * np.outer(weight, weight)
     try:
         eigvals = np.linalg.eigvalsh(packed)
     except np.linalg.LinAlgError as exc:

@@ -1,5 +1,6 @@
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -366,6 +367,40 @@ def test_davidson_applies_matrix_to_each_direction_once(rng, monkeypatch, max_su
     assert len(added) < result.n_iterations
     # a Davidson that re-applied the whole basis would apply at least this many
     assert sum(mat.applied) < initial * result.n_iterations
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_davidson_restart_leaves_room_to_grow_for_large_k(monkeypatch, k):
+    # a restart that kept 2k + 2 >= DAVIDSON_MAX_SUBSPACE vectors restarted
+    # to the same subspace every iteration and stopped unconverged at 300
+    mat = _random_sparse_symmetric(np.random.default_rng(0), 400)
+    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
+    result = lowest_eigenvalues(mat, k=k)
+    assert result.converged and result.n_iterations < fci.DAVIDSON_MAX_ITERATIONS
+    dense = np.linalg.eigvalsh(mat.toarray())
+    assert np.abs(np.array(result.energies) - dense[:k]).max() < 1e-8
+
+
+@pytest.mark.parametrize("max_subspace, k", [(30, 16), (8, 5)])
+def test_davidson_refuses_k_its_subspace_cannot_hold(rng, monkeypatch, max_subspace, k):
+    mat = _random_sparse_symmetric(rng, 400)
+    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(fci, "DAVIDSON_MAX_SUBSPACE", max_subspace)
+    with pytest.raises(ValueError, match="exceeds half the Davidson subspace"):
+        lowest_eigenvalues(mat, k=k)
+    assert len(lowest_eigenvalues(mat, k=max_subspace // 2).energies) == max_subspace // 2
+
+
+@pytest.mark.xfail(strict=True, reason="Davidson can converge on the third root and miss the second")
+def test_davidson_finds_the_second_root_of_a_784_determinant_sector():
+    random_demo_dump = runpy.run_path(str(ROOT / "demo" / "generate.py"))["random_fcidump"]
+    d = random_demo_dump(np.random.default_rng([1, 8, 2, 2]), 8, 4, 0)
+    spectrum, dim = solve_ground_state(d)
+    assert dim == 784 > DENSE_CUTOFF and spectrum.converged
+    exact = np.linalg.eigvalsh(build_fci_matrix(d, build_basis(8, 2, 2)).toarray())[:2]
+    assert abs(spectrum.energies[0] - exact[0]) < 1e-8
+    # reported: -11.628..., the third eigenvalue; the second is -11.809...
+    assert abs(spectrum.energies[1] - exact[1]) < 1e-8
 
 
 def test_davidson_on_structured_hamiltonian(rng, monkeypatch):

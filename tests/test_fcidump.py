@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from gsee_bench.fcidump import (
     DUPLICATE_TOL,
     MAX_NORB,
     FciDump,
-    _canonical_flat,
     canonical_eri_index,
     pair_integrals,
     pair_order,
@@ -25,6 +26,7 @@ from gsee_bench.fcidump import (
 from conftest import eri_orbit, random_eri, random_fcidump
 
 MINIMAL = "&FCI NORB=2,NELEC=2,MS2=0,&END\n1.0 1 1 0 0\n"
+DEMO_CATALOG = Path(__file__).resolve().parent.parent / "demo" / "catalog"
 
 
 def test_parse_minimal_header_and_h1():
@@ -34,8 +36,9 @@ def test_parse_minimal_header_and_h1():
     assert d.ms2 == 0
     assert d.h1[0, 0] == 1.0
     assert np.count_nonzero(d.h1) == 1
-    assert d.h2.shape == (2, 2, 2, 2)
-    assert not d.h2.any()
+    assert d.v.shape == (3, 3)
+    assert d.two_body_tensor().shape == (2, 2, 2, 2)
+    assert not d.two_body_tensor().any()
     assert d.e_core == 0.0
 
 
@@ -66,9 +69,12 @@ def test_parse_accepts_file_object(tmp_path):
 def test_h2_symmetry_lookup_example():
     # the one line (11|22) sets (00|11) and (11|00) of the 0-based tensor
     d = parse_fcidump("&FCI NORB=2,NELEC=2,&END\n0.3 1 1 2 2\n")
-    assert d.h2[0, 0, 1, 1] == 0.3
-    assert d.h2[1, 1, 0, 0] == 0.3
-    assert np.count_nonzero(d.h2) == 2
+    tensor = d.two_body_tensor()
+    assert tensor[0, 0, 1, 1] == 0.3
+    assert tensor[1, 1, 0, 0] == 0.3
+    assert np.count_nonzero(tensor) == 2
+    # pairs (0, 0) and (1, 1) are rows 0 and 2 of V
+    assert d.v[0, 2] == d.v[2, 0] == 0.3 and np.count_nonzero(d.v) == 2
 
 
 def test_multiline_header_with_orbsym():
@@ -233,16 +239,17 @@ def test_tensor_is_constant_on_orbits(rng):
 
 def test_tensors_are_read_only_copies(rng):
     d = FciDump(norb=2, nelec=2)
-    assert d.h1.shape == (2, 2) and d.h2.shape == (2, 2, 2, 2)
-    assert not d.h1.any() and not d.h2.any()
+    assert d.h1.shape == (2, 2) and d.v.shape == (3, 3)
+    assert not d.h1.any() and not d.v.any()
     h1 = np.eye(3)
-    h2 = random_eri(rng, 3)
-    d = FciDump(3, 2, 0, 0.0, h1, h2)
+    v = FciDump.from_tensors(3, 2, 0, h2=random_eri(rng, 3)).v.copy()
+    d = FciDump(3, 2, 0, 0.0, h1, v)
     h1[0, 0] = 5.0
-    h2[0, 0, 0, 0] = 5.0
-    assert d.h1[0, 0] == 1.0 and d.h2[0, 0, 0, 0] != 5.0
-    assert d.two_body_tensor() is d.h2
-    for array in (d.h1, d.h2):
+    v[0, 0] = 5.0
+    assert d.h1[0, 0] == 1.0 and d.v[0, 0] != 5.0
+    # the dense tensor is not stored: each call gathers a fresh one from v
+    assert d.two_body_tensor() is not d.two_body_tensor()
+    for array in (d.h1, d.v):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
@@ -258,27 +265,31 @@ def test_canonical_index_is_orbit_invariant(rng):
 
 
 def test_canonical_index_closed_form_is_orbit_minimum():
-    # vectorized rule == scalar rule == smallest orbit member, for every tuple
+    # pair-index rule == scalar rule == smallest orbit member, for every
+    # tuple: the canonical member of (ij|kl) is V[min(a, b), max(a, b)] of
+    # its pairs a = index[i, j] and b = index[k, l]
     for norb in range(1, 6):
-        shape = (norb,) * 4
-        flat = _canonical_flat(norb)
-        for idx in np.ndindex(shape):
-            canon = min(eri_orbit(*idx))
-            assert canonical_eri_index(*idx) == canon, idx
-            assert np.unravel_index(flat[idx], shape) == canon, idx
+        p, q, index = pair_order(norb)
+        for i, j, k, l in np.ndindex((norb,) * 4):
+            canon = min(eri_orbit(i, j, k, l))
+            assert canonical_eri_index(i, j, k, l) == canon
+            a, b = sorted((index[i, j], index[k, l]))
+            assert (p[a], q[a], p[b], q[b]) == canon
 
 
 @pytest.mark.parametrize("norb", [1, 2, 3, 4, 5])
 def test_writer_emits_the_nonzero_orbit_minima_in_order(rng, norb):
     minima = {min(eri_orbit(*idx)) for idx in np.ndindex((norb,) * 4)}
     d = random_fcidump(rng, norb)
-    sparse = d.h2 * (np.abs(d.h2) > np.median(np.abs(d.h2)))
+    dense = d.two_body_tensor()
+    sparse = dense * (np.abs(dense) > np.median(np.abs(dense)))
     for dump in (d, FciDump.from_tensors(norb, d.nelec, d.ms2, d.e_core, d.h1, sparse)):
+        tensor = dump.two_body_tensor()
         lines = [line.split() for line in write_fcidump(dump).splitlines()[4:]]
         keys = [tuple(int(x) - 1 for x in line[1:]) for line in lines if line[3] != "0"]
-        assert keys == sorted(k for k in minima if dump.h2[k] != 0.0)
+        assert keys == sorted(k for k in minima if tensor[k] != 0.0)
         for key, line in zip(keys, lines):
-            assert float(line[0]) == dump.h2[key]
+            assert float(line[0]) == tensor[key]
         assert parse_fcidump(write_fcidump(dump)) == dump
 
 
@@ -289,14 +300,15 @@ def _lone(*entries: tuple[int, int, int, int]) -> np.ndarray:
     return h2
 
 
-# An entry set without its whole orbit breaks one generating transpose; an
-# index outside the basis is a wrong shape.
+# A dense h2 entry set without its whole orbit differs from the canonical
+# entry's expansion at its first such index; an index outside the basis is a
+# wrong shape, and a non-finite value reaches the constructor's check on v.
 @pytest.mark.parametrize(
     "h2, message",
     [
-        (_lone((1, 0, 0, 0)), r"transpose \(1, 0, 2, 3\)"),
-        (_lone((0, 0, 0, 1)), r"transpose \(0, 1, 3, 2\)"),
-        (_lone((0, 0, 0, 1), (0, 0, 1, 0)), r"transpose \(2, 3, 0, 1\)"),
+        (_lone((1, 0, 0, 0)), r"8-fold symmetry at \(1, 0, 0, 0\)"),
+        (_lone((0, 0, 0, 1)), r"8-fold symmetry at \(0, 0, 1, 0\)"),
+        (_lone((0, 0, 0, 1), (0, 0, 1, 0)), r"8-fold symmetry at \(0, 1, 0, 0\)"),
         (np.zeros((3, 3, 3, 3)), "h2 shape"),
         (np.zeros((2, 2, 2, 3)), "h2 shape"),
         (np.full((2,) * 4, np.nan), "non-finite"),
@@ -308,7 +320,33 @@ def _lone(*entries: tuple[int, int, int, int]) -> np.ndarray:
 )
 def test_h2_key_and_value_checks(h2, message):
     with pytest.raises(InvalidFciDump, match=message):
-        FciDump(norb=2, nelec=2, h2=h2)
+        FciDump.from_tensors(2, 2, 0, h2=h2)
+
+
+def _asymmetric() -> np.ndarray:
+    v = np.zeros((3, 3))
+    v[0, 1] = 0.5
+    return v
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        (np.zeros((4, 4)), r"v shape \(4, 4\) != \(3, 3\)"),
+        (np.zeros((2, 2, 2, 2)), "v shape"),
+        (np.zeros((3, 4)), "v shape"),
+        (np.full((3, 3), np.nan), "non-finite"),
+        (np.full((3, 3), np.inf), "non-finite"),
+        (np.full((3, 3), -np.inf), "non-finite"),
+        (_asymmetric(), "v is not symmetric"),
+    ],
+    ids=["too-many-pairs", "dense-tensor", "not-square", "nan", "inf", "-inf", "asymmetric"],
+)
+def test_v_shape_value_and_symmetry_checks(v, message):
+    # (ji|kl) = (ij|kl) and (ij|lk) = (ij|kl) hold by V's pair indexing;
+    # (kl|ij) = (ij|kl) is V = V^T
+    with pytest.raises(InvalidFciDump, match=message):
+        FciDump(norb=2, nelec=2, v=v)
 
 
 def test_norb_above_cap_rejected():
@@ -384,8 +422,8 @@ def test_from_tensors_snaps_to_canonical_entry_within_tolerance(rng):
     eri = random_eri(rng, 3)
     near = eri.copy()
     near[2, 1, 0, 1] += 0.5 * DUPLICATE_TOL  # orbit minimum is (0, 1, 1, 2)
-    d = FciDump.from_tensors(3, 2, 0, h2=near)
-    assert d.h2[2, 1, 0, 1] == d.h2[0, 1, 1, 2] == eri[0, 1, 1, 2]
+    tensor = FciDump.from_tensors(3, 2, 0, h2=near).two_body_tensor()
+    assert tensor[2, 1, 0, 1] == tensor[0, 1, 1, 2] == eri[0, 1, 1, 2]
     far = eri.copy()
     far[2, 1, 0, 1] += 2 * DUPLICATE_TOL
     with pytest.raises(InvalidFciDump, match=r"at \(2, 1, 0, 1\)"):
@@ -393,7 +431,7 @@ def test_from_tensors_snaps_to_canonical_entry_within_tolerance(rng):
     # a canonical -0.0 is stored as the 0.0 of an unset entry
     zero = np.zeros((2,) * 4)
     zero[0, 1, 0, 1] = zero[1, 0, 0, 1] = zero[0, 1, 1, 0] = zero[1, 0, 1, 0] = -0.0
-    assert not np.signbit(FciDump.from_tensors(2, 2, 0, h2=zero).h2).any()
+    assert not np.signbit(FciDump.from_tensors(2, 2, 0, h2=zero).v).any()
 
 
 def test_two_body_tensor_matches_loop_expansion(rng):
@@ -414,4 +452,36 @@ def test_two_body_tensor_matches_loop_expansion(rng):
             lines.append("-0.0 1 1 1 1")  # stored as the 0.0 of an unset entry
         d = parse_fcidump(f"&FCI NORB={norb},NELEC=1,MS2=1,&END\n" + "\n".join(lines) + "\n")
         assert np.array_equal(d.two_body_tensor(), expected)
-        assert not np.signbit(d.h2[d.h2 == 0.0]).any()
+        assert not np.signbit(d.v[d.v == 0.0]).any()
+
+
+def _sparse_norb64() -> str:
+    """A norb-64 FCIDUMP of 64 (ii|ii), one (12|34) and 64 h_ii entries."""
+    lines = ["&FCI NORB=64,NELEC=2,MS2=0,", "&END"]
+    lines += [f" 0.5 {i} {i} {i} {i}" for i in range(1, 65)]
+    lines += [" 0.125 1 2 3 4"]
+    lines += [f" -1.0 {i} {i} 0 0" for i in range(1, 65)]
+    lines += [" 0.0 0 0 0 0"]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_at_the_norb_cap_holds_v_not_a_dense_tensor():
+    text = _sparse_norb64()
+    v_bytes = (64 * 65 // 2) ** 2 * 8  # 34.6 MB; a dense tensor is 134 MB
+    tracemalloc.start()
+    try:
+        d = parse_fcidump(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * v_bytes, peak
+    _, _, index = pair_order(64)
+    assert d.v.nbytes == v_bytes and np.count_nonzero(d.v) == 64 + 2
+    assert d.v[index[0, 1], index[2, 3]] == d.v[index[2, 3], index[0, 1]] == 0.125
+    assert parse_fcidump(write_fcidump(d)) == d
+
+
+@pytest.mark.parametrize("path", sorted(DEMO_CATALOG.glob("*/*.fcidump")), ids=lambda p: p.stem)
+def test_demo_fcidumps_rewrite_byte_for_byte(path):
+    text = path.read_text(encoding="utf-8")
+    assert write_fcidump(parse_fcidump(text)) == text
