@@ -41,8 +41,12 @@ class Task:
     accuracy_tol: float = DEFAULT_ACCURACY_TOL
     runtime_limit: float = DEFAULT_RUNTIME_LIMIT
     reference_energy: float | None = None
-    is_guidestar: bool = False
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def is_guidestar(self) -> bool:
+        """A task without a reference energy; it is scored UNLABELED."""
+        return self.reference_energy is None
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,6 @@ def _parse_task(obj: dict, base_dir: Path, where: str) -> Task:
         accuracy_tol=accuracy_tol,
         runtime_limit=runtime_limit,
         reference_energy=reference_energy,
-        is_guidestar=is_guidestar,
         metadata=metadata,
     )
 

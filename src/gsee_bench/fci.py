@@ -11,7 +11,9 @@ as one matrix product, and sigma = sum E_pq G_pq as a gather over them.
 Dense sectors never apply sigma: `toarray` expands the same factorization,
 H = sum_rs W_rs E_r E_s + e_core with E_r = A_r (x) 1 + 1 (x) B_r over each
 spin's pair operators, into two one-spin parts and an alpha-beta part, each
-a scatter of products of two table entries.
+a scatter of products of two table entries.  Davidson's preconditioner,
+`diagonal`, reads the same W, so every matrix element has one source; the
+Slater-Condon rules live only in the test oracle.
 Fermionic phases are those of the interleaved spin-orbital ordering (alpha of
 orbital p on index 2p, beta on 2p+1), so the matrix is sign-consistent with
 the qubit encoding in `pauli`.
@@ -228,20 +230,6 @@ def build_basis(
     return basis
 
 
-def _diagonal(dump: FciDump, a: _Strings, b: _Strings) -> np.ndarray:
-    """(alpha strings, beta strings): the diagonal elements, e_core included."""
-    index = pair_order(dump.norb)[2]
-    pp = np.diagonal(index)
-    coulomb = dump.v[np.ix_(pp, pp)]  # (pp|qq)
-    same_spin_pair = coulomb - np.diagonal(dump.v)[index]  # minus (pq|qp)
-    h_diag = dump.h1.diagonal()
-
-    def energies(t: _Strings) -> np.ndarray:
-        return t.occ @ h_diag + 0.5 * np.einsum("ip,pq,iq->i", t.occ, same_spin_pair, t.occ)
-
-    return dump.e_core + energies(a)[:, None] + energies(b)[None, :] + a.occ @ coulomb @ b.occ.T
-
-
 @lru_cache(maxsize=32)
 def _interleave_phase(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
     """Per determinant, the sign taking the alpha-then-beta operator order to
@@ -256,39 +244,54 @@ def _interleave_phase(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
 class SectorHamiltonian:
     """Matrix-free symmetric sector Hamiltonian over a build_basis basis.
 
-    `H @ x` is sigma (the module docstring) for a vector or a (dim, m) block,
-    one column at a time in one `_Scratch` bound at the first product: two
-    (dim x pairs) buffers, two [c; -c; 0] stacks and a few dim-sized arrays,
-    so that a product allocates only its result.  One SectorHamiltonian is
-    therefore not for concurrent use.  `toarray()` expands the same
-    factorization into a dense matrix.  `nnz` is `basis.nnz`; the string
-    tables and the phase are bound once, here.
+    It holds H = sum_rs W_rs E_r E_s + e_core and nothing else: both spins'
+    string tables and the interleave phase, the (pairs, pairs) matrix W and
+    e_core, all bound once, here; the dump is not kept.  `H @ x` is sigma
+    (the module docstring) for a vector or a (dim, m) block, one column at a
+    time in one `_Scratch` bound at the first product: two (dim x pairs)
+    buffers, two [c; -c; 0] stacks and a few dim-sized arrays, so that a
+    product allocates only its result.  One SectorHamiltonian is therefore
+    not for concurrent use.  `toarray()` expands the same factorization into
+    a dense matrix and `diagonal()` takes its diagonal from W alone.  `nnz`
+    is `basis.nnz`.
     """
 
     def __init__(self, dump: FciDump, basis: DeterminantBasis):
-        self.dump = dump
         self.basis = basis
         self.shape = (len(basis), len(basis))
         self.nnz = basis.nnz
         self._alpha = _strings(basis.norb, basis.n_alpha)
         self._beta = _strings(basis.norb, basis.n_beta)
         self._phase = _interleave_phase(basis.norb, basis.n_alpha, basis.n_beta)
+        # W: 1/2 V of `pair_integrals`, with k_pq / N added to every diagonal
+        # pair rr.  On the sector sum_r E_rr is the electron count N, so
+        # sum_r (k / N) D_rr = k c and G is one product; with no electrons D
+        # is zero and k drops out.
+        p, q, _ = pair_order(basis.norb)
+        k, v = pair_integrals(dump)
+        self._integrals = 0.5 * v
+        self._integrals[:, p == q] += k[:, None] / max(basis.n_alpha + basis.n_beta, 1)
+        self._integrals.flags.writeable = False
+        self._e_core = dump.e_core
 
     def diagonal(self) -> np.ndarray:
-        return _diagonal(self.dump, self._alpha, self._beta).ravel()
+        """<IJ|H|IJ> from W.  A one-spin A_r A_s returns a string to itself
+        only for r = s one of its singles (W_rr once per single, the leading
+        columns of `pair`) or r and s both diagonal pairs, which count
+        occupations; of the alpha-beta part sum (W + W^T)_rs A_r (x) B_s
+        only diagonal pairs remain."""
+        a, b, w = self._alpha, self._beta, self._integrals
+        pp = np.diagonal(pair_order(self.basis.norb)[2])
+        numbers = w[np.ix_(pp, pp)]
 
-    @cached_property
-    def _integrals(self) -> np.ndarray:
-        """(pairs, pairs): 1/2 V of `pair_integrals`, with k_pq / N added
-        to every diagonal pair rr.  On the sector sum_r E_rr is the electron
-        count N, so sum_r (k / N) D_rr = k c and G is one product; with no
-        electrons D is zero and k drops out."""
-        p, q, _ = pair_order(self.basis.norb)
-        k, v = pair_integrals(self.dump)
-        n_electrons = max(self.basis.n_alpha + self.basis.n_beta, 1)
-        integrals = 0.5 * v
-        integrals[:, p == q] += k[:, None] / n_electrons
-        return integrals
+        def one_spin(t: _Strings, n_occ: int) -> np.ndarray:
+            singles = t.pair[:, :n_occ * (self.basis.norb - n_occ)]
+            return (np.diagonal(w)[singles].sum(axis=1)
+                    + np.einsum("ip,pq,iq->i", t.occ, numbers, t.occ))
+
+        return (self._e_core + one_spin(a, self.basis.n_alpha)[:, None]
+                + one_spin(b, self.basis.n_beta)[None, :]
+                + a.occ @ (numbers + numbers.T) @ b.occ.T).ravel()
 
     @cached_property
     def _scratch(self) -> _Scratch:
@@ -345,7 +348,7 @@ class SectorHamiltonian:
         # (alpha + beta) + e_core c, in that order: sigma stays bit-identical
         # to the one-pass form that tests/fci_reference.py keeps
         alpha_term += beta_term
-        np.multiply(c, self.dump.e_core, out=beta_term)
+        np.multiply(c, self._e_core, out=beta_term)
         alpha_term += beta_term
         np.multiply(alpha_term.reshape(-1), self._phase, out=out)
 
@@ -370,7 +373,7 @@ class SectorHamiltonian:
         blocks = h.reshape(n_a, n_b, n_a, n_b)
         blocks[:, np.arange(n_b), :, np.arange(n_b)] += _one_spin(a, w)
         blocks[np.arange(n_a), :, np.arange(n_a), :] += _one_spin(b, w)
-        h.flat[::dim + 1] += self.dump.e_core
+        h.flat[::dim + 1] += self._e_core
         h *= self._phase[:, None]
         h *= self._phase
         return 0.5 * (h + h.T)

@@ -4,9 +4,11 @@
 leave (a diagonal, a one-spin single or double, or an alpha-beta double),
 each class a few array operations over its own excitation tables and the
 chemist-notation integrals, stored as a CSR array with exact zeros dropped.
-Of the package it shares only the diagonal, the interleaving phase and two
-bit helpers, so it checks both sigma and `toarray`.  `sector_dets` lists
-the (alpha, beta) bitmask pairs of a sector in build_basis order.
+Its diagonal is the Slater-Condon closed form in h1, (pp|qq) and (pq|qp),
+not the package's W.  Of the package it shares only the interleaving phase
+and two bit helpers, so it checks sigma, `toarray` and `diagonal`.
+`sector_dets` lists the (alpha, beta) bitmask pairs of a sector in
+build_basis order.
 `sigma_reference` is the direct-CI sigma with fresh arrays for every
 intermediate, the oracle that the fixed-scratch product must equal bit for
 bit.
@@ -21,12 +23,11 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse
 
-from gsee_bench.fcidump import FciDump
+from gsee_bench.fcidump import FciDump, pair_order
 from gsee_bench.fci import (
     DeterminantBasis,
     SectorHamiltonian,
     _bit,
-    _diagonal,
     _interleave_phase,
     _parity,
     _strings,
@@ -53,7 +54,7 @@ def sigma_reference(h: SectorHamiltonian, x: np.ndarray) -> np.ndarray:
     alpha = np.take(g.reshape(n_a * n_pairs, n_b), a.pair_to * n_pairs + a.pair, axis=0)
     beta = np.take(g.reshape(n_a, n_pairs * n_b), b.pair * n_b + b.pair_to, axis=1)
     sigma = (np.einsum("ie,iej->ij", a.pair_sign, alpha)
-             + np.einsum("je,ije->ij", b.pair_sign, beta) + h.dump.e_core * c)
+             + np.einsum("je,ije->ij", b.pair_sign, beta) + h._e_core * c)
     return sigma.ravel() * phase
 
 
@@ -123,6 +124,20 @@ def _excitations(norb: int, n_occ: int) -> _Excitations:
                         flat(q, p, s, r), flat(q, r, s, p), double_sign)
 
 
+def _slater_condon_diagonal(dump: FciDump, a: _Excitations, b: _Excitations) -> np.ndarray:
+    """(alpha strings, beta strings): the diagonal elements, e_core included."""
+    index = pair_order(dump.norb)[2]
+    pp = np.diagonal(index)
+    coulomb = dump.v[np.ix_(pp, pp)]  # (pp|qq)
+    same_spin_pair = coulomb - np.diagonal(dump.v)[index]  # minus (pq|qp)
+    h_diag = dump.h1.diagonal()
+
+    def energies(t: _Excitations) -> np.ndarray:
+        return t.occ @ h_diag + 0.5 * np.einsum("ip,pq,iq->i", t.occ, same_spin_pair, t.occ)
+
+    return dump.e_core + energies(a)[:, None] + energies(b)[None, :] + a.occ @ coulomb @ b.occ.T
+
+
 def _value_table(dump: FciDump, a: _Excitations, b: _Excitations) -> np.ndarray:
     """Every stored element is sign * (t[first] + t[second]) for two entries
     of the table t returned here; `_plan` holds the signs and indices.
@@ -146,7 +161,7 @@ def _value_table(dump: FciDump, a: _Excitations, b: _Excitations) -> np.ndarray:
         return (flat[t.double_direct] - flat[t.double_exchange]).ravel()
 
     return np.concatenate([
-        _diagonal(dump, a, b).ravel(),
+        _slater_condon_diagonal(dump, a, b).ravel(),
         (a.occ @ one_spin.T + h_flat).ravel(), (b.occ @ one_spin.T + h_flat).ravel(),
         (b.occ @ direct.T).ravel(), (a.occ @ direct.T).ravel(), flat,
         doubles(a), doubles(b), [0.0],

@@ -198,7 +198,7 @@ def test_integer_without_exact_float_rejected(tmp_path, write, field, value):
 
 
 TASK = Task("t", fcidump_path=None, reference_energy=-1.0, runtime_limit=10.0)
-GUIDESTAR = Task("t", fcidump_path=None, reference_energy=None, is_guidestar=True, runtime_limit=10.0)
+GUIDESTAR = Task("t", fcidump_path=None, reference_energy=None, runtime_limit=10.0)
 
 
 def result(energy, run_time, attempted=True, uuid="t"):
@@ -232,6 +232,13 @@ def test_error_is_absolute_both_sides():
 def test_guidestar_always_unlabeled():
     assert evaluate_task(GUIDESTAR, result(-0.5, 5.0)).verdict is Verdict.UNLABELED
     assert evaluate_task(GUIDESTAR, None).verdict is Verdict.UNLABELED
+
+
+def test_guidestar_is_the_task_without_a_reference():
+    # a task built without a reference cannot be scored as a negative label
+    assert Task("t", None).is_guidestar
+    assert evaluate_task(Task("t", None), result(-0.5, 5.0)).verdict is Verdict.UNLABELED
+    assert not TASK.is_guidestar
 
 
 def test_unattempted_is_unsolved_not_solved():

@@ -101,6 +101,7 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fci", "_check_size"),
         ("gsee_bench.fci", "_pair_index"),
         ("gsee_bench.fci", "_pairs"),
+        ("gsee_bench.fci", "_diagonal"),
     ],
 )
 def test_reference_path_not_in_package(module, name):
@@ -112,6 +113,15 @@ def test_sector_hamiltonian_has_no_per_call_sector_lookup():
     from gsee_bench.fci import SectorHamiltonian
 
     assert not hasattr(SectorHamiltonian, "_sector")
+
+
+def test_sector_hamiltonian_holds_no_dump():
+    from gsee_bench.fci import build_basis, build_fci_matrix
+    from gsee_bench.fcidump import FciDump
+
+    mat = build_fci_matrix(FciDump(norb=2, nelec=2, e_core=0.5), build_basis(2, 1, 1))
+    assert not hasattr(mat, "dump")
+    assert not any(isinstance(value, FciDump) for value in vars(mat).values())
 
 
 def test_fcidump_keeps_one_integral_store():
