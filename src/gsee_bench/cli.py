@@ -54,9 +54,9 @@ log = logging.getLogger(__name__)
 
 HISTOGRAM_BIN_WIDTH = 10
 # Latent samples scored per solver.  The cap is reachable: on a 2-core x86
-# machine with one BLAS thread, the demo report at 1M samples takes 2.6-2.8 s
+# machine with one BLAS thread, the demo report at 1M samples takes 1.8 s
 # at 83 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
-# solvability report, nearly all of it the latent-points CSV), and 4.2-5.4 s
+# solvability report, nearly all of it the latent-points CSV), and 3.7 s
 # at 77 MB with 3 (78 MB, of which the latent map raster is 0.29 MB); each
 # more solver costs about that.
 MAX_SAMPLES = 1_000_000
@@ -97,26 +97,31 @@ def _header_comment(config: RunConfig) -> str:
     return f"# gsee-bench {__version__} config={config.semantic_hash()}"
 
 
+@contextlib.contextmanager
+def _csv_file(path: Path, config: RunConfig, columns: list[str]):
+    """`path` opened for writing, past its header comment and column row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_header_comment(config) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(columns)
+        yield fh
+
+
 def _write_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
     """Rows hold strings, ints and Python floats; a cell holding a comma, a
     quote or a line break is quoted."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_header_comment(config) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+    with _csv_file(path, config, columns) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _write_float_csv(path: Path, config: RunConfig, columns: list[str], *arrays) -> None:
     """One float array per column, all of one length, as the table whose
     bytes _write_csv gives its rows of Python floats: each float's repr,
-    nothing quoted.  The rows are formatted and appended SAMPLE_BLOCK at a
-    time, and each distinct float of a column within a block is formatted
-    once; floats are told apart by their bits, so 0.0 and -0.0 keep their
-    own text."""
+    nothing quoted.  The rows are formatted and written SAMPLE_BLOCK at a
+    time, through the handle that wrote the header, and each distinct float
+    of a column within a block is formatted once; floats are told apart by
+    their bits, so 0.0 and -0.0 keep their own text."""
     arrays = [np.asarray(array, dtype=float) for array in arrays]
-    _write_csv(path, config, columns, [])
-    with open(path, "a", encoding="utf-8", newline="") as fh:
+    with _csv_file(path, config, columns) as fh:
         for start in range(0, len(arrays[0]), SAMPLE_BLOCK):
             cells = []
             for array in arrays:
@@ -150,18 +155,23 @@ def _workers(jobs: int, items: int) -> int:
     return min(jobs, items, cpus)
 
 
+def _inline_map(fn: Callable, work) -> list:
+    """The map function of a one-worker _pool: an eager list, computed at the call."""
+    return [fn(item) for item in work]
+
+
 @contextlib.contextmanager
 def _pool(jobs: int, items: int):
     """The one pool path: yields the map function that every stage of a
     command calls, map(fn, work) -> fn over work in order, for stages of up
-    to `items` items each.  With one worker it is an eager list, computed at the
-    call.  Otherwise every chunk goes to this command's one process pool at
-    the call, about four per worker, so that a long list of small items is
-    not sent one round trip at a time.  On exit, pending items are cancelled
-    and the workers joined, also when the command fails."""
+    to `items` items each.  With one worker it is _inline_map.  Otherwise
+    every chunk goes to this command's one process pool at the call, about
+    four per worker, so that a long list of small items is not sent one
+    round trip at a time.  On exit, pending items are cancelled and the
+    workers joined, also when the command fails."""
     workers = _workers(jobs, items)
     if workers <= 1:
-        yield lambda fn, work: [fn(item) for item in work]
+        yield _inline_map
         return
     executor = futures.ProcessPoolExecutor(max_workers=workers)
     try:
@@ -409,18 +419,25 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
 
     The catalog and the solution files are loaded once and every stage works
     on them; features are computed once and shared, solvability runs per
-    solver (each solver writing its own files) and the oracle per task.  When
-    jobs > 1 one worker pool serves every stage: it gets the feature chunks,
-    then the solvability items and, without waiting for those, the oracle
-    chunks, so the oracle fills a worker that the solvers leave idle.  With
-    one worker every stage runs inline, in that order.
+    solver (each solver writing its own files) and the oracle per task.  With
+    more than one worker, one pool serves every stage: it gets the feature
+    chunks, then the solvability items and, without waiting for those, the
+    oracle chunks, so the oracle fills a worker that the solvers leave idle.
+    With one worker every stage runs inline, the oracle before the solvers:
+    the oracle's eigensolver scratch is then freed before the solvers' heap
+    grows, where in the other order it would land on top of that heap and
+    raise the process's peak.
     """
     with _inputs(config, solutions_dir) as (tasks, solutions, pmap):
         features = run_features(config, tasks, pmap)
         outcomes = run_evaluate(config, tasks, solutions)
+        inline = pmap is _inline_map
+        if inline:
+            run_oracle(config, tasks, pmap)
         work = [(config, s, outcomes[s.solver_uuid], features) for s in solutions]
         notes = pmap(_try_solvability, work)
-        run_oracle(config, tasks, pmap)
+        if not inline:
+            run_oracle(config, tasks, pmap)
         for note in notes:
             if note:
                 log.warning("%s", note)

@@ -43,8 +43,11 @@ class LatentModel:
     converged: bool = True
 
     def inverse(self, W) -> np.ndarray:
-        """Map latent coordinates back into (scaled) feature space."""
-        return np.asarray(W, dtype=float) @ self.components + self.mean
+        """Map latent coordinates back into (scaled) feature space, adding
+        the mean into the product's own array."""
+        X = np.asarray(W, dtype=float) @ self.components
+        X += self.mean
+        return X
 
 
 def _bounds_of(embedding: np.ndarray) -> np.ndarray:

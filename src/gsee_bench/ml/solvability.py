@@ -193,7 +193,8 @@ def estimate_solvability(
     # differently from the matrix kernels, so it joins the block before it.
     ends = [*range(SAMPLE_BLOCK, n - 1, SAMPLE_BLOCK), n]
     for start, end in zip([0, *ends[:-1]], ends):
-        X_novel = np.clip(latent.inverse(samples[start:end]), 0.0, 1.0)
+        X_novel = latent.inverse(samples[start:end])
+        np.clip(X_novel, 0.0, 1.0, out=X_novel)
         probabilities[start:end] = predict_proba(model, X_novel)
     ratio = float(np.count_nonzero(probabilities >= config.threshold) / len(probabilities))
 

@@ -54,16 +54,21 @@ def default_gamma_grid(n_features: int) -> tuple[float, ...]:
 
 
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * a @ b.T
-    )
-    return np.maximum(sq, 0.0)
+    """|a_i - b_j|² floored at 0, as (|a_i|² + |b_j|²) - 2 a_i·b_j, in the
+    one (len(a), len(b)) array that is returned.  The product is formed
+    first, so the copy 2a is freed before the sums' array is made."""
+    # The product stays (2.0 * a) @ b.T: at a is b, a @ b.T is a @ a.T,
+    # which numpy hands to SYRK, and SYRK rounds differently from GEMM.
+    cross = (2.0 * a) @ b.T
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    sq -= cross
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * _sq_distances(np.atleast_2d(a), np.atleast_2d(b)))
+    K = _sq_distances(np.atleast_2d(a), np.atleast_2d(b))
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 @dataclass(frozen=True)

@@ -499,20 +499,35 @@ def test_each_command_makes_at_most_one_pool(tmp_path, monkeypatch, command):
     assert shutdowns == [{"wait": True, "cancel_futures": True}]
 
 
-def test_inline_report_writes_every_solvability_report_before_the_oracle(tmp_path, monkeypatch):
-    # With one worker the stages stay eager and in order, so the solvability
-    # items are done, not merely queued, when run_oracle starts.
-    seen = []
-    oracle = cli.run_oracle
+def test_report_runs_the_oracle_first_inline_and_behind_the_solvers_in_a_pool(tmp_path, monkeypatch):
+    # Inline, run_oracle returns before the first run_solvability starts.
+    events = []
+    for name in ("run_oracle", "run_solvability"):
+        fn = getattr(cli, name)
 
-    def checked_oracle(config, tasks=None, pmap=None):
-        seen.append({p.name for p in config.output_dir.glob("solvability_*.json")})
-        return oracle(config, tasks, pmap)
+        def recorded(*args, _fn=fn, _name=name, **kwargs):
+            events.append(("start", _name))
+            result = _fn(*args, **kwargs)
+            events.append(("end", _name))
+            return result
 
-    monkeypatch.setattr(cli, "run_oracle", checked_oracle)
-    assert main(report_argv(tmp_path, SOLUTIONS, "--jobs", "1")) == 0
-    assert seen == [{p.name for p in tmp_path.glob("solvability_*.json")}]
-    assert "solvability_size-limited.json" in seen[0]
+        monkeypatch.setattr(cli, name, recorded)
+    assert main(report_argv(tmp_path / "inline", SOLUTIONS, "--jobs", "1")) == 0
+    assert events.index(("end", "run_oracle")) < events.index(("start", "run_solvability"))
+    assert ("end", "run_solvability") in events
+
+    # In a pool, the solvability items reach it before the oracle chunks.
+    mapped = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            mapped.append(fn.__name__)
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
+    assert main(report_argv(tmp_path / "pooled", SOLUTIONS, "--jobs", "2")) == 0
+    assert mapped == ["_try_features", "_try_solvability", "_try_oracle"]
 
 
 def test_parallel_features_match_serial(tmp_path):

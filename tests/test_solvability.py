@@ -11,7 +11,10 @@ from gsee_bench import cli
 from gsee_bench.catalog import Verdict, evaluate_solver
 from gsee_bench.errors import InsufficientLabels, SingleClass
 from gsee_bench.ml import SolvabilityConfig, estimate_solvability
+from gsee_bench.ml.latent import pca_fit
+from gsee_bench.ml.scaling import minmax_scale
 from gsee_bench.ml.solvability import SAMPLE_BLOCK, grid_samples, random_samples
+from gsee_bench.ml.svm import predict_proba, svm_fit_cv
 from gsee_bench.qubit_features import FEATURE_NAMES
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -288,3 +291,30 @@ def test_scoring_memory_is_the_cloud_plus_one_block(demo_table, dim):
     held = report.latent_points.nbytes + report.probabilities.nbytes
     assert report.n_samples >= 200_000
     assert peak < 2 * held, (peak, held)
+
+
+def test_one_scoring_step_holds_the_block_the_kernel_and_its_product():
+    rng = np.random.default_rng(5)
+    X = minmax_scale(rng.uniform(size=(60, 20)))
+    model = svm_fit_cv(X, X[:, 0] + X[:, 1] > 1.0)
+    latent = pca_fit(X, 3)
+    block = random_samples(latent.bounds, SAMPLE_BLOCK, 0)
+
+    def step():
+        X_novel = latent.inverse(block)
+        np.clip(X_novel, 0.0, 1.0, out=X_novel)
+        return predict_proba(model, X_novel)
+
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_sv, d = model.support_x.shape
+    # The clipped block, the kernel and the product 2 a bᵀ beside it; the
+    # slack is length-SAMPLE_BLOCK vectors (row sums, decisions,
+    # probabilities) and numpy's reduction buffers.  With a fresh array at
+    # each step, the copy 2a beside the sums and the product, this step
+    # peaked at 2 d + 2 n_sv rows (104 here).
+    assert peak < (d + 2 * n_sv + 8) * SAMPLE_BLOCK * 8, (peak, n_sv)

@@ -20,6 +20,40 @@ def blobs(rng, n_per_class=40, margin=2.0):
     return X, labels
 
 
+def one_expression_sq_distances(a, b):
+    """The squared distances as one expression of fresh arrays: the oracle
+    that the in-place kernel must equal bit for bit."""
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * a @ b.T
+    )
+    return np.maximum(sq, 0.0)
+
+
+@pytest.mark.parametrize("n", [60, 400])
+def test_sq_distances_of_one_table_is_the_one_expression_form(rng, n):
+    # One array on both sides, as svm_fit_cv calls it: numpy would send
+    # a @ a.T to SYRK, so the product must keep its copy 2a.  Repeated rows
+    # round below 0 and are floored.
+    X = rng.uniform(size=(n, 20))
+    X[1::7] = X[0]
+    got = svm._sq_distances(X, X)
+    assert got.tobytes() == one_expression_sq_distances(X, X).tobytes()
+    assert got.min() == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.05, 1.0])
+def test_rbf_kernel_of_a_block_is_the_one_expression_form(rng, gamma):
+    block = rng.uniform(size=(4096, 20))
+    support = rng.uniform(size=(32, 20))
+    support[3] = block[5]
+    expected = np.exp(-gamma * one_expression_sq_distances(block, support))
+    got = svm.rbf_kernel(block, support, gamma)
+    assert got.tobytes() == expected.tobytes()
+    assert got[5, 3] == 1.0
+
+
 def test_default_gamma_grid_drops_repeats_in_order():
     assert svm.default_gamma_grid(1) == (0.01, 0.1, 1.0)
     assert svm.default_gamma_grid(10) == (0.01, 0.1, 1.0)
