@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,6 +161,16 @@ def _parse_task(obj: dict, base_dir: Path, where: str) -> Task:
     )
 
 
+def _check_unique(ids: Iterable[str], fault: Callable[[int, str], Exception]) -> None:
+    """The one uniqueness check of catalog IDs: raise fault(i, id) at the
+    first ID that repeats an earlier one, i its position in `ids`."""
+    seen: set[str] = set()
+    for i, key in enumerate(ids):
+        if key in seen:
+            raise fault(i, key)
+        seen.add(key)
+
+
 def _read_object(path: str | Path, where: str) -> dict:
     """Parse a JSON file whose top level must be an object."""
     try:
@@ -188,11 +199,8 @@ def load_instance(path: str | Path) -> ProblemInstance:
     tasks = tuple(
         _parse_task(t, path.parent, f"{where} task[{i}]") for i, t in enumerate(raw_tasks)
     )
-    seen: set[str] = set()
-    for task in tasks:
-        if task.task_uuid in seen:
-            raise DuplicateTaskUuid(f"{where}: duplicate task_uuid {task.task_uuid}")
-        seen.add(task.task_uuid)
+    _check_unique((task.task_uuid for task in tasks),
+                  lambda _, uuid: DuplicateTaskUuid(f"{where}: duplicate task_uuid {uuid}"))
     extra = {k: v for k, v in obj.items() if k not in _INSTANCE_KEYS}
     return ProblemInstance(instance_uuid, short_name, tasks, extra)
 
@@ -210,15 +218,11 @@ def load_solution(path: str | Path) -> SolutionFile:
     solver_short_name = _require_text(obj, "solver_short_name", where)
     raw_results = _require(obj, "results", list, where)
     results = []
-    seen: set[str] = set()
     for i, entry in enumerate(raw_results):
         place = f"{where} results[{i}]"
         if not isinstance(entry, dict):
             raise SchemaViolation(f"{place}: entry is not an object")
         task_uuid = _require(entry, "task_uuid", str, place)
-        if task_uuid in seen:
-            raise DuplicateTaskUuid(f"{place}: duplicate task_uuid {task_uuid}")
-        seen.add(task_uuid)
         attempted = entry.get("attempted", True)
         if not isinstance(attempted, bool):
             raise SchemaViolation(f"{place}: attempted must be a boolean")
@@ -230,6 +234,8 @@ def load_solution(path: str | Path) -> SolutionFile:
             if run_time is None or run_time < 0:
                 raise SchemaViolation(f"{place}: attempted result needs run_time >= 0")
         results.append(SolutionResult(task_uuid, energy, run_time, attempted))
+    _check_unique((r.task_uuid for r in results), lambda i, uuid: DuplicateTaskUuid(
+        f"{where} results[{i}]: duplicate task_uuid {uuid}"))
     extra = {k: v for k, v in obj.items() if k not in _SOLUTION_KEYS}
     return SolutionFile(solver_uuid, solver_short_name, tuple(results), extra)
 
@@ -256,18 +262,10 @@ def scan_catalog(root: str | Path) -> list[ProblemInstance]:
     """Recursively load every `*.problem.json` under root, in path order."""
     root = Path(root)
     instances = [load_instance(p) for p in sorted(root.rglob("*.problem.json"))]
-    seen: set[str] = set()
-    task_seen: set[str] = set()
-    for inst in instances:
-        if inst.instance_uuid in seen:
-            raise SchemaViolation(f"duplicate instance_uuid {inst.instance_uuid}")
-        seen.add(inst.instance_uuid)
-        for task in inst.tasks:
-            if task.task_uuid in task_seen:
-                raise DuplicateTaskUuid(
-                    f"task_uuid {task.task_uuid} appears in more than one instance"
-                )
-            task_seen.add(task.task_uuid)
+    _check_unique((inst.instance_uuid for inst in instances),
+                  lambda _, uuid: SchemaViolation(f"duplicate instance_uuid {uuid}"))
+    _check_unique((task.task_uuid for task in catalog_tasks(instances)), lambda _, uuid:
+                  DuplicateTaskUuid(f"task_uuid {uuid} appears in more than one instance"))
     return instances
 
 
@@ -276,11 +274,8 @@ def scan_solutions(root: str | Path) -> list[SolutionFile]:
     two files may share a solver_uuid."""
     root = Path(root)
     solutions = [load_solution(p) for p in sorted(root.rglob("*.solution.json"))]
-    seen: set[str] = set()
-    for solution in solutions:
-        if solution.solver_uuid in seen:
-            raise SchemaViolation(f"duplicate solver_uuid {solution.solver_uuid} in {root}")
-        seen.add(solution.solver_uuid)
+    _check_unique((s.solver_uuid for s in solutions),
+                  lambda _, uuid: SchemaViolation(f"duplicate solver_uuid {uuid} in {root}"))
     return solutions
 
 

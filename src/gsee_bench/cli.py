@@ -53,13 +53,6 @@ from .qubit_features import (
 log = logging.getLogger(__name__)
 
 HISTOGRAM_BIN_WIDTH = 10
-# Latent samples scored per solver.  The cap is reachable: on a 2-core x86
-# machine with one BLAS thread, the demo report at 1M samples takes 1.8 s
-# at 83 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
-# solvability report, nearly all of it the latent-points CSV), and 3.7 s
-# at 77 MB with 3 (78 MB, of which the latent map raster is 0.29 MB); each
-# more solver costs about that.
-MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -73,16 +66,13 @@ class RunConfig:
 
     def __post_init__(self):
         # SolvabilityConfig checks its own ranges; these checks need the CLI.
-        ml = self.solvability
         if not (np.isfinite(self.df_threshold) and self.df_threshold >= 0.0):
             raise ValueError("df_threshold must be finite and >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         # a latent space has no more axes than the feature table has columns
-        if ml.latent_dim > len(FEATURE_NAMES):
+        if self.solvability.latent_dim > len(FEATURE_NAMES):
             raise ValueError(f"latent_dim must be <= {len(FEATURE_NAMES)}")
-        if ml.n_samples > MAX_SAMPLES:
-            raise ValueError(f"n_samples must be <= {MAX_SAMPLES}")
 
     def semantic_hash(self) -> str:
         """Hash of result-affecting settings; paths and job count excluded."""
@@ -347,7 +337,7 @@ def run_solvability(
     cloud_name = f"latent_points_{solver_uuid}.csv"
     _write_json(report_path, config, {**report.to_dict(), "latent_points_file": cloud_name})
 
-    latent_cols = [f"latent_{i}" for i in range(report.latent_dim)]
+    latent_cols = [f"latent_{i}" for i in range(report.config.latent_dim)]
     _write_float_csv(
         config.output_dir / cloud_name,
         config,
@@ -512,6 +502,8 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
             settings[attr] = value
     if "catalog_dir" not in settings or "output_dir" not in settings:
         raise GseeBenchError("--catalog and --out are required (flag or config file)")
+    if "" in (settings["catalog_dir"], settings["output_dir"]):
+        raise GseeBenchError("--catalog and --out must not be empty")
     settings["catalog_dir"] = Path(settings["catalog_dir"])
     settings["output_dir"] = Path(settings["output_dir"])
     ml = [f.name for f in fields(SolvabilityConfig) if f.name in settings]

@@ -213,21 +213,10 @@ def _row_elements(norb: int, n_alpha: int, n_beta: int) -> int:
     return 1 + sa + sb + sa * sb + da + db
 
 
-def build_basis(
-    norb: int,
-    n_alpha: int,
-    n_beta: int,
-    max_dim: int | None = None,
-) -> DeterminantBasis:
-    """The sector basis, in lexicographic (alpha-major) order.
-
-    Raises what DeterminantBasis raises (a sector over a cap cannot be
-    built), then TooLarge above max_dim determinants when that is given.
-    """
-    basis = DeterminantBasis(norb, n_alpha, n_beta)
-    if max_dim is not None and len(basis) > max_dim:
-        raise TooLarge(f"FCI dimension {len(basis)} exceeds cap {max_dim}")
-    return basis
+def build_basis(norb: int, n_alpha: int, n_beta: int) -> DeterminantBasis:
+    """The sector basis, in lexicographic (alpha-major) order.  Raises what
+    DeterminantBasis raises: a sector over a cap cannot be built."""
+    return DeterminantBasis(norb, n_alpha, n_beta)
 
 
 @lru_cache(maxsize=32)
@@ -263,14 +252,14 @@ class SectorHamiltonian:
         self._alpha = _strings(basis.norb, basis.n_alpha)
         self._beta = _strings(basis.norb, basis.n_beta)
         self._phase = _interleave_phase(basis.norb, basis.n_alpha, basis.n_beta)
-        # W: 1/2 V of `pair_integrals`, with k_pq / N added to every diagonal
-        # pair rr.  On the sector sum_r E_rr is the electron count N, so
-        # sum_r (k / N) D_rr = k c and G is one product; with no electrons D
-        # is zero and k drops out.
+        # W: 1/2 V, with k_pq / N (k of `pair_integrals`) added to every
+        # diagonal pair rr.  On the sector sum_r E_rr is the electron count
+        # N, so sum_r (k / N) D_rr = k c and G is one product; with no
+        # electrons D is zero and k drops out.
         p, q, _ = pair_order(basis.norb)
-        k, v = pair_integrals(dump)
-        self._integrals = 0.5 * v
-        self._integrals[:, p == q] += k[:, None] / max(basis.n_alpha + basis.n_beta, 1)
+        self._integrals = 0.5 * dump.v
+        self._integrals[:, p == q] += (pair_integrals(dump)[:, None]
+                                       / max(basis.n_alpha + basis.n_beta, 1))
         self._integrals.flags.writeable = False
         self._e_core = dump.e_core
 
@@ -524,12 +513,12 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
         apply(m, m + added)
         m += added
 
-    order = np.argsort(theta)
-    return _spectrum(theta[order], iteration, converged)
+    return _spectrum(theta, iteration, converged)
 
 
 def _spectrum(energies: np.ndarray, iterations: int, converged: bool) -> SpectrumResult:
-    energies = np.sort(np.asarray(energies, dtype=float))
+    """energies ascending, as eigh and eigvalsh return them."""
+    energies = np.asarray(energies, dtype=float)
     gap = float(energies[1] - energies[0]) if energies.size >= 2 else None
     return SpectrumResult(tuple(float(e) for e in energies), gap, iterations, converged)
 

@@ -172,13 +172,13 @@ def pair_order(norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, q, index
 
 
-def pair_integrals(dump: FciDump) -> tuple[np.ndarray, np.ndarray]:
-    """(k, V) over the pairs of `pair_order`: the normal-ordered one-body
-    term k_pq = h_pq - 1/2 sum_r (pr|rq), a fresh array, and the dump's own
-    read-only, C-ordered V[pq, rs] = (pq|rs), `dump.v`."""
+def pair_integrals(dump: FciDump) -> np.ndarray:
+    """k over the pairs of `pair_order`, a fresh array: the normal-ordered
+    one-body term k_pq = h_pq - 1/2 sum_r (pr|rq).  Its two-body partner is
+    the dump's own V[pq, rs] = (pq|rs), `dump.v`."""
     p, q, index = pair_order(dump.norb)
     k = dump.h1 - 0.5 * np.einsum("prq->pq", dump.v[index[:, :, None], index[None]])
-    return k[p, q], dump.v
+    return k[p, q]
 
 
 _HEADER_ITEM = re.compile(
@@ -205,6 +205,8 @@ def _parse_header(header: str) -> dict[str, list[int]]:
     fields: dict[str, list[int]] = {}
     for match in _HEADER_ITEM.finditer(body):
         key = match.group(1).upper()
+        if key in fields:
+            raise MalformedLine(f"header field {key} appears twice")
         raw = match.group(2).replace(",", " ").split()
         if key in ("UHF", "IUHF"):
             flags = [_FLAG_VALUES.get(v.upper().strip(".")) for v in raw]
@@ -221,10 +223,15 @@ def _parse_header(header: str) -> dict[str, list[int]]:
     return fields
 
 
-def _header_scalar(fields: dict[str, list[int]], key: str, default: int) -> int:
-    """First value of an optional header field; present but empty is malformed."""
-    values = fields.get(key, [default])
+def _header_scalar(fields: dict[str, list[int]], key: str, default: int | None = None) -> int:
+    """The one value of a scalar header field, or `default` when it is absent;
+    a field without a default is required, and empty it is missing."""
+    values = fields.get(key, [] if default is None else [default])
+    if len(values) > 1:
+        raise MalformedLine(f"header field {key} has {len(values)} values, not one")
     if not values:
+        if default is None:
+            raise MissingHeaderField(f"header field {key} is missing")
         raise MalformedLine(f"header field {key} has no value")
     return values[0]
 
@@ -247,11 +254,8 @@ def parse_fcidump(source: str | TextIO) -> FciDump:
     text = source if isinstance(source, str) else source.read()
     header, body = _split_header(text)
     fields = _parse_header(header)
-    for required in ("NORB", "NELEC"):
-        if required not in fields or not fields[required]:
-            raise MissingHeaderField(f"header field {required} is missing")
-    norb = fields["NORB"][0]
-    nelec = fields["NELEC"][0]
+    norb = _header_scalar(fields, "NORB")
+    nelec = _header_scalar(fields, "NELEC")
     ms2 = _header_scalar(fields, "MS2", 0)
     orbsym = tuple(fields["ORBSYM"]) if fields.get("ORBSYM") else None
     isym = _header_scalar(fields, "ISYM", 1)

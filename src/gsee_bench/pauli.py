@@ -87,7 +87,7 @@ class _JwPlan:
     """What the Jordan-Wigner encoding of a norb-orbital Hamiltonian keeps
     from one dump to the next: everything but the integral values.
 
-    For (k, V) of `pair_integrals`, the one-body terms are
+    For k of `pair_integrals` and V = `dump.v`, the one-body terms are
     np.repeat(k, 2)[:, None] * c_ops and the two-body terms
     V.ravel()[source] * factor, sorted by string within each first-index
     block and summed over the runs that start at block_starts.  The final
@@ -189,8 +189,8 @@ def jordan_wigner_hamiltonian(dump: FciDump) -> PauliTable:
     if n > MAX_TABLE_QUBITS:
         raise TooLarge(f"{n} qubits exceeds the {MAX_TABLE_QUBITS}-bit masks")
     plan = (_cached_jw_plan if dump.norb <= _CACHED_JW_NORB else _jw_plan)(dump.norb)
-    k, v = pair_integrals(dump)
-    block_sums = np.add.reduceat(v.ravel()[plan.source] * plan.factor, plan.block_starts)
+    k = pair_integrals(dump)
+    block_sums = np.add.reduceat(dump.v.ravel()[plan.source] * plan.factor, plan.block_starts)
     coeff = np.concatenate([[dump.e_core], (np.repeat(k, 2)[:, None] * plan.c_ops).ravel(),
                             block_sums])
     coeff = np.add.reduceat(coeff[plan.order], plan.starts)

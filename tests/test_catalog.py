@@ -310,6 +310,37 @@ def test_scan_rejects_duplicate_task_across_instances(tmp_path):
         scan_catalog(tmp_path)
 
 
+def test_each_duplicate_id_keeps_its_class_and_message(tmp_path):
+    def raises(error, message, load, path):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load(path)
+
+    inside = tmp_path / "inside"
+    inside.mkdir()
+    path = make_instance(inside, [labeled_task("t1"), labeled_task("t1")])
+    raises(DuplicateTaskUuid, "inst-1.problem.json: duplicate task_uuid t1", load_instance, path)
+    raises(DuplicateTaskUuid, "inst-1.problem.json: duplicate task_uuid t1", scan_catalog, inside)
+
+    across = tmp_path / "across"
+    across.mkdir()
+    make_instance(across, [labeled_task("t1")], uuid="i1")
+    make_instance(across, [labeled_task("t1")], uuid="i2")
+    raises(DuplicateTaskUuid, "task_uuid t1 appears in more than one instance", scan_catalog, across)
+
+    twice = tmp_path / "twice"
+    twice.mkdir()
+    make_instance(twice, [labeled_task("t1")], uuid="i1", name="a")
+    (twice / "copy").mkdir()
+    make_instance(twice / "copy", [labeled_task("t2")], uuid="i1", name="b")
+    raises(SchemaViolation, "duplicate instance_uuid i1", scan_catalog, twice)
+
+    path = tmp_path / "s.solution.json"
+    results = [{"task_uuid": uuid, "energy": -1.0, "run_time": 1.0} for uuid in "aba"]
+    write_json(path, {"solver_uuid": "s", "solver_short_name": "demo", "results": results})
+    raises(DuplicateTaskUuid, "s.solution.json results[2]: duplicate task_uuid a",
+           load_solution, path)
+
+
 def test_scan_solutions_rejects_a_solver_uuid_in_two_files(tmp_path):
     def solution(uuid):
         return {"solver_uuid": uuid, "solver_short_name": "demo", "results": []}

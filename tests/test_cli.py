@@ -18,6 +18,7 @@ from gsee_bench.catalog import catalog_tasks, scan_catalog, scan_solutions
 from gsee_bench.cli import RunConfig, main, run_evaluate, run_features, run_oracle
 from gsee_bench.errors import GseeBenchError
 from gsee_bench.ml import SolvabilityConfig
+from gsee_bench.ml.solvability import MAX_SAMPLES
 from gsee_bench.qubit_features import FEATURE_NAMES
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -815,7 +816,7 @@ def test_deeply_nested_input_file_gives_one_error_line(tmp_path, caplog, kind):
 @pytest.mark.parametrize(
     "flags",
     [("--latent-dim", "1"), ("--latent-dim", "3", "--samples", "0"), ("--jobs", "0"),
-     ("--latent-dim", "25"), ("--samples", str(cli.MAX_SAMPLES + 1))],
+     ("--latent-dim", "25"), ("--samples", str(MAX_SAMPLES + 1))],
     ids=["latent-dim-1", "samples-0", "jobs-0", "latent-dim-25", "samples-above-cap"],
 )
 def test_invalid_run_setting_rejected_before_any_output(tmp_path, flags):
@@ -875,6 +876,35 @@ def test_bad_config_file_rejected(tmp_path, caplog, file_conf):
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+@pytest.mark.parametrize("key", ["catalog", "out"])
+def test_empty_catalog_or_out_rejected(tmp_path, monkeypatch, caplog, key, given_as):
+    # run from a copy of the catalog, where "" read as "." would both find
+    # tasks and take the outputs
+    cwd = tmp_path / "cwd"
+    shutil.copytree(CATALOG, cwd)
+    before = sorted(cwd.rglob("*"))
+    monkeypatch.chdir(cwd)
+    settings = {"catalog": str(CATALOG), "out": str(tmp_path / "out"), key: ""}
+    if given_as == "flag":
+        argv = [item for k, v in settings.items() for item in (f"--{k}", v)]
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(settings))
+        argv = ["--config", str(conf)]
+    assert main([*argv, "features"]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["--catalog and --out must not be empty"]
+    assert sorted(cwd.rglob("*")) == before
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dot_is_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--catalog", str(CATALOG), "--out", ".", "features"]) == 0
+    assert (tmp_path / "features.csv").is_file()
 
 
 # Mostly plausible values, each of which may still break one check ...

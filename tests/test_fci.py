@@ -70,11 +70,10 @@ def test_basis_masks_have_right_popcount():
 def test_basis_caps():
     with pytest.raises(TooLarge):
         build_basis(17, 1, 1)
-    # the basis checks its caps before max_dim, so over both the nnz cap speaks
     with pytest.raises(TooLarge, match="over the cap"):
-        build_basis(16, 8, 8, max_dim=1000)
-    with pytest.raises(TooLarge, match="exceeds cap 1000"):
-        build_basis(8, 3, 3, max_dim=1000)
+        build_basis(16, 8, 8)
+    # the element count is the only cap on a sector's size
+    assert len(build_basis(8, 3, 3)) == 3136
     with pytest.raises(InvalidOccupation):
         build_basis(3, 4, 0)
 

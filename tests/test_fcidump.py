@@ -165,6 +165,27 @@ def test_empty_header_value_is_malformed(field):
         parse_fcidump(f"&FCI NORB=1, NELEC=2, {field}=, &END\n")
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("NORB=2,NELEC=2,NORB=3", "header field NORB appears twice"),
+        ("NORB=2,NELEC=2,norb=2", "header field NORB appears twice"),
+        ("NORB=2,NELEC=2,ORBSYM=1,1,ORBSYM=1,1", "header field ORBSYM appears twice"),
+        ("NORB=2 5,NELEC=2", "header field NORB has 2 values, not one"),
+        ("NORB=2,NELEC=2,2", "header field NELEC has 2 values, not one"),
+        ("NORB=2,NELEC=2,MS2=0 2", "header field MS2 has 2 values, not one"),
+        ("NORB=2,NELEC=2,ISYM=1,1,1", "header field ISYM has 3 values, not one"),
+    ],
+)
+def test_header_field_twice_or_scalar_with_many_values_is_malformed(header, message):
+    with pytest.raises(MalformedLine, match=f"^{message}$"):
+        parse_fcidump(f"&FCI {header},&END\n")
+
+
+def test_orbsym_stays_a_list():
+    assert parse_fcidump("&FCI NORB=3,NELEC=2,ORBSYM=1,2,1,&END\n").orbsym == (1, 2, 1)
+
+
 # A restricted two-orbital dump in the layout Psi4 writes, with {flag} where
 # Psi4 puts its unrestricted flag.
 FLAGGED = """&FCI
@@ -398,7 +419,7 @@ def test_pair_integrals_pack_h1_and_h2_over_the_pair_order(rng):
     for norb in range(1, 9):
         d = random_fcidump(rng, norb)
         p, q, index = pair_order(norb)
-        k, v = pair_integrals(d)
+        k, v = pair_integrals(d), d.v
         assert list(zip(p.tolist(), q.tolist())) == [
             (a, b) for a in range(norb) for b in range(a, norb)
         ]

@@ -174,3 +174,38 @@ def test_pauli_table_has_no_dense_matrix():
     from gsee_bench.pauli import PauliTable
 
     assert not hasattr(PauliTable, "to_matrix")
+
+
+def test_build_basis_has_no_dimension_cap():
+    from gsee_bench.fci import build_basis
+
+    assert list(inspect.signature(build_basis).parameters) == ["norb", "n_alpha", "n_beta"]
+
+
+def test_solvability_report_holds_its_config_not_copies():
+    from gsee_bench.ml import SolvabilityReport
+
+    fields = [f.name for f in dataclasses.fields(SolvabilityReport)]
+    assert fields[0] == "config" and "n_samples" not in fields
+    for name in ("threshold", "latent_kind", "latent_dim", "seed"):
+        assert name not in fields and not hasattr(SolvabilityReport, name)
+
+
+def test_sample_cap_is_owned_by_the_solvability_config():
+    from gsee_bench import cli
+    from gsee_bench.ml import SolvabilityConfig
+    from gsee_bench.ml.solvability import MAX_SAMPLES
+
+    assert not hasattr(cli, "MAX_SAMPLES")
+    SolvabilityConfig(n_samples=MAX_SAMPLES)
+    with pytest.raises(ValueError, match=f"n_samples must be <= {MAX_SAMPLES}"):
+        SolvabilityConfig(n_samples=MAX_SAMPLES + 1)
+
+
+def test_pair_integrals_returns_k_alone():
+    import numpy as np
+
+    from gsee_bench.fcidump import FciDump, pair_integrals
+
+    k = pair_integrals(FciDump(norb=3, nelec=2))
+    assert isinstance(k, np.ndarray) and k.shape == (6,)

@@ -106,7 +106,7 @@ def test_planted_fraction_recovered(rng):
 def test_ratio_is_exact_count(rng):
     X, labels = planted_dataset(rng, 60, 0.5)
     report = estimate_solvability(X, labels.tolist(), quick_config())
-    count = int(np.sum(report.probabilities >= report.threshold))
+    count = int(np.sum(report.probabilities >= report.config.threshold))
     assert report.solvability_ratio == count / report.n_samples
 
 
@@ -138,7 +138,7 @@ def test_nnmf_latent_alternative(rng):
     report = estimate_solvability(
         X, labels.tolist(), quick_config(latent="nnmf")
     )
-    assert report.latent_kind == "nnmf"
+    assert report.config.latent == "nnmf"
     assert 0.0 <= report.solvability_ratio <= 1.0
     # the NNMF inverse stays in the non-negative orthant before clipping
     assert np.all(report.bounds[:, 0] >= 0.0)
