@@ -153,7 +153,7 @@ def _parse_task(obj: dict, base_dir: Path, where: str) -> Task:
         raise SchemaViolation(f"{where}: metadata must be an object")
     return Task(
         task_uuid=task_uuid,
-        fcidump_path=(base_dir / fcidump_path).resolve(),
+        fcidump_path=base_dir / fcidump_path,
         accuracy_tol=accuracy_tol,
         runtime_limit=runtime_limit,
         reference_energy=reference_energy,
@@ -196,8 +196,11 @@ def load_instance(path: str | Path) -> ProblemInstance:
     raw_tasks = _require(obj, "tasks", list, where)
     if not raw_tasks:
         raise SchemaViolation(f"{where}: an instance needs at least one task")
+    # Resolved once per instance; a task's relative name is joined to it as
+    # written, and the OS resolves what it holds when the file is opened.
+    base_dir = path.parent.resolve()
     tasks = tuple(
-        _parse_task(t, path.parent, f"{where} task[{i}]") for i, t in enumerate(raw_tasks)
+        _parse_task(t, base_dir, f"{where} task[{i}]") for i, t in enumerate(raw_tasks)
     )
     _check_unique((task.task_uuid for task in tasks),
                   lambda _, uuid: DuplicateTaskUuid(f"{where}: duplicate task_uuid {uuid}"))

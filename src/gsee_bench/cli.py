@@ -107,19 +107,34 @@ def _write_float_csv(path: Path, config: RunConfig, columns: list[str], *arrays)
     """One float array per column, all of one length, as the table whose
     bytes _write_csv gives its rows of Python floats: each float's repr,
     nothing quoted.  The rows are formatted and written SAMPLE_BLOCK at a
-    time, through the handle that wrote the header, and each distinct float
-    of a column within a block is formatted once; floats are told apart by
-    their bits, so 0.0 and -0.0 keep their own text."""
+    time, through the handle that wrote the header.  Each column formats
+    the distinct floats of a block once, and carries that text into its next
+    block, so a float the block before already formatted is not formatted
+    again: a grid column, whose values recur every row of the grid, is
+    formatted once over the whole cloud.  Floats are told apart by their
+    bits, so 0.0 and -0.0 keep their own text."""
     arrays = [np.asarray(array, dtype=float) for array in arrays]
+    # Per column, the last block's distinct bits (ascending) and their text.
+    carried = [(np.empty(0, np.int64), np.empty(0, object))] * len(arrays)
     with _csv_file(path, config, columns) as fh:
         for start in range(0, len(arrays[0]), SAMPLE_BLOCK):
             cells = []
-            for array in arrays:
-                block = array[start:start + SAMPLE_BLOCK]
-                bits = block.view(np.int64).tolist()
-                text = {key: repr(value) for key, value in dict(zip(bits, block.tolist())).items()}
-                cells.append(map(text.__getitem__, bits))
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            for column, array in enumerate(arrays):
+                bits = array[start:start + SAMPLE_BLOCK].view(np.int64)
+                keys, inverse = np.unique(bits, return_inverse=True)
+                last_keys, last_text = carried[column]
+                # A key is known when the last block's sorted keys hold it.
+                at = np.searchsorted(last_keys, keys)
+                known = at < len(last_keys)
+                known[known] = last_keys[at[known]] == keys[known]
+                text = np.empty(len(keys), dtype=object)
+                text[known] = last_text[at[known]]
+                fresh = keys[~known].view(float).tolist()
+                text[~known] = np.fromiter(map(repr, fresh), dtype=object, count=len(fresh))
+                carried[column] = keys, text
+                cells.append(text[inverse].tolist())
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")
 
 
 def _write_json(path: Path, config: RunConfig, payload: dict) -> None:

@@ -28,13 +28,17 @@ MIN_LABELED_ROWS = 10
 ATTRIBUTION_POINTS = 3
 # Rows of the latent cloud that are scored, written or coloured at a time.
 # Each step works row by row, so the results are those of one pass over the
-# cloud, while the working memory stays that of one block.
-SAMPLE_BLOCK = 4096
+# cloud, while the working memory stays that of one block.  A block holds a
+# whole row of the largest grid (sqrt(MAX_SAMPLES) = 1000 points), so the
+# cloud writer, which carries each column's text into the next block, formats
+# a grid axis once.  2048 rows ran the cap report below as fast, and peaked
+# 0.7 MB higher on the big-hamiltonians benchmark workload.
+SAMPLE_BLOCK = 1024
 # Latent samples scored per solver.  The cap is reachable: on a 2-core x86
-# machine with one BLAS thread, the demo report at 1M samples takes 1.8 s
-# at 83 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
-# solvability report, nearly all of it the latent-points CSV), and 3.7 s
-# at 77 MB with 3 (78 MB, of which the latent map raster is 0.29 MB); each
+# machine with one BLAS thread, the demo report at 1M samples takes 1.3-1.5 s
+# at 82 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
+# solvability report, nearly all of it the latent-points CSV), and 3.2-3.3 s
+# at 76 MB with 3 (78 MB, of which the latent map raster is 0.29 MB); each
 # more solver costs about that.
 MAX_SAMPLES = 1_000_000
 

@@ -65,12 +65,21 @@ _STAR = tuple(
      math.cos(-math.pi / 2 + i * math.pi / 5), math.sin(-math.pi / 2 + i * math.pi / 5))
     for i in range(10)
 )
+_STAR_POINTS = " ".join(["{:.2f},{:.2f}"] * len(_STAR))
 
 
-def _star_path(cx: float, cy: float, r: float) -> str:
-    return " ".join(
-        f"{cx + r * f * cos:.2f},{cy + r * f * sin:.2f}" for f, cos, sin in _STAR
-    )
+def _star_paths(centres: np.ndarray, r: float) -> list[str]:
+    """The `points` text of a star of radius r about each (x, y) centre: each
+    vertex is cx + r * f * cos, cy + r * f * sin."""
+    offsets = np.array([(r * f * cos, r * f * sin) for f, cos, sin in _STAR])
+    vertices = centres[:, None, :] + offsets  # (m, 10, 2)
+    return [_STAR_POINTS.format(*row) for row in vertices.reshape(len(centres), 2 * len(_STAR)).tolist()]
+
+
+def _to_px(points: np.ndarray, bounds: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Pixel (x, y) of each latent point (m, >= 2) over axes 1-2, axis 2 up."""
+    t = (points[:, :2] - bounds[:2, 0]) / span[:2] * (WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN)
+    return np.column_stack([MARGIN + t[:, 0], (HEIGHT - MARGIN) - t[:, 1]])
 
 
 def render_latent_map(report: SolvabilityReport, title: str) -> str:
@@ -81,11 +90,6 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
     """
     bounds = np.asarray(report.bounds, dtype=float)
     span = np.where(bounds[:, 1] > bounds[:, 0], bounds[:, 1] - bounds[:, 0], 1.0)
-
-    def to_px(pt) -> tuple[float, float]:
-        x = MARGIN + (pt[0] - bounds[0, 0]) / span[0] * (WIDTH - 2 * MARGIN)
-        y = HEIGHT - MARGIN - (pt[1] - bounds[1, 0]) / span[1] * (HEIGHT - 2 * MARGIN)
-        return x, y
 
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
@@ -121,8 +125,7 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
     rgb[counts.reshape(ny, nx)[::-1] == 0] = 255
     del sums, counts, means  # so the r x r sums do not add to the PNG's peak
     cw, ch = (WIDTH - 2 * MARGIN) / (r - 1), (HEIGHT - 2 * MARGIN) / (r - 1)
-    x0, y1 = to_px(bounds[:, 0])
-    x1, y0 = to_px(bounds[:, 1])
+    (x0, y1), (x1, y0) = _to_px(bounds.T, bounds, span).tolist()
     href = "data:image/png;base64," + binascii.b2a_base64(_png(rgb), newline=False).decode()
     parts.append(
         f'<image x="{x0 - cw / 2:.2f}" y="{y0 - ch / 2:.2f}" '
@@ -130,11 +133,14 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
         f'preserveAspectRatio="none" style="image-rendering:pixelated" href="{href}"/>'
     )
 
-    for row, label in zip(report.training_embedding, report.training_labels):
-        x, y = to_px(np.asarray(row, dtype=float)[:2])
+    # Unlabeled tasks draw as stars, labeled ones as circles, in table order.
+    labels = report.training_labels
+    centres = _to_px(np.asarray(report.training_embedding, dtype=float), bounds, span)
+    stars = iter(_star_paths(centres[[label is None for label in labels]], 7.0))
+    for (x, y), label in zip(centres.tolist(), labels):
         if label is None:
             parts.append(
-                f'<polygon points="{_star_path(x, y, 7.0)}" fill="gold" '
+                f'<polygon points="{next(stars)}" fill="gold" '
                 f'stroke="black" stroke-width="0.8"/>'
             )
         else:

@@ -51,6 +51,30 @@ def test_load_instance_defaults(tmp_path):
     assert task.fcidump_path == (tmp_path / "h.fcidump").resolve()
 
 
+@pytest.mark.parametrize("sub_is_link", [False, True])
+def test_task_path_through_a_symlinked_instance_opens_the_resolved_file(tmp_path, sub_is_link):
+    # The instance directory is reached through a symlink, and the task names
+    # its dump through "sub/..".  When "sub" is itself a link into another
+    # tree, ".." leaves from the link's target, as Path.resolve() reads it.
+    real = tmp_path / "real"
+    (tmp_path / "other" / "deep").mkdir(parents=True)
+    real.mkdir()
+    if sub_is_link:
+        (real / "sub").symlink_to(tmp_path / "other" / "deep", target_is_directory=True)
+    else:
+        (real / "sub").mkdir()
+    (real / "x.fcidump").write_text("real\n", encoding="utf-8")
+    (tmp_path / "other" / "x.fcidump").write_text("other\n", encoding="utf-8")
+    link = tmp_path / "link"
+    link.symlink_to(real, target_is_directory=True)
+    make_instance(real, [labeled_task(fcidump_path="sub/../x.fcidump")])
+    (task,) = load_instance(link / "inst-1.problem.json").tasks
+    before = (link / "sub/../x.fcidump").resolve()
+    assert before == tmp_path.resolve() / ("other" if sub_is_link else "real") / "x.fcidump"
+    assert task.fcidump_path.samefile(before)
+    assert task.fcidump_path.read_text(encoding="utf-8") == before.read_text(encoding="utf-8")
+
+
 def test_guidestar_inferred_from_missing_reference(tmp_path):
     entry = labeled_task()
     del entry["reference_energy"]

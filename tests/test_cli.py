@@ -4,6 +4,7 @@ import importlib
 import json
 import multiprocessing
 import shutil
+import tracemalloc
 import warnings
 from concurrent import futures
 from pathlib import Path
@@ -254,13 +255,17 @@ def test_float_csv_is_the_per_row_repr_join(tmp_path, rows):
 
 
 def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkeypatch):
-    # A 2-D latent grid in one block: each latent column holds r distinct
-    # values, r^2 rows.
+    # A 30 x 30 latent grid with its probabilities repeats every 900 rows,
+    # fewer than a block: over two full blocks and a tail, each column formats
+    # each of its values once, and a later block takes the text its block
+    # before made.
     r = 30
-    assert r * r <= cli.SAMPLE_BLOCK
+    assert r * r < cli.SAMPLE_BLOCK
+    n = 2 * cli.SAMPLE_BLOCK + 5
     axis = np.linspace(-1.0, 2.0, r)
     xx, yy = np.meshgrid(axis, axis)
-    table = np.column_stack([xx.ravel(), yy.ravel(), np.linspace(0.0, 1.0, r * r)])
+    grid = np.column_stack([xx.ravel(), yy.ravel(), np.linspace(0.0, 1.0, r * r)])
+    table = np.tile(grid, (n // (r * r) + 1, 1))[:n]
     calls = []
 
     def counting_repr(value):
@@ -268,11 +273,12 @@ def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkey
         return repr(value)
 
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
-    cli._write_float_csv(tmp_path / "grid.csv", RunConfig(CATALOG, tmp_path),
-                         ["latent_0", "latent_1", "probability"], *table.T)
+    config = RunConfig(CATALOG, tmp_path)
+    columns = ["latent_0", "latent_1", "probability"]
+    cli._write_float_csv(tmp_path / "grid.csv", config, columns, *table.T)
     assert len(calls) == r + r + r * r
-    lines = (tmp_path / "grid.csv").read_text(encoding="utf-8").splitlines()[2:]
-    assert lines == [",".join(map(repr, row)) for row in table.tolist()]
+    assert sorted(calls) == sorted(value for column in grid.T for value in set(column.tolist()))
+    assert (tmp_path / "grid.csv").read_bytes() == one_shot_float_csv(config, columns, table)
 
 
 def one_shot_float_csv(config: RunConfig, columns: list[str], table: np.ndarray) -> bytes:
@@ -302,6 +308,21 @@ def test_float_csv_in_blocks_is_the_one_shot_formatter(tmp_path):
     columns = ["latent_0", "latent_1", "probability"]
     cli._write_float_csv(tmp_path / "cloud.csv", config, columns, *table.T)
     assert (tmp_path / "cloud.csv").read_bytes() == one_shot_float_csv(config, columns, table)
+
+
+def test_float_csv_peak_is_a_few_blocks_whatever_the_rows(tmp_path):
+    # Random floats, none repeated: the writer holds one block's keys, text
+    # and rows and the text carried from the block before, about 600 bytes a
+    # block row.  Formatting the 8 blocks at once would hold eight times that.
+    table = np.random.default_rng(3).random((8 * cli.SAMPLE_BLOCK, 3))
+    config = RunConfig(CATALOG, tmp_path)
+    tracemalloc.start()
+    try:
+        cli._write_float_csv(tmp_path / "cloud.csv", config, ["a", "b", "c"], *table.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * cli.SAMPLE_BLOCK, peak
 
 
 def test_oracle_outputs_match_references(tmp_path):

@@ -18,7 +18,7 @@ from gsee_bench.cli import main
 from gsee_bench.ml import SolvabilityConfig, estimate_solvability
 from gsee_bench.ml.solvability import SAMPLE_BLOCK, grid_samples, random_samples
 from gsee_bench.plots import (
-    _BLUE, _RED, _WHITE, HEIGHT, MARGIN, WIDTH, _prob_rgb, _star_path, render_latent_map,
+    _BLUE, _RED, _WHITE, HEIGHT, MARGIN, WIDTH, _prob_rgb, _star_paths, render_latent_map,
 )
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -270,6 +270,44 @@ def test_markup_in_solver_name_gives_well_formed_svg(tmp_path):
 
 
 def test_star_vertices_match_the_per_vertex_formula(rng):
-    centres = rng.uniform(-50.0, WIDTH + 50.0, size=(2000, 2)).tolist()
-    for (cx, cy), r in zip(centres, [7.0, 0.5, 12.25, 1e-3] * 500):
-        assert _star_path(cx, cy, r) == _star_oracle(cx, cy, r)
+    centres = rng.uniform(-50.0, WIDTH + 50.0, size=(2000, 2))
+    for r in (7.0, 0.5, 12.25, 1e-3):
+        assert _star_paths(centres, r) == [_star_oracle(cx, cy, r) for cx, cy in centres.tolist()]
+    assert _star_paths(np.empty((0, 2)), 7.0) == []
+
+
+def _markers_oracle(report) -> list[str]:
+    """Per-point oracle of the task markers: each point's pixel position from
+    the scalar formula, then a star or a circle by its label."""
+    bounds = report.bounds
+    span = np.where(bounds[:, 1] > bounds[:, 0], bounds[:, 1] - bounds[:, 0], 1.0)
+    markers = []
+    for pt, label in zip(report.training_embedding, report.training_labels):
+        x = MARGIN + (pt[0] - bounds[0, 0]) / span[0] * (WIDTH - 2 * MARGIN)
+        y = HEIGHT - MARGIN - (pt[1] - bounds[1, 0]) / span[1] * (HEIGHT - 2 * MARGIN)
+        if label is None:
+            markers.append(f'<polygon points="{_star_oracle(x, y, 7.0)}" fill="gold" '
+                           f'stroke="black" stroke-width="0.8"/>')
+        else:
+            fill = "rgb(5,48,97)" if label else "rgb(103,0,31)"
+            markers.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4.5" fill="{fill}" '
+                           f'stroke="white" stroke-width="1"/>')
+    return markers
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_markers_are_the_per_point_formula(rng, dim):
+    # Labels None, True and False mixed over 400 points; a second
+    # report moves points onto the bounds and out past them.
+    X = rng.uniform(size=(400, 5))
+    labels = [(None, True, False)[i % 3] if i % 7 else (None, False, True)[i % 3]
+              for i in range(len(X))]
+    report = estimate_solvability(X, labels, SolvabilityConfig(latent_dim=dim, n_samples=100))
+    embedding = report.training_embedding.copy()
+    embedding[:2, :2] = report.bounds[:2].T
+    embedding[2:4, :2] = report.bounds[:2].T * 1.5
+    for case in (report, dataclasses.replace(report, training_embedding=embedding)):
+        lines = render_latent_map(case, "markers").splitlines()
+        drawn = [line for line in lines if line.startswith(("<polygon", "<circle"))]
+        assert drawn == _markers_oracle(case)
+    assert set(labels) == {None, True, False}
