@@ -188,11 +188,12 @@ def _cloud_oracle(report) -> np.ndarray:
     return want
 
 
-@pytest.mark.parametrize(
-    "dim, n_samples", [(2, 100 * 100), (3, 2 * SAMPLE_BLOCK + 7), (5, 2 * SAMPLE_BLOCK + 7)]
-)
+@pytest.mark.parametrize("dim, n_samples", [(2, 100 * 100), (3, 8199), (5, 8199)])
 def test_colours_in_blocks_are_the_one_pass_ramp(rng, dim, n_samples):
-    # The grid's 100 raster rows and the cloud's samples span several blocks.
+    # The grid's 100 raster rows and the cloud's samples span several blocks,
+    # the cloud's last block a partial one.
+    assert n_samples > 2 * SAMPLE_BLOCK
+    assert dim == 2 or n_samples % SAMPLE_BLOCK
     X = rng.uniform(size=(40, max(4, dim)))
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
     report = estimate_solvability(X, labels, SolvabilityConfig(latent_dim=dim, n_samples=n_samples))
