@@ -37,11 +37,11 @@ from .catalog import (
     scan_catalog,
     scan_solutions,
 )
-from .errors import EmptyCatalog, GseeBenchError
+from .errors import EmptyCatalog, GseeBenchError, NonFiniteInput
 from .fcidump import parse_fcidump
 from .fermionic import DEFAULT_DF_THRESHOLD
 from .fci import solve_ground_state
-from .ml.solvability import SAMPLE_BLOCK, SolvabilityConfig, estimate_solvability
+from .ml.solvability import SolvabilityConfig, estimate_solvability, sample_blocks
 from .plots import render_latent_map
 from .qubit_features import (
     FEATURE_NAMES,
@@ -106,21 +106,21 @@ def _write_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
 def _write_float_csv(path: Path, config: RunConfig, columns: list[str], *arrays) -> None:
     """One float array per column, all of one length, as the table whose
     bytes _write_csv gives its rows of Python floats: each float's repr,
-    nothing quoted.  The rows are formatted and written SAMPLE_BLOCK at a
-    time, through the handle that wrote the header.  Each column formats
-    the distinct floats of a block once, and carries that text into its next
-    block, so a float the block before already formatted is not formatted
-    again: a grid column, whose values recur every row of the grid, is
-    formatted once over the whole cloud.  Floats are told apart by their
-    bits, so 0.0 and -0.0 keep their own text."""
+    nothing quoted.  The rows are formatted and written a block of
+    `sample_blocks` at a time, through the handle that wrote the header.
+    Each column formats the distinct floats of a block once, and carries
+    that text into its next block, so a float the block before already
+    formatted is not formatted again: a grid column, whose values recur
+    every row of the grid, is formatted once over the whole cloud.  Floats
+    are told apart by their bits, so 0.0 and -0.0 keep their own text."""
     arrays = [np.asarray(array, dtype=float) for array in arrays]
     # Per column, the last block's distinct bits (ascending) and their text.
     carried = [(np.empty(0, np.int64), np.empty(0, object))] * len(arrays)
     with _csv_file(path, config, columns) as fh:
-        for start in range(0, len(arrays[0]), SAMPLE_BLOCK):
+        for block in sample_blocks(len(arrays[0])):
             cells = []
             for column, array in enumerate(arrays):
-                bits = array[start:start + SAMPLE_BLOCK].view(np.int64)
+                bits = array[block].view(np.int64)
                 keys, inverse = np.unique(bits, return_inverse=True)
                 last_keys, last_text = carried[column]
                 # A key is known when the last block's sorted keys hold it.
@@ -371,19 +371,25 @@ def run_solvability(
         train_rows,
     )
 
-    svg = render_latent_map(report, f"{solution.solver_short_name} solvability")
-    svg_path = config.output_dir / f"latent_map_{solver_uuid}.svg"
-    svg_path.write_text(
-        svg.replace("<!--", f"<!-- {_header_comment(config)[2:]} |", 1), encoding="utf-8"
+    svg = render_latent_map(
+        report, f"{solution.solver_short_name} solvability", _header_comment(config)[2:]
     )
+    (config.output_dir / f"latent_map_{solver_uuid}.svg").write_text(svg, encoding="utf-8")
     return report_path
 
 
 def _try_oracle(task: Task) -> dict | Exception:
+    """One task's oracle entry, or the exception that failed it.  Finite
+    integrals can still overflow to an infinite or NaN energy or gap, which
+    JSON cannot hold: that fails the task with NonFiniteInput, in place of
+    numpy's overflow warnings."""
     try:
         with open(task.fcidump_path, encoding="utf-8") as fh:
             dump = parse_fcidump(fh)
-        spectrum, dim = solve_ground_state(dump, k=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum, dim = solve_ground_state(dump, k=2)
+        if not np.isfinite([*spectrum.energies, spectrum.gap or 0.0]).all():
+            raise NonFiniteInput(f"non-finite energies {spectrum.energies} or gap {spectrum.gap}")
     except Exception as exc:  # noqa: BLE001 - per-task isolation
         return exc
     return {

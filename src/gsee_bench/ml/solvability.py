@@ -5,9 +5,9 @@ full-dimensional scaled features of the labeled rows, fit a latent space on
 all rows, bound the latent axes by the training embedding, sample latent
 points (a uniform grid in 2-D, seeded uniform draws otherwise), inverse
 transform the samples back to feature space, clip into the scaled unit box,
-and score them with the calibrated SVM, SAMPLE_BLOCK rows at a time.  The
-solvability ratio is the exact fraction of samples whose probability meets
-the threshold.
+and score them with the calibrated SVM, a block of `sample_blocks` at a time.
+The solvability ratio is the exact fraction of samples whose probability
+meets the threshold.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from .svm import SvmModel, predict_proba, svm_fit_cv
 MIN_LABELED_ROWS = 10
 # Labeled rows whose mean absolute attributions the report gives.
 ATTRIBUTION_POINTS = 3
-# Rows of the latent cloud that are scored, written or coloured at a time.
-# Each step works row by row, so the results are those of one pass over the
-# cloud, while the working memory stays that of one block.  A block holds a
-# whole row of the largest grid (sqrt(MAX_SAMPLES) = 1000 points), so the
-# cloud writer, which carries each column's text into the next block, formats
-# a grid axis once.  2048 rows ran the cap report below as fast, and peaked
-# 0.7 MB higher on the big-hamiltonians benchmark workload.
+# Rows of the latent cloud that are scored, written or binned at a time, and
+# pixels of its raster coloured at a time: each of those loops iterates
+# sample_blocks.  Each step works row by row, so the results are those of one
+# pass over the cloud, while the working memory stays that of one block.  A
+# block holds a whole row of the largest grid (sqrt(MAX_SAMPLES) = 1000
+# points), so the cloud writer, which carries each column's text into the
+# next block, formats a grid axis once.  2048 rows ran the cap report below
+# as fast, and peaked 0.7 MB higher on the big-hamiltonians benchmark workload.
 SAMPLE_BLOCK = 1024
 # Latent samples scored per solver.  The cap is reachable: on a 2-core x86
 # machine with one BLAS thread, the demo report at 1M samples takes 1.3-1.5 s
@@ -116,6 +117,15 @@ class SolvabilityReport:
                 for row, lab in zip(self.training_embedding, self.training_labels)
             ],
         }
+
+
+def sample_blocks(n: int) -> list[slice]:
+    """The one partition of an n-row cloud: consecutive SAMPLE_BLOCK-row
+    blocks covering rows [0, n), in order, and none for n = 0.  A last block
+    of one row would take numpy's vector paths, which round differently from
+    the matrix kernels, so it joins the block before it."""
+    ends = [*range(SAMPLE_BLOCK, n - 1, SAMPLE_BLOCK), n] if n else []
+    return [slice(start, end) for start, end in zip([0, *ends[:-1]], ends)]
 
 
 def grid_samples(bounds: np.ndarray, n_samples: int) -> tuple[np.ndarray, int]:
@@ -202,15 +212,11 @@ def estimate_solvability(
         samples = random_samples(latent.bounds, config.n_samples, config.seed)
         resolution = None
 
-    n = len(samples)
-    probabilities = np.empty(n)
-    # A last block of one row would take numpy's vector paths, which round
-    # differently from the matrix kernels, so it joins the block before it.
-    ends = [*range(SAMPLE_BLOCK, n - 1, SAMPLE_BLOCK), n]
-    for start, end in zip([0, *ends[:-1]], ends):
-        X_novel = latent.inverse(samples[start:end])
+    probabilities = np.empty(len(samples))
+    for block in sample_blocks(len(samples)):
+        X_novel = latent.inverse(samples[block])
         np.clip(X_novel, 0.0, 1.0, out=X_novel)
-        probabilities[start:end] = predict_proba(model, X_novel)
+        probabilities[block] = predict_proba(model, X_novel)
     ratio = float(np.count_nonzero(probabilities >= config.threshold) / len(probabilities))
 
     cv = model.mean_cv_metrics()

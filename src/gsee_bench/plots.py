@@ -5,11 +5,11 @@ likely solved).  Every map is one embedded PNG image over latent axes 1-2,
 built with the standard library.  A 2-D grid gives one pixel per grid point;
 a 3-D+ cloud is projected onto axes 1-2, about four samples to a pixel, and a
 pixel shows the mean probability of its samples, or white if it has none.
-Samples are binned, and pixels coloured, SAMPLE_BLOCK at a time, so neither
-the document nor the working memory grows with the cloud beyond the raster.
-Labeled training points draw as filled circles and unlabeled ones as stars,
-as vector elements over the image.  The output is deterministic text, so
-reruns are byte-identical.
+Samples are binned, and pixels coloured, a block of `sample_blocks` at a
+time, so neither the document nor the working memory grows with the cloud
+beyond the raster.  Labeled training points draw as filled circles and
+unlabeled ones as stars, as vector elements over the image.  The output is
+deterministic text, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import zlib
 
 import numpy as np
 
-from .ml.solvability import SAMPLE_BLOCK, SolvabilityReport
+from .ml.solvability import SolvabilityReport, sample_blocks
 
 _RED = (178, 24, 43)
 _WHITE = (247, 247, 247)
@@ -82,11 +82,11 @@ def _to_px(points: np.ndarray, bounds: np.ndarray, span: np.ndarray) -> np.ndarr
     return np.column_stack([MARGIN + t[:, 0], (HEIGHT - MARGIN) - t[:, 1]])
 
 
-def render_latent_map(report: SolvabilityReport, title: str) -> str:
+def render_latent_map(report: SolvabilityReport, title: str, stamp: str) -> str:
     """Render the sampled latent map and training markers as an SVG document.
 
-    The title is XML-escaped, and in the leading comment each "--" is split,
-    since a comment may not contain one.
+    The leading comment is "<!-- {stamp} | {title} -->", with each "--" in
+    it split, since a comment may not contain one; the title is XML-escaped.
     """
     bounds = np.asarray(report.bounds, dtype=float)
     span = np.where(bounds[:, 1] > bounds[:, 0], bounds[:, 1] - bounds[:, 0], 1.0)
@@ -95,7 +95,7 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f"<!-- {re.sub('-(?=-)', '- ', title)} -->",
+        f"<!-- {re.sub('-(?=-)', '- ', f'{stamp} | {title}')} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="28" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>',
@@ -111,19 +111,18 @@ def render_latent_map(report: SolvabilityReport, title: str) -> str:
     r = report.grid_resolution or max(2, math.ceil(math.sqrt(len(probs) / 4)))
     nx, ny = np.where(bounds[:2, 1] > bounds[:2, 0], r, 1)
     sums, counts = np.zeros((2, ny * nx))
-    for start in range(0, len(probs), SAMPLE_BLOCK):
-        block = slice(start, start + SAMPLE_BLOCK)
+    for block in sample_blocks(len(probs)):
         ix, iy = np.rint((pts[block] - bounds[:2, 0]) / span[:2] * (nx - 1, ny - 1)).T
         pixel = (iy * nx + ix).astype(np.intp)
         np.add.at(sums, pixel, probs[block])
         np.add.at(counts, pixel, 1.0)
-    means = np.divide(sums, counts, out=sums, where=counts > 0).reshape(ny, nx)[::-1]
-    rgb = np.empty((ny, nx, 3), dtype=np.uint8)
-    rows = max(1, SAMPLE_BLOCK // nx)
-    for top in range(0, ny, rows):
-        rgb[top:top + rows] = _prob_rgb(means[top:top + rows])
-    rgb[counts.reshape(ny, nx)[::-1] == 0] = 255
+    means = np.divide(sums, counts, out=sums, where=counts > 0)
+    rgb = np.empty((ny * nx, 3), dtype=np.uint8)
+    for block in sample_blocks(len(means)):
+        rgb[block] = _prob_rgb(means[block])
+    rgb[counts == 0] = 255
     del sums, counts, means  # so the r x r sums do not add to the PNG's peak
+    rgb = rgb.reshape(ny, nx, 3)[::-1]
     cw, ch = (WIDTH - 2 * MARGIN) / (r - 1), (HEIGHT - 2 * MARGIN) / (r - 1)
     (x0, y1), (x1, y0) = _to_px(bounds.T, bounds, span).tolist()
     href = "data:image/png;base64," + binascii.b2a_base64(_png(rgb), newline=False).decode()

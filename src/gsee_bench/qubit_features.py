@@ -119,11 +119,16 @@ def correlation_matrix(table: np.ndarray) -> np.ndarray:
     """Pearson correlation between the columns of an (n, D) feature table.
 
     Constant columns correlate as 0 with everything (flagged in the log);
-    the diagonal is 1 by definition.
+    the diagonal is 1 by definition.  Each column is first scaled by the
+    power of two that brings its largest |x| below 1, so that a finite table
+    near the float maximum cannot overflow its mean or its variance.  Such a
+    scaling is exact unless it takes a value below the normal range, so the
+    correlations are those of the table as given.
     """
     x = np.asarray(table, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InsufficientRows("correlation needs at least 2 rows")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=0))[1])
     centered = x - x.mean(axis=0)
     std = x.std(axis=0)
     constant = std == 0.0

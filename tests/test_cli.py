@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import math
 import multiprocessing
 import shutil
 import tracemalloc
@@ -19,7 +20,7 @@ from gsee_bench.catalog import catalog_tasks, scan_catalog, scan_solutions
 from gsee_bench.cli import RunConfig, main, run_evaluate, run_features, run_oracle
 from gsee_bench.errors import GseeBenchError
 from gsee_bench.ml import SolvabilityConfig
-from gsee_bench.ml.solvability import MAX_SAMPLES
+from gsee_bench.ml.solvability import MAX_SAMPLES, SAMPLE_BLOCK, grid_samples
 from gsee_bench.qubit_features import FEATURE_NAMES
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -185,9 +186,15 @@ def test_semantic_hash_is_pinned(tmp_path):
         assert moved.semantic_hash() == config.semantic_hash()
 
 
-def test_empty_catalog_is_fatal(tmp_path):
-    code = main(["--catalog", str(tmp_path), "--out", str(tmp_path / "o"), "features"])
-    assert code == 1
+def test_empty_catalog_is_fatal(tmp_path, caplog):
+    # An empty catalog directory and a missing one: one error line, no --out.
+    for catalog in (tmp_path, tmp_path / "missing"):
+        caplog.clear()
+        out = tmp_path / "o"
+        assert main(["--catalog", str(catalog), "--out", str(out), "features"]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"no *.problem.json under {catalog}"]
+        assert not out.exists()
 
 
 def test_evaluate_outcomes(tmp_path):
@@ -260,8 +267,8 @@ def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkey
     # each of its values once, and a later block takes the text its block
     # before made.
     r = 30
-    assert r * r < cli.SAMPLE_BLOCK
-    n = 2 * cli.SAMPLE_BLOCK + 5
+    assert r * r < SAMPLE_BLOCK
+    n = 2 * SAMPLE_BLOCK + 5
     axis = np.linspace(-1.0, 2.0, r)
     xx, yy = np.meshgrid(axis, axis)
     grid = np.column_stack([xx.ravel(), yy.ravel(), np.linspace(0.0, 1.0, r * r)])
@@ -281,6 +288,33 @@ def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkey
     assert (tmp_path / "grid.csv").read_bytes() == one_shot_float_csv(config, columns, table)
 
 
+def test_float_csv_formats_the_largest_grid_axis_once(tmp_path, monkeypatch):
+    # The largest grid has 1000 x values a row.  A block holds a whole row,
+    # so over three blocks each block's x values are all in the block before
+    # it, and each x value is formatted once; a block shorter than a row
+    # would format them again.
+    r = math.isqrt(MAX_SAMPLES)
+    assert SAMPLE_BLOCK >= r
+    points, resolution = grid_samples(np.array([[-1.0, 2.0], [5.0, 7.0]]), MAX_SAMPLES)
+    assert resolution == r
+    table = points[:3 * SAMPLE_BLOCK]
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    config = RunConfig(CATALOG, tmp_path)
+    cli._write_float_csv(tmp_path / "grid.csv", config, ["latent_0", "latent_1"], *table.T)
+    x_calls = [value for value in calls if value < 5.0]
+    assert sorted(x_calls) == np.linspace(-1.0, 2.0, r).tolist()
+    assert len(calls) - len(x_calls) == len(set(table[:, 1].tolist()))
+    assert (tmp_path / "grid.csv").read_bytes() == one_shot_float_csv(
+        config, ["latent_0", "latent_1"], table
+    )
+
+
 def one_shot_float_csv(config: RunConfig, columns: list[str], table: np.ndarray) -> bytes:
     """Oracle of the blocked writer: the whole table formatted in one pass,
     each distinct float of a column once."""
@@ -296,7 +330,7 @@ def one_shot_float_csv(config: RunConfig, columns: list[str], table: np.ndarray)
 def test_float_csv_in_blocks_is_the_one_shot_formatter(tmp_path):
     # Two full blocks and a short third; repeats cross the block edges, and
     # 0.0 sits beside -0.0 in every column.
-    n = 2 * cli.SAMPLE_BLOCK + 5
+    n = 2 * SAMPLE_BLOCK + 5
     rng = np.random.default_rng(11)
     table = np.column_stack([
         np.tile(np.linspace(-1.0, 1.0, 7), n)[:n],
@@ -314,7 +348,7 @@ def test_float_csv_peak_is_a_few_blocks_whatever_the_rows(tmp_path):
     # Random floats, none repeated: the writer holds one block's keys, text
     # and rows and the text carried from the block before, about 600 bytes a
     # block row.  Formatting the 8 blocks at once would hold eight times that.
-    table = np.random.default_rng(3).random((8 * cli.SAMPLE_BLOCK, 3))
+    table = np.random.default_rng(3).random((8 * SAMPLE_BLOCK, 3))
     config = RunConfig(CATALOG, tmp_path)
     tracemalloc.start()
     try:
@@ -322,7 +356,7 @@ def test_float_csv_peak_is_a_few_blocks_whatever_the_rows(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1024 * cli.SAMPLE_BLOCK, peak
+    assert peak < 1024 * SAMPLE_BLOCK, peak
 
 
 def test_oracle_outputs_match_references(tmp_path):
@@ -337,6 +371,30 @@ def test_oracle_outputs_match_references(tmp_path):
         assert entry["converged"]
         assert entry["e0"] == pytest.approx(task["reference_energy"], abs=1e-10)
         assert entry["gap"] >= 0.0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_non_finite_oracle_result_is_a_task_failure(tmp_path, caplog, jobs):
+    # One alpha electron over two orbitals whose energies are -1.7e308 and
+    # 1.7e308: the dump parses, but its oracle energies or gap overflow.
+    mini = tmp_path / "catalog"
+    shutil.copytree(CATALOG / "inst-01", mini / "inst-01")
+    (mini / "inst-01" / "task-01-2.fcidump").write_text(
+        "&FCI NORB=2,NELEC=1,MS2=1,&END\n"
+        " -1.7e308 1 1 0 0\n 1.7e308 2 2 0 0\n 0.0 0 0 0 0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--catalog", str(mini), "--out", str(out), "--jobs", jobs, "oracle"]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    results = json.loads((out / "oracle.json").read_text())["results"]
+    assert [entry["task_uuid"] for entry in results] == ["task-01-1"]
+    failures = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("oracle failed for task")]
+    assert len(failures) == 1 and failures[0].startswith("oracle failed for task task-01-2: ")
+    assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
 
 def test_solvability_subcommand(tmp_path):

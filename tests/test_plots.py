@@ -156,6 +156,23 @@ def test_task_markers_stay_vector(grid_run):
     assert tags.index(f"{SVG}image") < first_marker
 
 
+def test_map_comment_is_the_stamp_and_the_title(grid_run):
+    # The map carries the CSV header's stamp, written by the renderer.
+    out, report, _ = grid_run
+    header = (out / report["latent_points_file"]).read_text().splitlines()[0]
+    name = json.loads((DEMO / "solutions" / f"{SOLVER}.solution.json").read_text())
+    svg_lines = (out / f"latent_map_{SOLVER}.svg").read_text().splitlines()
+    assert svg_lines[1] == f"<!-- {header[2:]} | {name['solver_short_name']} solvability -->"
+
+
+def test_map_comment_splits_every_double_hyphen(rng):
+    X = rng.uniform(size=(40, 4))
+    report = estimate_solvability(X, (X[:, 0] > 0.5).tolist(), SolvabilityConfig(n_samples=4))
+    svg = render_latent_map(report, "a -- <b> & --- c", "tool--1 config=x-")
+    assert svg.splitlines()[1] == "<!-- tool- -1 config=x- | a - - &lt;b&gt; &amp; - - - c -->"
+    ET.fromstring(svg)
+
+
 def test_scatter_for_three_latent_axes(tmp_path):
     # A 3-D cloud is one image too, over latent axes 1-2 with about four
     # samples a pixel; only the labeled training points draw as circles.
@@ -197,7 +214,7 @@ def test_colours_in_blocks_are_the_one_pass_ramp(rng, dim, n_samples):
     X = rng.uniform(size=(40, max(4, dim)))
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
     report = estimate_solvability(X, labels, SolvabilityConfig(latent_dim=dim, n_samples=n_samples))
-    pixels = map_pixels(ET.fromstring(render_latent_map(report, "blocks")))
+    pixels = map_pixels(ET.fromstring(render_latent_map(report, "blocks", "stamp")))
     probs = report.probabilities
     if dim == 2:
         r = report.grid_resolution
@@ -216,7 +233,7 @@ def test_grid_map_is_the_grid_ramp_bit_for_bit(rng, r):
     labels = (X[:, 0] + X[:, 1] > 1.0).tolist()
     report = estimate_solvability(X, labels, SolvabilityConfig(n_samples=r * r))
     assert report.grid_resolution == r
-    pixels = map_pixels(ET.fromstring(render_latent_map(report, "grid")))
+    pixels = map_pixels(ET.fromstring(render_latent_map(report, "grid", "stamp")))
     assert np.array_equal(pixels, _prob_rgb(report.probabilities.reshape(r, r)[::-1]))
 
 
@@ -233,7 +250,7 @@ def test_zero_span_axis_gives_a_filled_strip(rng, dim, flat):
         points = random_samples(bounds, 900, seed=0)
     assert np.all(points[:, flat] == bounds[flat, 0])
     report = dataclasses.replace(report, bounds=bounds, latent_points=points)
-    root = ET.fromstring(render_latent_map(report, "flat"))
+    root = ET.fromstring(render_latent_map(report, "flat", "stamp"))
     r = report.grid_resolution or 15  # ceil(sqrt(900 / 4))
     pixels = map_pixels(root)
     assert pixels.shape == ((r, 1, 3) if flat == 0 else (1, r, 3))
@@ -308,7 +325,7 @@ def test_markers_are_the_per_point_formula(rng, dim):
     embedding[:2, :2] = report.bounds[:2].T
     embedding[2:4, :2] = report.bounds[:2].T * 1.5
     for case in (report, dataclasses.replace(report, training_embedding=embedding)):
-        lines = render_latent_map(case, "markers").splitlines()
+        lines = render_latent_map(case, "markers", "stamp").splitlines()
         drawn = [line for line in lines if line.startswith(("<polygon", "<circle"))]
         assert drawn == _markers_oracle(case)
     assert set(labels) == {None, True, False}

@@ -102,6 +102,8 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fci", "_pair_index"),
         ("gsee_bench.fci", "_pairs"),
         ("gsee_bench.fci", "_diagonal"),
+        ("gsee_bench.cli", "SAMPLE_BLOCK"),
+        ("gsee_bench.plots", "SAMPLE_BLOCK"),
     ],
 )
 def test_reference_path_not_in_package(module, name):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gsee_bench.errors import InsufficientRows
+from gsee_bench.fcidump import parse_fcidump
 from gsee_bench.pauli import jordan_wigner_hamiltonian
 from gsee_bench.qubit_features import (
     FEATURE_NAMES,
@@ -194,6 +195,46 @@ def test_correlation_constant_column_convention(rng):
     corr = correlation_matrix(table)
     assert corr[0, 1] == 0.0
     assert corr[0, 0] == 1.0
+
+
+def unscaled_correlation(x: np.ndarray) -> np.ndarray:
+    """Oracle: the Pearson formula on the table as given, which overflows
+    once a column's mean or variance passes the float maximum."""
+    centered = x - x.mean(axis=0)
+    std = x.std(axis=0)
+    constant = std == 0.0
+    normed = centered / np.where(constant, 1.0, std)
+    corr = normed.T @ normed / x.shape[0]
+    corr[constant, :] = 0.0
+    corr[:, constant] = 0.0
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_correlation_is_the_unscaled_formula_bit_for_bit(seed):
+    # Columns from 1e-6 to 1e6 in scale, signs mixed, one constant column.
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(40, 8)) * 10.0 ** rng.integers(-6, 7, size=8)
+    table[:, 3] = 2.5
+    assert correlation_matrix(table).tobytes() == unscaled_correlation(table).tobytes()
+
+
+def test_correlation_of_a_table_near_the_float_maximum_is_finite():
+    # One orbital, one electron, h11 near the float maximum: each row is
+    # finite, but one_norm's mean over the rows overflows unscaled.
+    table = np.array([
+        compute_feature_vector(parse_fcidump(f"&FCI NORB=1,NELEC=1,MS2=1,&END\n {h} 1 1 0 0\n"))
+        for h in ("1.0e308", "1.7e308", "1.2e308")
+    ])
+    assert np.isfinite(table).all()
+    assert table[:, FEATURE_NAMES.index("one_norm")].max() == 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(unscaled_correlation(table)).all()
+    corr = correlation_matrix(table)
+    assert np.isfinite(corr).all()
+    assert np.abs(corr).max() <= 1.0 + 1e-12
+    assert np.array_equal(corr, corr.T)
 
 
 def test_correlation_insufficient_rows():

@@ -13,7 +13,7 @@ from gsee_bench.errors import InsufficientLabels, SingleClass
 from gsee_bench.ml import SolvabilityConfig, estimate_solvability
 from gsee_bench.ml.latent import pca_fit
 from gsee_bench.ml.scaling import minmax_scale
-from gsee_bench.ml.solvability import SAMPLE_BLOCK, grid_samples, random_samples
+from gsee_bench.ml.solvability import SAMPLE_BLOCK, grid_samples, random_samples, sample_blocks
 from gsee_bench.ml.svm import predict_proba, svm_fit_cv
 from gsee_bench.qubit_features import FEATURE_NAMES
 
@@ -221,6 +221,19 @@ def test_out_of_range_setting_rejected_when_the_config_is_built(setting, message
     with pytest.raises(ValueError) as info:
         SolvabilityConfig(**setting)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 1],
+)
+def test_sample_blocks_cover_the_rows_in_order_without_a_one_row_tail(n):
+    blocks = sample_blocks(n)
+    assert [row for block in blocks for row in range(n)[block]] == list(range(n))
+    sizes = [len(range(n)[block]) for block in blocks]
+    assert 0 not in sizes
+    assert n == 1 or 1 not in sizes
+    # every block but the last holds SAMPLE_BLOCK rows
+    assert set(sizes[:-1]) <= {SAMPLE_BLOCK}
 
 
 # Oracle: the cloud scored in one pass.  Numpy sends a one-row product down
