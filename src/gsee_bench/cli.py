@@ -37,7 +37,7 @@ from .catalog import (
     scan_catalog,
     scan_solutions,
 )
-from .errors import EmptyCatalog, GseeBenchError, NonFiniteInput
+from .errors import EmptyCatalog, GseeBenchError
 from .fcidump import parse_fcidump
 from .fermionic import DEFAULT_DF_THRESHOLD
 from .fci import solve_ground_state
@@ -277,15 +277,10 @@ def run_features(
     else:
         log.warning("fewer than 2 feature rows; correlation matrix skipped")
 
-    norbs = [int(n) // 2 for n in table[:, FEATURE_NAMES.index("n_spin_orbitals")]]
-    hist_rows = []
-    if norbs:
-        top = (max(norbs) // HISTOGRAM_BIN_WIDTH + 1) * HISTOGRAM_BIN_WIDTH
-        edges = np.arange(0, top + 1, HISTOGRAM_BIN_WIDTH)
-        counts, _ = np.histogram(norbs, bins=edges)
-        hist_rows = [
-            [int(edges[i]), int(edges[i + 1]), int(c)] for i, c in enumerate(counts)
-        ]
+    norbs = table[:, FEATURE_NAMES.index("n_spin_orbitals")].astype(int) // 2
+    counts = np.bincount(norbs // HISTOGRAM_BIN_WIDTH).tolist()
+    hist_rows = [[i * HISTOGRAM_BIN_WIDTH, (i + 1) * HISTOGRAM_BIN_WIDTH, c]
+                 for i, c in enumerate(counts)]
     _write_csv(
         config.output_dir / "orbital_histogram.csv",
         config,
@@ -379,17 +374,11 @@ def run_solvability(
 
 
 def _try_oracle(task: Task) -> dict | Exception:
-    """One task's oracle entry, or the exception that failed it.  Finite
-    integrals can still overflow to an infinite or NaN energy or gap, which
-    JSON cannot hold: that fails the task with NonFiniteInput, in place of
-    numpy's overflow warnings."""
+    """One task's oracle entry, or the exception that failed it."""
     try:
         with open(task.fcidump_path, encoding="utf-8") as fh:
             dump = parse_fcidump(fh)
-        with np.errstate(over="ignore", invalid="ignore"):
-            spectrum, dim = solve_ground_state(dump, k=2)
-        if not np.isfinite([*spectrum.energies, spectrum.gap or 0.0]).all():
-            raise NonFiniteInput(f"non-finite energies {spectrum.energies} or gap {spectrum.gap}")
+        spectrum, dim = solve_ground_state(dump, k=2)
     except Exception as exc:  # noqa: BLE001 - per-task isolation
         return exc
     return {

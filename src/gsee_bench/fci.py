@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InconsistentBasis, InvalidOccupation, TooLarge
+from .errors import InconsistentBasis, InvalidOccupation, NonFiniteInput, TooLarge
 from .fcidump import FciDump, pair_integrals, pair_order
 
 MAX_ORBITALS = 16
@@ -349,7 +349,9 @@ class SectorHamiltonian:
         symmetric.  No A_r is formed densely: each part is a scatter of
         products of two table entries, so that a sector with one string of
         a spin does not need (pairs, dim, dim) scratch.  Made exactly
-        symmetric as 1/2 (H + H^T)."""
+        symmetric as 1/2 H + 1/2 H^T, halved first so that a finite H does
+        not overflow the sum.  W + W^T is not halved: it is the alpha-beta
+        coefficient itself, and overflows only when that coefficient does."""
         a, b, w = self._alpha, self._beta, self._integrals
         n_a, n_b = len(a.masks), len(b.masks)
         dim = n_a * n_b
@@ -365,7 +367,8 @@ class SectorHamiltonian:
         h.flat[::dim + 1] += self._e_core
         h *= self._phase[:, None]
         h *= self._phase
-        return 0.5 * (h + h.T)
+        h *= 0.5
+        return h + h.T
 
 
 def _scatter(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -445,7 +448,9 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
         cross = basis[:stop] @ products[start:stop].T
         projected[:start, start:stop] = cross[:start]
         projected[start:stop, :start] = cross[:start].T
-        projected[start:stop, start:stop] = (cross[start:] + cross[start:].T) / 2.0
+        block = cross[start:]
+        block *= 0.5
+        projected[start:stop, start:stop] = block + block.T
 
     def apply(start: int, stop: int) -> None:
         products[start:stop] = (matrix @ basis[start:stop].T).T
@@ -524,7 +529,12 @@ def _spectrum(energies: np.ndarray, iterations: int, converged: bool) -> Spectru
 
 
 def solve_ground_state(dump: FciDump, k: int = 2) -> tuple[SpectrumResult, int]:
-    """Convenience wrapper: basis + matrix + eigensolve; returns (result, dim)."""
-    basis = build_basis(dump.norb, dump.n_alpha, dump.n_beta)
-    matrix = build_fci_matrix(dump, basis)
-    return lowest_eigenvalues(matrix, k=k), len(basis)
+    """Basis + matrix + eigensolve; returns (result, dim).  Finite integrals
+    can still overflow to an infinite or NaN energy or gap: such a result
+    raises NonFiniteInput, in place of numpy's overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = build_basis(dump.norb, dump.n_alpha, dump.n_beta)
+        spectrum = lowest_eigenvalues(build_fci_matrix(dump, basis), k=k)
+    if not np.isfinite([*spectrum.energies, spectrum.gap or 0.0]).all():
+        raise NonFiniteInput(f"non-finite energies {spectrum.energies} or gap {spectrum.gap}")
+    return spectrum, len(basis)

@@ -11,7 +11,9 @@ and two bit helpers, so it checks sigma, `toarray` and `diagonal`.
 build_basis order.
 `sigma_reference` is the direct-CI sigma with fresh arrays for every
 intermediate, the oracle that the fixed-scratch product must equal bit for
-bit.
+bit.  `toarray_reference` is the dense expansion symmetrised as
+1/2 (H + H^T), the oracle that `toarray`'s halved-first form must equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from gsee_bench.fci import (
     SectorHamiltonian,
     _bit,
     _interleave_phase,
+    _one_spin,
     _parity,
+    _scatter,
     _strings,
 )
 
@@ -56,6 +60,27 @@ def sigma_reference(h: SectorHamiltonian, x: np.ndarray) -> np.ndarray:
     sigma = (np.einsum("ie,iej->ij", a.pair_sign, alpha)
              + np.einsum("je,ije->ij", b.pair_sign, beta) + h._e_core * c)
     return sigma.ravel() * phase
+
+
+def toarray_reference(h: SectorHamiltonian) -> np.ndarray:
+    """The dense H of `toarray`, the same scatter of W, made symmetric as
+    1/2 (H + H^T): that sum overflows once an element passes half the float
+    maximum, but below that it rounds as the halved-first form does."""
+    a, b, w = h._alpha, h._beta, h._integrals
+    n_a, n_b = len(a.masks), len(b.masks)
+    dim = n_a * n_b
+    both = w + w.T
+    values = (a.pair_sign[:, None, :, None] * b.pair_sign[None, :, None, :]
+              * both[a.pair[:, None, :, None], b.pair[None, :, None, :]])
+    cols = a.pair_to[:, None, :, None] * n_b + b.pair_to[None, :, None, :]
+    dense = _scatter(dim, np.arange(dim).reshape(n_a, n_b, 1, 1), cols, values)
+    blocks = dense.reshape(n_a, n_b, n_a, n_b)
+    blocks[:, np.arange(n_b), :, np.arange(n_b)] += _one_spin(a, w)
+    blocks[np.arange(n_a), :, np.arange(n_a), :] += _one_spin(b, w)
+    dense.flat[::dim + 1] += h._e_core
+    dense *= h._phase[:, None]
+    dense *= h._phase
+    return 0.5 * (dense + dense.T)
 
 
 def sector_dets(norb: int, n_alpha: int, n_beta: int) -> list[tuple[int, int]]:

@@ -13,7 +13,7 @@ import scipy.sparse
 
 from gsee_bench import fci
 from gsee_bench.catalog import scan_catalog
-from gsee_bench.errors import InconsistentBasis, InvalidOccupation, TooLarge
+from gsee_bench.errors import InconsistentBasis, InvalidOccupation, NonFiniteInput, TooLarge
 from gsee_bench.fcidump import FciDump, parse_fcidump
 from gsee_bench.fermionic import log_fci_size
 from gsee_bench.fci import (
@@ -29,7 +29,7 @@ from gsee_bench.fci import (
 )
 
 from conftest import brute_force_fci_matrix, interleave, random_fcidump, random_symmetric
-from fci_reference import build_csr, sector_dets, sigma_reference
+from fci_reference import build_csr, sector_dets, sigma_reference, toarray_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -132,6 +132,49 @@ def test_matrix_symmetric(rng):
     basis = build_basis(3, d.n_alpha, d.n_beta)
     m = build_fci_matrix(d, basis).toarray()
     assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_toarray_is_the_unhalved_average_bit_for_bit(seed):
+    # every sector of norb 1-7 up to DENSE_CUTOFF determinants
+    rng = np.random.default_rng(seed)
+    sectors = [(norb, n_alpha, n_beta) for norb in range(1, 8)
+               for n_alpha in range(norb + 1) for n_beta in range(norb + 1)
+               if math.comb(norb, n_alpha) * math.comb(norb, n_beta) <= DENSE_CUTOFF]
+    assert len(sectors) == 191
+    for norb, n_alpha, n_beta in sectors:
+        d = random_fcidump(rng, norb, n_alpha + n_beta, n_alpha - n_beta)
+        mat = build_fci_matrix(d, build_basis(norb, n_alpha, n_beta))
+        assert mat.toarray().tobytes() == toarray_reference(mat).tobytes()
+
+
+def _one_orbital(h11: float, nelec: int, ms2: int) -> FciDump:
+    return parse_fcidump(f"&FCI NORB=1,NELEC={nelec},MS2={ms2},&END\n {h11!r} 1 1 0 0\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h11", [1.0e308, 1.7e308, 1.2e308])
+def test_one_electron_ground_state_near_the_float_maximum(h11):
+    # above half the float maximum, 1/2 (H + H^T) would overflow to inf
+    spectrum, dim = solve_ground_state(_one_orbital(h11, 1, 1))
+    assert dim == 1 and spectrum.energies == (h11,) and spectrum.gap is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_beta_ground_state_near_the_float_maximum():
+    # one alpha and one beta electron: each spin's part is h11 / 2 and the
+    # alpha-beta part, from W + W^T, is h11, all finite
+    spectrum, _ = solve_ground_state(_one_orbital(0.85e308, 2, 0))
+    assert spectrum.energies == (1.7e308,)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowed_gap_raises_non_finite_input():
+    # energies -1.7e308 and 1.7e308 are finite, their gap is not
+    dump = parse_fcidump("&FCI NORB=2,NELEC=1,MS2=1,&END\n"
+                         " -1.7e308 1 1 0 0\n 1.7e308 2 2 0 0\n 0.0 0 0 0 0\n")
+    with pytest.raises(NonFiniteInput, match="non-finite energies"):
+        solve_ground_state(dump)
 
 
 def test_matrix_matches_brute_force_ladder_build(rng):

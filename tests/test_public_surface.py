@@ -88,6 +88,7 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.cli", "_Pool"),
         ("gsee_bench.cli", "_map"),
         ("gsee_bench.cli", "_load_tasks"),
+        ("gsee_bench.cli", "NonFiniteInput"),
         ("gsee_bench.ml", "ScaledDataset"),
         ("gsee_bench.ml.scaling", "ScaledDataset"),
         ("gsee_bench.fci", "_sector_dets"),
