@@ -378,7 +378,7 @@ def _try_oracle(task: Task) -> dict | Exception:
     try:
         with open(task.fcidump_path, encoding="utf-8") as fh:
             dump = parse_fcidump(fh)
-        spectrum, dim = solve_ground_state(dump, k=2)
+        spectrum, dim = solve_ground_state(dump)
     except Exception as exc:  # noqa: BLE001 - per-task isolation
         return exc
     return {

@@ -36,7 +36,7 @@ MAX_ORBITALS = 16
 # closed form when a DeterminantBasis is built.  Sigma stores no elements,
 # and the count bounds its work per product.  What the oracle holds is fixed
 # per sector: sigma's two (dim x pairs) buffers plus Davidson's basis and
-# product rows, 2 (DAVIDSON_MAX_SUBSPACE + k) x dim.  Measured on a 2-core
+# product rows, 2 (DAVIDSON_MAX_SUBSPACE + ROOTS) x dim.  Measured on a 2-core
 # machine with one BLAS thread, one random dump (demo generator, seed 1) per
 # sector, build plus two-root Davidson on sigma in a fresh process, medians of
 # 4-5 runs: the largest sector under the cap, norb 12 with 6+2 electrons
@@ -48,7 +48,7 @@ MAX_NONZEROS = 64_000_000
 # Sectors of at most this many determinants are solved densely (`toarray`
 # and eigvalsh), larger ones by Davidson on sigma.  Medians on a 2-core
 # machine with one BLAS thread, two demo-generator dumps per sector (seeds 0
-# and 1), five fresh matrices each, k = 2, over three passes:
+# and 1), five fresh matrices each, two roots, over three passes:
 #   (norb, n_alpha, n_beta)   dim   dense   Davidson
 #   (6, 3, 3)                 400   15 ms     17 ms
 #   (10, 2, 1)                450   20 ms     35 ms
@@ -73,6 +73,8 @@ DENSE_CUTOFF = 700
 DAVIDSON_TOL = 1e-8
 DAVIDSON_MAX_ITERATIONS = 300
 DAVIDSON_MAX_SUBSPACE = 30
+# The oracle reports e0, e1 and the gap, so every solve finds two roots.
+ROOTS = 2
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,13 @@ class SpectrumResult:
     """Lowest eigenvalues (core energy included) with convergence info."""
 
     energies: tuple[float, ...]
-    gap: float | None
     n_iterations: int
     converged: bool
+
+    @property
+    def gap(self) -> float | None:
+        """e1 - e0, or None for a one-determinant sector."""
+        return self.energies[1] - self.energies[0] if len(self.energies) > 1 else None
 
 
 @dataclass(frozen=True)
@@ -402,42 +408,37 @@ def build_fci_matrix(dump: FciDump, basis: DeterminantBasis) -> SectorHamiltonia
     return SectorHamiltonian(dump, basis)
 
 
-def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
-    """Lowest k eigenvalues of a symmetric matrix: a NumPy array, or any
+def lowest_eigenvalues(matrix) -> SpectrumResult:
+    """Lowest ROOTS eigenvalues of a symmetric matrix: a NumPy array, or any
     object with `toarray()`, `diagonal()` and `@` (a `SectorHamiltonian`, a
     SciPy sparse matrix).
 
     Problems up to DENSE_CUTOFF are solved densely; larger ones by Davidson
     iteration with a diagonal preconditioner, in arrays allocated once: the
     basis vectors and their products H @ v are the rows of two
-    (DAVIDSON_MAX_SUBSPACE + k) x n arrays, and the projected matrix
-    V H V^T is one square array of that order.  Each iteration forms the k
-    residuals in the rows after the basis, turns them into new directions
-    in place, applies H to those alone and fills only their rows and
-    columns of the projected matrix.  Above DAVIDSON_MAX_SUBSPACE vectors
-    the subspace restarts: the leading 2k + 2 Ritz vectors, at most
-    DAVIDSON_MAX_SUBSPACE - 2k (room for two blocks of k directions) but no
-    fewer than k, orthonormalized, and their products are rotated into the
-    leading rows; so a k above DAVIDSON_MAX_SUBSPACE / 2 raises ValueError.
+    (DAVIDSON_MAX_SUBSPACE + ROOTS) x n arrays, and the projected matrix
+    V H V^T is one square array of that order.  Each iteration forms the
+    ROOTS residuals in the rows after the basis, turns them into new
+    directions in place, applies H to those alone and fills only their rows
+    and columns of the projected matrix.  Above DAVIDSON_MAX_SUBSPACE vectors
+    the subspace restarts: the leading 2 ROOTS + 2 Ritz vectors, at most
+    DAVIDSON_MAX_SUBSPACE - 2 ROOTS but no fewer than ROOTS,
+    orthonormalized, and their products are rotated into the leading rows.
+    A one-determinant problem has one eigenvalue.
     If the iteration stalls the best estimates are returned with
     converged=False rather than raising.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     tol, max_subspace = DAVIDSON_TOL, DAVIDSON_MAX_SUBSPACE
     n = matrix.shape[0]
-    k_eff = min(k, n)
 
     if n <= max(DENSE_CUTOFF, 3 * max_subspace):
         dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
         eigvals = np.linalg.eigvalsh(dense)
-        return _spectrum(eigvals[:k_eff], 0, True)
+        return SpectrumResult(tuple(eigvals[:ROOTS].tolist()), 0, True)
 
-    if 2 * k_eff > max_subspace:
-        raise ValueError(f"k={k} exceeds half the Davidson subspace of {max_subspace}")
     diag = matrix.diagonal()
-    m = min(n, max(2 * k_eff, k_eff + 2))
-    rows = max(max_subspace, m) + k_eff
+    m = 2 * ROOTS
+    rows = max_subspace + ROOTS
     basis = np.zeros((rows, n))
     products = np.empty((rows, n))
     projected = np.empty((rows, rows))
@@ -470,17 +471,17 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
         return kept
 
     apply(0, m)
-    theta = np.zeros(k_eff)
+    theta = np.zeros(ROOTS)
     converged = False
     iteration = 0
 
     for iteration in range(1, DAVIDSON_MAX_ITERATIONS + 1):
         eigvals, eigvecs = np.linalg.eigh(projected[:m, :m])
-        theta = eigvals[:k_eff]
-        y = eigvecs[:, :k_eff]
+        theta = eigvals[:ROOTS]
+        y = eigvecs[:, :ROOTS]
         # residuals H x - theta x of the Ritz vectors x = V^T y, with the
         # scaled Ritz vectors parked in the free rows of the products
-        residuals, ritz = basis[m:m + k_eff], products[m:m + k_eff]
+        residuals, ritz = basis[m:m + ROOTS], products[m:m + ROOTS]
         np.matmul(y.T, basis[:m], out=ritz)
         np.matmul(y.T, products[:m], out=residuals)
         ritz *= theta[:, None]
@@ -490,13 +491,13 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
             converged = True
             break
 
-        if m + k_eff > max_subspace:
-            keep = max(k_eff, min(2 * k_eff + 2, m, max_subspace - 2 * k_eff))
+        if m + ROOTS > max_subspace:
+            keep = max(ROOTS, min(2 * ROOTS + 2, m, max_subspace - 2 * ROOTS))
             m = restart(eigvecs[:, :keep])
             continue
 
         added = 0
-        for root in range(k_eff):
+        for root in range(ROOTS):
             if norms[root] < tol:
                 continue
             denom = theta[root] - diag
@@ -518,23 +519,16 @@ def lowest_eigenvalues(matrix, k: int = 1) -> SpectrumResult:
         apply(m, m + added)
         m += added
 
-    return _spectrum(theta, iteration, converged)
+    return SpectrumResult(tuple(theta.tolist()), iteration, converged)
 
 
-def _spectrum(energies: np.ndarray, iterations: int, converged: bool) -> SpectrumResult:
-    """energies ascending, as eigh and eigvalsh return them."""
-    energies = np.asarray(energies, dtype=float)
-    gap = float(energies[1] - energies[0]) if energies.size >= 2 else None
-    return SpectrumResult(tuple(float(e) for e in energies), gap, iterations, converged)
-
-
-def solve_ground_state(dump: FciDump, k: int = 2) -> tuple[SpectrumResult, int]:
+def solve_ground_state(dump: FciDump) -> tuple[SpectrumResult, int]:
     """Basis + matrix + eigensolve; returns (result, dim).  Finite integrals
     can still overflow to an infinite or NaN energy or gap: such a result
     raises NonFiniteInput, in place of numpy's overflow warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         basis = build_basis(dump.norb, dump.n_alpha, dump.n_beta)
-        spectrum = lowest_eigenvalues(build_fci_matrix(dump, basis), k=k)
+        spectrum = lowest_eigenvalues(build_fci_matrix(dump, basis))
     if not np.isfinite([*spectrum.energies, spectrum.gap or 0.0]).all():
         raise NonFiniteInput(f"non-finite energies {spectrum.energies} or gap {spectrum.gap}")
     return spectrum, len(basis)

@@ -319,15 +319,15 @@ def predict_proba(model: SvmModel, X_query) -> np.ndarray:
     return _sigmoid(model.platt_a, model.platt_b, model.decision_function(X_query))
 
 
-def stratified_folds(labels, k: int, seed: int = 0) -> np.ndarray:
-    """Deterministic stratified fold assignment (round-robin within class)."""
+def stratified_folds(labels, seed: int = 0) -> np.ndarray:
+    """Deterministic stratified K_FOLDS-fold assignment (round-robin within class)."""
     labels = np.asarray(labels, dtype=bool)
     rng = np.random.default_rng(seed)
     folds = np.empty(len(labels), dtype=int)
     for cls in (False, True):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        folds[idx] = np.arange(len(idx)) % k
+        folds[idx] = np.arange(len(idx)) % K_FOLDS
     return folds
 
 
@@ -352,7 +352,7 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
         raise TooFewSamples(f"{n} samples for {k} folds")
 
     y = np.where(labels, 1.0, -1.0)
-    folds = stratified_folds(labels, k, seed)
+    folds = stratified_folds(labels, seed)
     gammas = default_gamma_grid(d)
     sq = _sq_distances(X, X)
 

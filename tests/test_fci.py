@@ -21,6 +21,7 @@ from gsee_bench.fci import (
     DENSE_CUTOFF,
     DeterminantBasis,
     MAX_NONZEROS,
+    ROOTS,
     _row_elements,
     build_basis,
     build_fci_matrix,
@@ -286,16 +287,16 @@ def test_sigma_allocates_only_its_result_after_the_first_product(rng):
 def test_davidson_working_set_is_the_closed_form(rng):
     d = random_fcidump(rng, 8, 6, 0, scale=0.5)
     mat = build_fci_matrix(d, build_basis(8, 3, 3))
-    dim, pairs, k = mat.shape[0], 8 * 9 // 2, 2
+    dim, pairs = mat.shape[0], 8 * 9 // 2
     results = []
-    peak = _traced_peak(lambda: results.append(lowest_eigenvalues(mat, k=k)))
+    peak = _traced_peak(lambda: results.append(lowest_eigenvalues(mat)))
     assert results[0].converged and results[0].n_iterations > 0
     # sigma's D and G, and the basis and product rows; the slack is the
     # scratch's [c; -c; 0] stacks and sigma terms (6 dim), the diagonal and
-    # the denominators, a restart's 2k + 2 rotated rows and a product block
+    # the denominators, a restart's 2 ROOTS + 2 rotated rows and a product block
     # (the one-pass sigma with a column-stacked subspace peaked at 246 dim
     # floats here, 110 over the closed form)
-    closed_form = 2 * dim * pairs + 2 * (DAVIDSON_MAX_SUBSPACE + k) * dim
+    closed_form = 2 * dim * pairs + 2 * (DAVIDSON_MAX_SUBSPACE + ROOTS) * dim
     slack = 24 * dim
     assert peak < (closed_form + slack) * 8
 
@@ -330,14 +331,14 @@ def test_spectrum_invariant_under_basis_permutation(rng):
 
 
 def test_lowest_eigenvalues_diag():
-    result = lowest_eigenvalues(np.diag([3.0, 1.0, 2.0]), k=2)
+    result = lowest_eigenvalues(np.diag([3.0, 1.0, 2.0]))
     assert result.energies == (1.0, 2.0)
     assert result.gap == pytest.approx(1.0)
     assert result.converged
 
 
 def test_lowest_eigenvalues_1x1():
-    result = lowest_eigenvalues(np.array([[4.5]]), k=1)
+    result = lowest_eigenvalues(np.array([[4.5]]))
     assert result.energies == (4.5,)
     assert result.gap is None
 
@@ -357,7 +358,7 @@ def test_davidson_matches_dense_oracle(rng, monkeypatch):
     mat = _random_sparse_symmetric(rng, 500)
     monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-9)
     monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
-    result = lowest_eigenvalues(mat, k=2)
+    result = lowest_eigenvalues(mat)
     assert result.converged
     assert result.n_iterations > 0
     dense = np.linalg.eigvalsh(mat.toarray())
@@ -369,7 +370,7 @@ def test_davidson_large_sparse(rng, monkeypatch):
     mat = _random_sparse_symmetric(rng, 5000)
     monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-8)
     monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
-    result = lowest_eigenvalues(mat, k=2)
+    result = lowest_eigenvalues(mat)
     assert result.converged
     assert result.energies[0] <= result.energies[1]
     assert result.gap == pytest.approx(result.energies[1] - result.energies[0])
@@ -377,12 +378,27 @@ def test_davidson_large_sparse(rng, monkeypatch):
     assert np.abs(np.sort(reference) - np.array(result.energies)).max() < 1e-8
 
 
+def test_every_path_finds_the_roots_it_reports(rng, monkeypatch):
+    # the dense path and Davidson find ROOTS energies, a one-determinant
+    # sector one, and the gap is derived from them
+    mat = _random_sparse_symmetric(rng, 400)
+    dense = lowest_eigenvalues(mat)
+    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
+    davidson = lowest_eigenvalues(mat)
+    single, _ = solve_ground_state(_one_orbital(0.5, 1, 1))
+    assert dense.n_iterations == 0 and davidson.n_iterations > 0
+    assert [len(r.energies) for r in (dense, davidson, single)] == [ROOTS, ROOTS, 1]
+    for result in (dense, davidson):
+        assert result.converged and result.gap == result.energies[1] - result.energies[0]
+    assert single.gap is None
+
+
 def test_davidson_honest_convergence_flag(rng, monkeypatch):
     mat = _random_sparse_symmetric(rng, 300)
     monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-14)
     monkeypatch.setattr(fci, "DAVIDSON_MAX_ITERATIONS", 1)
     monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
-    result = lowest_eigenvalues(mat, k=1)
+    result = lowest_eigenvalues(mat)
     assert not result.converged
 
 
@@ -401,7 +417,7 @@ def test_davidson_applies_matrix_to_each_direction_once(rng, monkeypatch, max_su
     monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-9)
     monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
     monkeypatch.setattr(fci, "DAVIDSON_MAX_SUBSPACE", max_subspace)
-    result = lowest_eigenvalues(mat, k=2)
+    result = lowest_eigenvalues(mat)
     assert result.converged
     dense = np.linalg.eigvalsh(mat.toarray())
     assert np.abs(np.array(result.energies) - dense[:2]).max() < 1e-8
@@ -413,28 +429,6 @@ def test_davidson_applies_matrix_to_each_direction_once(rng, monkeypatch, max_su
     assert len(added) < result.n_iterations
     # a Davidson that re-applied the whole basis would apply at least this many
     assert sum(mat.applied) < initial * result.n_iterations
-
-
-@pytest.mark.parametrize("k", [10, 12])
-def test_davidson_restart_leaves_room_to_grow_for_large_k(monkeypatch, k):
-    # a restart that kept 2k + 2 >= DAVIDSON_MAX_SUBSPACE vectors restarted
-    # to the same subspace every iteration and stopped unconverged at 300
-    mat = _random_sparse_symmetric(np.random.default_rng(0), 400)
-    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
-    result = lowest_eigenvalues(mat, k=k)
-    assert result.converged and result.n_iterations < fci.DAVIDSON_MAX_ITERATIONS
-    dense = np.linalg.eigvalsh(mat.toarray())
-    assert np.abs(np.array(result.energies) - dense[:k]).max() < 1e-8
-
-
-@pytest.mark.parametrize("max_subspace, k", [(30, 16), (8, 5)])
-def test_davidson_refuses_k_its_subspace_cannot_hold(rng, monkeypatch, max_subspace, k):
-    mat = _random_sparse_symmetric(rng, 400)
-    monkeypatch.setattr(fci, "DENSE_CUTOFF", 0)
-    monkeypatch.setattr(fci, "DAVIDSON_MAX_SUBSPACE", max_subspace)
-    with pytest.raises(ValueError, match="exceeds half the Davidson subspace"):
-        lowest_eigenvalues(mat, k=k)
-    assert len(lowest_eigenvalues(mat, k=max_subspace // 2).energies) == max_subspace // 2
 
 
 # Each sector has n_alpha = n_beta, and Davidson returns its third eigenvalue
@@ -465,7 +459,7 @@ def test_davidson_on_structured_hamiltonian(rng, monkeypatch):
     mat = build_fci_matrix(d, basis)
     assert mat.shape[0] > 2000
     monkeypatch.setattr(fci, "DAVIDSON_TOL", 1e-9)
-    dav = lowest_eigenvalues(mat, k=2)
+    dav = lowest_eigenvalues(mat)
     assert dav.converged and dav.n_iterations > 0
     dense = np.linalg.eigvalsh(build_csr(d, basis).toarray())
     assert abs(dav.energies[0] - dense[0]) < 1e-10
@@ -486,7 +480,7 @@ def test_dense_cutoff_routes_the_sectors_either_side(monkeypatch):
         d = random_fcidump(rng, norb, n_alpha + n_beta, n_alpha - n_beta, scale=0.5)
         basis = build_basis(norb, n_alpha, n_beta)
         mat = build_fci_matrix(d, basis)
-        result = lowest_eigenvalues(mat, k=2)
+        result = lowest_eigenvalues(mat)
         assert result.converged
         assert (result.n_iterations == 0) == dense, (dim, result.n_iterations)
         exact = np.linalg.eigvalsh(build_csr(d, basis).toarray())[:2]

@@ -103,6 +103,7 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fci", "_pair_index"),
         ("gsee_bench.fci", "_pairs"),
         ("gsee_bench.fci", "_diagonal"),
+        ("gsee_bench.fci", "_spectrum"),
         ("gsee_bench.cli", "SAMPLE_BLOCK"),
         ("gsee_bench.plots", "SAMPLE_BLOCK"),
     ],
@@ -183,6 +184,17 @@ def test_build_basis_has_no_dimension_cap():
     from gsee_bench.fci import build_basis
 
     assert list(inspect.signature(build_basis).parameters) == ["norb", "n_alpha", "n_beta"]
+
+
+def test_root_and_fold_counts_are_constants():
+    from gsee_bench.fci import SpectrumResult, lowest_eigenvalues, solve_ground_state
+    from gsee_bench.ml.svm import stratified_folds
+
+    assert list(inspect.signature(lowest_eigenvalues).parameters) == ["matrix"]
+    assert list(inspect.signature(solve_ground_state).parameters) == ["dump"]
+    assert "k" not in inspect.signature(stratified_folds).parameters
+    fields = [f.name for f in dataclasses.fields(SpectrumResult)]
+    assert fields == ["energies", "n_iterations", "converged"]
 
 
 def test_solvability_report_holds_its_config_not_copies():

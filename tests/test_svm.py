@@ -152,8 +152,8 @@ def test_deterministic_given_seed(rng, monkeypatch):
 
 def test_stratified_folds_cover_both_classes(rng):
     labels = np.array([True] * 7 + [False] * 23)
-    folds = stratified_folds(labels, 5, seed=1)
-    for f in range(5):
+    folds = stratified_folds(labels, seed=1)
+    for f in range(svm.K_FOLDS):
         assert labels[folds == f].any()
         assert (~labels[folds == f]).any()
 
