@@ -255,7 +255,10 @@ def evaluate_task(task: Task, result: SolutionResult | None) -> TaskOutcome:
         return TaskOutcome(task.task_uuid, Verdict.UNLABELED, None, within_runtime, attempted)
     abs_error = None
     if attempted and result.energy is not None and task.reference_energy is not None:
-        abs_error = abs(result.energy - task.reference_energy)
+        # two finite energies can differ by more than the float maximum:
+        # such an error is left blank, as for an unattempted task
+        error = abs(result.energy - task.reference_energy)
+        abs_error = error if math.isfinite(error) else None
     solved = abs_error is not None and abs_error <= task.accuracy_tol and within_runtime
     verdict = Verdict.SOLVED if solved else Verdict.UNSOLVED
     return TaskOutcome(task.task_uuid, verdict, abs_error, within_runtime, attempted)

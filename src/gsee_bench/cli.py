@@ -41,7 +41,12 @@ from .errors import EmptyCatalog, GseeBenchError
 from .fcidump import parse_fcidump
 from .fermionic import DEFAULT_DF_THRESHOLD
 from .fci import solve_ground_state
-from .ml.solvability import SolvabilityConfig, estimate_solvability, sample_blocks
+from .ml.solvability import (
+    SolvabilityConfig,
+    SolvabilityReport,
+    estimate_solvability,
+    sample_blocks,
+)
 from .plots import render_latent_map
 from .qubit_features import (
     FEATURE_NAMES,
@@ -103,36 +108,27 @@ def _write_csv(path: Path, config: RunConfig, columns: list[str], rows) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _write_float_csv(path: Path, config: RunConfig, columns: list[str], *arrays) -> None:
-    """One float array per column, all of one length, as the table whose
-    bytes _write_csv gives its rows of Python floats: each float's repr,
-    nothing quoted.  The rows are formatted and written a block of
-    `sample_blocks` at a time, through the handle that wrote the header.
-    Each column formats the distinct floats of a block once, and carries
-    that text into its next block, so a float the block before already
-    formatted is not formatted again: a grid column, whose values recur
-    every row of the grid, is formatted once over the whole cloud.  Floats
-    are told apart by their bits, so 0.0 and -0.0 keep their own text."""
-    arrays = [np.asarray(array, dtype=float) for array in arrays]
-    # Per column, the last block's distinct bits (ascending) and their text.
-    carried = [(np.empty(0, np.int64), np.empty(0, object))] * len(arrays)
+def _write_cloud_csv(path: Path, config: RunConfig, report: SolvabilityReport) -> None:
+    """The report's cloud, a row per sample: its latent coordinates, then its
+    probability.  The bytes are those _write_csv gives these rows of Python
+    floats: each float's repr, nothing quoted.  The rows are written a block
+    of `sample_blocks` at a time, through the handle that wrote the header.
+    A grid's r values per axis are formatted once and indexed by the sample
+    order stated on SolvabilityReport.grid_resolution; every other float is
+    formatted in the row that holds it."""
+    points, probabilities, r = report.latent_points, report.probabilities, report.grid_resolution
+    columns = [*(f"latent_{i}" for i in range(points.shape[1])), "probability"]
+    if r is not None:
+        axes = [np.array(list(map(repr, axis.tolist())), dtype=object)
+                for axis in (points[:r, 0], points[::r, 1])]
     with _csv_file(path, config, columns) as fh:
-        for block in sample_blocks(len(arrays[0])):
-            cells = []
-            for column, array in enumerate(arrays):
-                bits = array[block].view(np.int64)
-                keys, inverse = np.unique(bits, return_inverse=True)
-                last_keys, last_text = carried[column]
-                # A key is known when the last block's sorted keys hold it.
-                at = np.searchsorted(last_keys, keys)
-                known = at < len(last_keys)
-                known[known] = last_keys[at[known]] == keys[known]
-                text = np.empty(len(keys), dtype=object)
-                text[known] = last_text[at[known]]
-                fresh = keys[~known].view(float).tolist()
-                text[~known] = np.fromiter(map(repr, fresh), dtype=object, count=len(fresh))
-                carried[column] = keys, text
-                cells.append(text[inverse].tolist())
+        for block in sample_blocks(len(probabilities)):
+            if r is None:
+                cells = [map(repr, column) for column in points[block].T.tolist()]
+            else:
+                rows = np.arange(block.start, block.stop)
+                cells = [axes[0][rows % r].tolist(), axes[1][rows // r].tolist()]
+            cells.append(map(repr, probabilities[block].tolist()))
             fh.write("\n".join(map(",".join, zip(*cells))))
             fh.write("\n")
 
@@ -347,14 +343,7 @@ def run_solvability(
     cloud_name = f"latent_points_{solver_uuid}.csv"
     _write_json(report_path, config, {**report.to_dict(), "latent_points_file": cloud_name})
 
-    latent_cols = [f"latent_{i}" for i in range(report.config.latent_dim)]
-    _write_float_csv(
-        config.output_dir / cloud_name,
-        config,
-        [*latent_cols, "probability"],
-        *report.latent_points.T,
-        report.probabilities,
-    )
+    _write_cloud_csv(config.output_dir / cloud_name, config, report)
     train_rows = [
         [uuid, *map(float, row[:2]), "" if lab is None else str(bool(lab)).lower()]
         for uuid, row, lab in zip(task_uuids, report.training_embedding, report.training_labels)

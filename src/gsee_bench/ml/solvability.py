@@ -29,17 +29,15 @@ ATTRIBUTION_POINTS = 3
 # Rows of the latent cloud that are scored, written or binned at a time, and
 # pixels of its raster coloured at a time: each of those loops iterates
 # sample_blocks.  Each step works row by row, so the results are those of one
-# pass over the cloud, while the working memory stays that of one block.  A
-# block holds a whole row of the largest grid (sqrt(MAX_SAMPLES) = 1000
-# points), so the cloud writer, which carries each column's text into the
-# next block, formats a grid axis once.  2048 rows ran the cap report below
-# as fast, and peaked 0.7 MB higher on the big-hamiltonians benchmark workload.
+# pass over the cloud, while the working memory stays that of one block.
+# 2048 rows ran the cap report below as fast, and peaked 0.7 MB higher on the
+# big-hamiltonians benchmark workload.
 SAMPLE_BLOCK = 1024
 # Latent samples scored per solver.  The cap is reachable: on a 2-core x86
-# machine with one BLAS thread, the demo report at 1M samples takes 1.3-1.5 s
+# machine with one BLAS thread, the demo report at 1M samples takes 1.2-1.5 s
 # at 82 MB peak RSS with 2 latent axes (58 MB of artifacts for its one
-# solvability report, nearly all of it the latent-points CSV), and 3.2-3.3 s
-# at 76 MB with 3 (78 MB, of which the latent map raster is 0.29 MB); each
+# solvability report, nearly all of it the latent-points CSV), and 2.9-3.2 s
+# at 75 MB with 3 (78 MB, of which the latent map raster is 0.29 MB); each
 # more solver costs about that.
 MAX_SAMPLES = 1_000_000
 
@@ -76,6 +74,8 @@ class SolvabilityReport:
     latent_points: np.ndarray  # (n, dim) latent coordinates
     probabilities: np.ndarray  # (n,) calibrated probabilities
     bounds: np.ndarray
+    # r for the 2-D grid of r * r samples, else None: sample iy * r + ix is
+    # (axis_0[ix], axis_1[iy]), each axis r evenly spaced points over its bounds.
     grid_resolution: int | None
     best_params: dict
     training_embedding: np.ndarray
@@ -129,10 +129,10 @@ def sample_blocks(n: int) -> list[slice]:
 
 
 def grid_samples(bounds: np.ndarray, n_samples: int) -> tuple[np.ndarray, int]:
-    """Uniform 2-D grid of about n_samples points over the latent rectangle."""
+    """Uniform 2-D grid of about n_samples points over the latent rectangle,
+    and its resolution r, in the order of SolvabilityReport.grid_resolution."""
     r = max(2, math.ceil(math.sqrt(n_samples)))
     axes = [np.linspace(lo, hi, r) for lo, hi in bounds]
-    # Point iy * r + ix is (axes[0][ix], axes[1][iy]).
     samples = np.empty((r, r, 2))
     samples[..., 0] = axes[0]
     samples[..., 1] = axes[1][:, None]

@@ -81,7 +81,6 @@ def compute_qubit_features(table: PauliTable) -> dict[str, float]:
     support = support[is_edge]
     if not support.size:
         log.warning("Pauli sum has no non-identity term; emitting zero features")
-        return {**dict.fromkeys(_QUBIT_NAMES, 0.0), "n_qubits": float(table.n_qubits)}
     weights = np.abs(table.coeff[is_edge])
     values = (
         float(np.sort(weights).sum()),

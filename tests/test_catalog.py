@@ -253,6 +253,15 @@ def test_error_is_absolute_both_sides():
     assert evaluate_task(TASK, result(-0.999, 5.0)).verdict is Verdict.SOLVED
 
 
+def test_an_overflowing_error_is_blank_and_unsolved():
+    # both energies are finite, their difference is not
+    task = Task("t", fcidump_path=None, reference_energy=-1.7e308, runtime_limit=10.0)
+    outcome = evaluate_task(task, result(1.7e308, 5.0))
+    assert outcome.abs_error is None
+    assert outcome.verdict is Verdict.UNSOLVED
+    assert outcome.attempted and outcome.within_runtime
+
+
 def test_guidestar_always_unlabeled():
     assert evaluate_task(GUIDESTAR, result(-0.5, 5.0)).verdict is Verdict.UNLABELED
     assert evaluate_task(GUIDESTAR, None).verdict is Verdict.UNLABELED

@@ -20,7 +20,7 @@ from gsee_bench.catalog import catalog_tasks, scan_catalog, scan_solutions
 from gsee_bench.cli import RunConfig, main, run_evaluate, run_features, run_oracle
 from gsee_bench.errors import GseeBenchError
 from gsee_bench.ml import SolvabilityConfig
-from gsee_bench.ml.solvability import MAX_SAMPLES, SAMPLE_BLOCK, grid_samples
+from gsee_bench.ml.solvability import MAX_SAMPLES, SAMPLE_BLOCK, SolvabilityReport, grid_samples
 from gsee_bench.qubit_features import FEATURE_NAMES
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -212,6 +212,27 @@ def test_evaluate_outcomes(tmp_path):
     assert summary["size-limited"][2:] == ["6", "11"]
 
 
+def test_evaluate_writes_an_overflowing_error_blank(tmp_path):
+    # two finite energies 3.4e308 apart: the error cell is blank, not inf
+    catalog, solutions = tmp_path / "catalog", tmp_path / "solutions"
+    catalog.mkdir()
+    solutions.mkdir()
+    (catalog / "t.fcidump").write_text(
+        "&FCI NORB=1,NELEC=1,MS2=1,\n&END\n -1.0 1 1 0 0\n 0.0 0 0 0 0\n")
+    task = {"task_uuid": "t", "fcidump_path": "t.fcidump", "reference_energy": -1.7e308,
+            "runtime_limit": 60.0}
+    (catalog / "i.problem.json").write_text(
+        json.dumps({"instance_uuid": "i", "short_name": "overflow", "tasks": [task]}))
+    (solutions / "s.solution.json").write_text(json.dumps({
+        "solver_uuid": "s", "solver_short_name": "s",
+        "results": [{"task_uuid": "t", "energy": 1.7e308, "run_time": 1.0}]}))
+    argv = ["--catalog", str(catalog), "--out", str(tmp_path / "out"), "evaluate",
+            "--solutions", str(solutions)]
+    assert main(argv) == 0
+    rows = read_rows(tmp_path / "out" / "outcomes_s.csv")
+    assert rows[1:] == [["t", "unsolved", "", "true", "true"]]
+
+
 def test_solver_name_with_csv_delimiters_round_trips(tmp_path):
     solutions = tmp_path / "solutions"
     shutil.copytree(SOLUTIONS, solutions)
@@ -228,51 +249,73 @@ def test_solver_name_with_csv_delimiters_round_trips(tmp_path):
     assert {row[0]: row[1] for row in rows[1:]}["perturbed"] == name
 
 
+def cloud_report(points, probabilities, r: int | None = None) -> SolvabilityReport:
+    """A report holding a cloud and nothing else the cloud writer reads."""
+    return SolvabilityReport(
+        config=SolvabilityConfig(), solvability_ratio=0.0, metrics={}, latent_points=points,
+        probabilities=np.asarray(probabilities, dtype=float), bounds=None, grid_resolution=r,
+        best_params={}, training_embedding=None, training_labels=(), attributions={},
+        feature_names=(),
+    )
+
+
+def grid_report(axis_0, axis_1, probabilities) -> SolvabilityReport:
+    """The grid over two axes of r values each, in the sample order stated on
+    SolvabilityReport.grid_resolution."""
+    xx, yy = np.meshgrid(axis_0, axis_1)
+    return cloud_report(np.column_stack([xx.ravel(), yy.ravel()]), probabilities, len(axis_0))
+
+
+def one_shot_float_csv(config: RunConfig, report: SolvabilityReport) -> bytes:
+    """Oracle of the cloud writer: the whole cloud in one pass, every float
+    of every row through repr."""
+    columns = [f"latent_{i}" for i in range(report.latent_points.shape[1])] + ["probability"]
+    rows = np.column_stack([report.latent_points, report.probabilities]).tolist()
+    lines = [cli._header_comment(config), ",".join(columns)]
+    lines += [",".join(map(repr, row)) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def test_float_csv_join_writes_the_bytes_of_csv_writer(tmp_path):
     rng = np.random.default_rng(7)
-    rows = np.column_stack([rng.normal(size=(50, 2)), rng.random(50)]).tolist()
+    rows = np.column_stack([rng.normal(size=(50, 2)), rng.random(50)])
     rows[:3] = [[-0.0, 1e-300, 1.0], [5e-324, -1.7976931348623157e308, 0.1],
                 [123456789.0, -1.5e-7, 0.0]]
+    grid = grid_report([-0.0, 1e-300, 5e-324, 123456789.0],
+                       [-1.7976931348623157e308, 0.1, -1.5e-7, 0.0], rng.random(16))
     config = RunConfig(CATALOG, tmp_path)
     columns = ["latent_0", "latent_1", "probability"]
-    cli._write_csv(tmp_path / "writer.csv", config, columns, rows)
-    cli._write_float_csv(tmp_path / "join.csv", config, columns, *np.array(rows).T)
-    assert (tmp_path / "join.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+    for report in (cloud_report(rows[:, :2], rows[:, 2]), grid):
+        table = np.column_stack([report.latent_points, report.probabilities]).tolist()
+        cli._write_csv(tmp_path / "writer.csv", config, columns, table)
+        cli._write_cloud_csv(tmp_path / "join.csv", config, report)
+        assert (tmp_path / "join.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows, r",
     [
-        [[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0], [-0.0, -0.0, 0.5]],
-        [[0.1, 2.0, 0.5]] * 40 + [[-0.1, 2.0, 0.5], [0.1, 2.0, 5e-324]],
-        [[1e-300, -2.5, 0.75]],
-        [],
+        ([[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0], [-0.0, -0.0, 0.5]], None),
+        ([[0.1, 2.0, 0.5]] * 40 + [[-0.1, 2.0, 0.5], [0.1, 2.0, 5e-324]], None),
+        ([[1e-300, -2.5, 0.75]], None),
+        ([], None),
+        ([[-0.0, 0.0, 0.5], [0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [0.0, -0.0, 0.5]], 2),
     ],
-    ids=["signed-zeros", "repeats", "one-row", "no-rows"],
+    ids=["signed-zeros", "repeats", "one-row", "no-rows", "grid-signed-zeros"],
 )
-def test_float_csv_is_the_per_row_repr_join(tmp_path, rows):
+def test_float_csv_is_the_per_row_repr_join(tmp_path, rows, r):
     config = RunConfig(CATALOG, tmp_path)
-    columns = ["latent_0", "latent_1", "probability"]
-    cli._write_float_csv(tmp_path / "cloud.csv", config, columns, *np.array(rows).reshape(-1, 3).T)
+    table = np.array(rows).reshape(-1, 3)
+    cli._write_cloud_csv(tmp_path / "cloud.csv", config, cloud_report(table[:, :2], table[:, 2], r))
     expected = "".join(
-        [cli._header_comment(config) + "\n", ",".join(columns) + "\n"]
+        [cli._header_comment(config) + "\n", "latent_0,latent_1,probability\n"]
         + [",".join(map(repr, row)) + "\n" for row in rows]
     )
     assert (tmp_path / "cloud.csv").read_bytes() == expected.encode("utf-8")
 
 
-def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkeypatch):
-    # A 30 x 30 latent grid with its probabilities repeats every 900 rows,
-    # fewer than a block: over two full blocks and a tail, each column formats
-    # each of its values once, and a later block takes the text its block
-    # before made.
-    r = 30
-    assert r * r < SAMPLE_BLOCK
-    n = 2 * SAMPLE_BLOCK + 5
-    axis = np.linspace(-1.0, 2.0, r)
-    xx, yy = np.meshgrid(axis, axis)
-    grid = np.column_stack([xx.ravel(), yy.ravel(), np.linspace(0.0, 1.0, r * r)])
-    table = np.tile(grid, (n // (r * r) + 1, 1))[:n]
+def reprs_of_cloud_csv(tmp_path, monkeypatch, report) -> list[float]:
+    """The floats that writing the report's cloud passes to repr, in order."""
     calls = []
 
     def counting_repr(value):
@@ -280,83 +323,95 @@ def test_float_csv_formats_each_distinct_float_of_a_column_once(tmp_path, monkey
         return repr(value)
 
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    cli._write_cloud_csv(tmp_path / "cloud.csv", RunConfig(CATALOG, tmp_path), report)
+    return calls
+
+
+def grid_of(r: int, rng) -> SolvabilityReport:
+    points, resolution = grid_samples(np.array([[-3.0, -2.0], [5.0, 7.0]]), r * r)
+    assert resolution == r
+    return cloud_report(points, rng.random(r * r), r)
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "cloud"])
+def test_float_csv_formats_grid_axes_once_and_other_floats_per_row(tmp_path, monkeypatch, grid):
+    # A 30 x 30 grid over two full blocks and a short third formats its r
+    # values per axis once and each probability in its row: 2r + n calls.
+    # A 3-axis cloud formats each of its (dim + 1) * n floats, repeats too,
+    # in its row.
+    rng = np.random.default_rng(5)
+    if grid:
+        report = grid_of(30, rng)
+        points = report.latent_points
+        expected = points[:30, 0].tolist() + points[::30, 1].tolist()
+    else:
+        n = 2 * SAMPLE_BLOCK + 5
+        report = cloud_report(rng.choice([0.25, -0.5, 3.0], size=(n, 3)), rng.random(n))
+        expected = report.latent_points.ravel().tolist()
+    expected += report.probabilities.tolist()
+    calls = reprs_of_cloud_csv(tmp_path, monkeypatch, report)
+    assert len(calls) == len(expected)
+    assert sorted(calls) == sorted(expected)
     config = RunConfig(CATALOG, tmp_path)
-    columns = ["latent_0", "latent_1", "probability"]
-    cli._write_float_csv(tmp_path / "grid.csv", config, columns, *table.T)
-    assert len(calls) == r + r + r * r
-    assert sorted(calls) == sorted(value for column in grid.T for value in set(column.tolist()))
-    assert (tmp_path / "grid.csv").read_bytes() == one_shot_float_csv(config, columns, table)
+    assert (tmp_path / "cloud.csv").read_bytes() == one_shot_float_csv(config, report)
 
 
 def test_float_csv_formats_the_largest_grid_axis_once(tmp_path, monkeypatch):
-    # The largest grid has 1000 x values a row.  A block holds a whole row,
-    # so over three blocks each block's x values are all in the block before
-    # it, and each x value is formatted once; a block shorter than a row
-    # would format them again.
+    # The largest grid's 1000-point rows are no whole blocks; each axis is
+    # still formatted once, first, and then each probability in row order.
     r = math.isqrt(MAX_SAMPLES)
-    assert SAMPLE_BLOCK >= r
-    points, resolution = grid_samples(np.array([[-1.0, 2.0], [5.0, 7.0]]), MAX_SAMPLES)
-    assert resolution == r
-    table = points[:3 * SAMPLE_BLOCK]
-    calls = []
-
-    def counting_repr(value):
-        calls.append(value)
-        return repr(value)
-
-    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
-    config = RunConfig(CATALOG, tmp_path)
-    cli._write_float_csv(tmp_path / "grid.csv", config, ["latent_0", "latent_1"], *table.T)
-    x_calls = [value for value in calls if value < 5.0]
-    assert sorted(x_calls) == np.linspace(-1.0, 2.0, r).tolist()
-    assert len(calls) - len(x_calls) == len(set(table[:, 1].tolist()))
-    assert (tmp_path / "grid.csv").read_bytes() == one_shot_float_csv(
-        config, ["latent_0", "latent_1"], table
-    )
-
-
-def one_shot_float_csv(config: RunConfig, columns: list[str], table: np.ndarray) -> bytes:
-    """Oracle of the blocked writer: the whole table formatted in one pass,
-    each distinct float of a column once."""
-    cells = []
-    for column in table.T:
-        bits = column.view(np.int64).tolist()
-        text = {key: repr(value) for key, value in dict(zip(bits, column.tolist())).items()}
-        cells.append(map(text.__getitem__, bits))
-    lines = [cli._header_comment(config), ",".join(columns)] + [",".join(row) for row in zip(*cells)]
-    return "".join(line + "\n" for line in lines).encode("utf-8")
+    assert r % SAMPLE_BLOCK and SAMPLE_BLOCK % r
+    report = grid_of(r, np.random.default_rng(6))
+    points = report.latent_points
+    calls = reprs_of_cloud_csv(tmp_path, monkeypatch, report)
+    assert calls == points[:r, 0].tolist() + points[::r, 1].tolist() + report.probabilities.tolist()
+    with open(tmp_path / "cloud.csv", "rb") as fh:
+        head = b"".join(fh.readline() for _ in range(2 + 3 * SAMPLE_BLOCK))
+    rows = slice(3 * SAMPLE_BLOCK)
+    first = cloud_report(points[rows], report.probabilities[rows])
+    assert head == one_shot_float_csv(RunConfig(CATALOG, tmp_path), first)
 
 
 def test_float_csv_in_blocks_is_the_one_shot_formatter(tmp_path):
-    # Two full blocks and a short third; repeats cross the block edges, and
-    # 0.0 sits beside -0.0 in every column.
-    n = 2 * SAMPLE_BLOCK + 5
+    # Two full blocks, then a one-row tail that joins the second, or a short
+    # last block: 5 rows of a cloud, or 68 of the 46 x 46 grid, whose rows
+    # cross the block edges.  In the clouds 0.0 sits beside -0.0 in every
+    # column.
     rng = np.random.default_rng(11)
-    table = np.column_stack([
-        np.tile(np.linspace(-1.0, 1.0, 7), n)[:n],
-        rng.choice([0.0, -0.0, 0.5, -2.5e-7, 1e300], size=n),
-        rng.random(n),
-    ])
-    table[-3:] = [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 5e-324]]
     config = RunConfig(CATALOG, tmp_path)
-    columns = ["latent_0", "latent_1", "probability"]
-    cli._write_float_csv(tmp_path / "cloud.csv", config, columns, *table.T)
-    assert (tmp_path / "cloud.csv").read_bytes() == one_shot_float_csv(config, columns, table)
+    axes = np.linspace(-1.0, 1.0, 46), np.linspace(0.0, 3.0, 46)
+    reports = [grid_report(*axes, rng.random(46 * 46))]
+    for n in (2 * SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 5):
+        table = np.column_stack([
+            np.tile(np.linspace(-1.0, 1.0, 7), n)[:n],
+            rng.choice([0.0, -0.0, 0.5, -2.5e-7, 1e300], size=n),
+            rng.random(n),
+        ])
+        table[-3:] = [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 5e-324]]
+        reports.append(cloud_report(table[:, :2], table[:, 2]))
+    for report in reports:
+        assert 2 * SAMPLE_BLOCK < len(report.probabilities) < 3 * SAMPLE_BLOCK
+        cli._write_cloud_csv(tmp_path / "cloud.csv", config, report)
+        assert (tmp_path / "cloud.csv").read_bytes() == one_shot_float_csv(config, report)
 
 
 def test_float_csv_peak_is_a_few_blocks_whatever_the_rows(tmp_path):
-    # Random floats, none repeated: the writer holds one block's keys, text
-    # and rows and the text carried from the block before, about 600 bytes a
+    # Eight blocks of random floats, or a 91 x 91 grid: the writer holds one
+    # block's text and rows (and a grid's 2r axis texts), about 250 bytes a
     # block row.  Formatting the 8 blocks at once would hold eight times that.
-    table = np.random.default_rng(3).random((8 * SAMPLE_BLOCK, 3))
+    rng = np.random.default_rng(3)
+    n = 8 * SAMPLE_BLOCK
     config = RunConfig(CATALOG, tmp_path)
-    tracemalloc.start()
-    try:
-        cli._write_float_csv(tmp_path / "cloud.csv", config, ["a", "b", "c"], *table.T)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1024 * SAMPLE_BLOCK, peak
+    for report in (cloud_report(rng.random((n, 2)), rng.random(n)),
+                   grid_report(rng.random(91), rng.random(91), rng.random(91 * 91))):
+        assert len(report.probabilities) >= n - 1
+        tracemalloc.start()
+        try:
+            cli._write_cloud_csv(tmp_path / "cloud.csv", config, report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * SAMPLE_BLOCK, peak
 
 
 def test_oracle_outputs_match_references(tmp_path):

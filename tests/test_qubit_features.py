@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gsee_bench.errors import InsufficientRows
 from gsee_bench.fcidump import parse_fcidump
-from gsee_bench.pauli import jordan_wigner_hamiltonian
+from gsee_bench.pauli import PauliTable, jordan_wigner_hamiltonian
 from gsee_bench.qubit_features import (
     FEATURE_NAMES,
     compute_feature_vector,
@@ -55,6 +57,22 @@ def test_identity_only_is_flagged_empty(caplog):
     assert q["one_norm"] == 0.0
     assert q["n_pauli_strings"] == 0
     assert q["edge_order_max"] == 0.0
+
+
+@pytest.mark.parametrize("identity", [False, True], ids=["no-terms", "identity"])
+@pytest.mark.parametrize("n_qubits", [2, 6, 64])
+def test_a_table_without_edges_takes_the_general_path_to_zeros(caplog, n_qubits, identity):
+    # no non-identity term: the statistics of empty and all-zero samples,
+    # with one warning and no numpy warning
+    masks = np.zeros(int(identity), dtype=np.uint64)
+    table = PauliTable(n_qubits, masks, masks.copy(), np.full(int(identity), 4.2))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        q = compute_qubit_features(table)
+    assert q == {**dict.fromkeys(FEATURE_NAMES[5:], 0.0), "n_qubits": float(n_qubits)}
+    assert [r.getMessage() for r in caplog.records] == [
+        "Pauli sum has no non-identity term; emitting zero features"
+    ]
 
 
 def test_seven_qubit_interaction_hypergraph():
