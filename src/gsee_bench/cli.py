@@ -156,23 +156,19 @@ def _workers(jobs: int, items: int) -> int:
     return min(jobs, items, cpus)
 
 
-def _inline_map(fn: Callable, work) -> list:
-    """The map function of a one-worker _pool: an eager list, computed at the call."""
-    return [fn(item) for item in work]
-
-
 @contextlib.contextmanager
 def _pool(jobs: int, items: int):
     """The one pool path: yields the map function that every stage of a
     command calls, map(fn, work) -> fn over work in order, for stages of up
-    to `items` items each.  With one worker it is _inline_map.  Otherwise
-    every chunk goes to this command's one process pool at the call, about
-    four per worker, so that a long list of small items is not sent one
-    round trip at a time.  On exit, pending items are cancelled and the
-    workers joined, also when the command fails."""
+    to `items` items each.  With one worker it is the builtin map, so each
+    item runs when its result is drawn.  Otherwise every chunk goes to this
+    command's one process pool at the call, about four per worker, so that
+    a long list of small items is not sent one round trip at a time.  On
+    exit, pending items are cancelled and the workers joined, also when the
+    command fails."""
     workers = _workers(jobs, items)
     if workers <= 1:
-        yield _inline_map
+        yield map
         return
     executor = futures.ProcessPoolExecutor(max_workers=workers)
     try:
@@ -408,11 +404,11 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
 
     The catalog and the solution files are loaded once and every stage works
     on them; features are computed once and shared, solvability runs per
-    solver (each solver writing its own files) and the oracle per task.  With
-    more than one worker, one pool serves every stage: it gets the feature
-    chunks, then the solvability items and, without waiting for those, the
+    solver (each solver writing its own files) and the oracle per task.  The
+    solvers are queued, then the oracle runs, then the solvers' notes are
+    drawn.  In a pool, the solvability items reach the workers before the
     oracle chunks, so the oracle fills a worker that the solvers leave idle.
-    With one worker every stage runs inline, the oracle before the solvers:
+    With one worker each solver runs as its note is drawn, after the oracle:
     the oracle's eigensolver scratch is then freed before the solvers' heap
     grows, where in the other order it would land on top of that heap and
     raise the process's peak.
@@ -420,13 +416,9 @@ def run_report(config: RunConfig, solutions_dir: Path) -> None:
     with _inputs(config, solutions_dir) as (tasks, solutions, pmap):
         features = run_features(config, tasks, pmap)
         outcomes = run_evaluate(config, tasks, solutions)
-        inline = pmap is _inline_map
-        if inline:
-            run_oracle(config, tasks, pmap)
         work = [(config, s, outcomes[s.solver_uuid], features) for s in solutions]
         notes = pmap(_try_solvability, work)
-        if not inline:
-            run_oracle(config, tasks, pmap)
+        run_oracle(config, tasks, pmap)
         for note in notes:
             if note:
                 log.warning("%s", note)

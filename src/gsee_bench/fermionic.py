@@ -62,8 +62,6 @@ def double_factorize(
         raise EigenFailure(str(exc)) from exc
     eigvals = eigvals[np.argsort(-np.abs(eigvals), kind="stable")]
     lam_max = abs(eigvals[0])  # norb >= 1, so there is one
-    if lam_max == 0.0:
-        return 0, 0.0
     kept = eigvals[np.abs(eigvals) > (threshold if absolute else threshold * lam_max)]
     gap = abs(kept[0] - kept[1]) if len(kept) >= 2 else 0.0
     return len(kept), float(gap)

@@ -219,7 +219,7 @@ def estimate_solvability(
         probabilities[block] = predict_proba(model, X_novel)
     ratio = float(np.count_nonzero(probabilities >= config.threshold) / len(probabilities))
 
-    cv = model.mean_cv_metrics()
+    cv = model.cv_metrics
     attributions = _mean_abs_attributions(model, X_labeled, feature_names, config.seed)
 
     flags = {

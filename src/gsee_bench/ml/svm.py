@@ -216,38 +216,22 @@ class SvmModel:
     penalty: float
     platt_a: float
     platt_b: float
-    cv_metrics: tuple[ClassificationMetrics, ...] = ()
+    cv_metrics: ClassificationMetrics
     degenerate: bool = False
     converged: bool = True
 
     def decision_function(self, X) -> np.ndarray:
+        """f(x) = sum_s dual_coef[s] K(x, support_x[s]) - bias for each row of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         d = self.support_x.shape[1]
         if X.shape[1] != d:
             raise DimensionMismatch(f"query has {X.shape[1]} features, model {d}")
-        return _decision(X, self.support_x, self.dual_coef, self.bias, self.gamma)
-
-    def mean_cv_metrics(self) -> ClassificationMetrics:
-        if not self.cv_metrics:
-            return ClassificationMetrics(0.0, 0.0, 0.0, True)
-        return ClassificationMetrics(
-            float(np.mean([m.precision for m in self.cv_metrics])),
-            float(np.mean([m.recall for m in self.cv_metrics])),
-            float(np.mean([m.f1 for m in self.cv_metrics])),
-            any(m.zero_division for m in self.cv_metrics),
-        )
+        return rbf_kernel(X, self.support_x, self.gamma) @ self.dual_coef - self.bias
 
 
 def _dual_coef(alphas: np.ndarray, y: np.ndarray) -> np.ndarray:
     """alpha * y on the support vectors (alpha above ALPHA_EPS), 0 elsewhere."""
     return np.where(alphas > ALPHA_EPS, alphas * y, 0.0)
-
-
-def _decision(X, support, dual_coef, bias, gamma) -> np.ndarray:
-    """f(x) = sum_s dual_coef[s] K(x, support[s]) - bias for each row of X."""
-    if len(support) == 0:
-        return np.full(X.shape[0], -bias)
-    return rbf_kernel(X, support, gamma) @ dual_coef - bias
 
 
 def fit_platt(decisions, labels) -> tuple[float, float]:
@@ -335,10 +319,12 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
     """Grid-searched, cross-validated SVM fit.
 
     Each (C, gamma) pair of DEFAULT_C_GRID x default_gamma_grid(D) is scored
-    by mean F1 over K_FOLDS stratified splits; the best pair (first on ties) is
-    refit on all data, and the Platt sigmoid is fit on that pair's
-    out-of-fold decision values.  The model is converged only if every SMO
-    fit, cross-validation and final, met SMO_TOL within SMO_MAX_ITER.
+    by its mean precision, recall and F1 over K_FOLDS stratified splits; the
+    pair of highest mean F1 (first on ties) is refit on all data, and the
+    Platt sigmoid is fit on that pair's out-of-fold decision values.  The
+    model reports as cv_metrics the means that chose the pair.  The model
+    is converged only if every SMO fit, cross-validation and final, met
+    SMO_TOL within SMO_MAX_ITER.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels, dtype=bool)
@@ -398,19 +384,24 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
             oof[c_index, g_index, tests[f]] = K_test[p] @ coef - rho[p]
         C_prev = C
 
-    best = None  # (mean_f1, (C index, gamma index), fold_metrics)
+    best = None  # (mean fold metrics, (C index, gamma index))
     for c_index, g_index in product(range(len(DEFAULT_C_GRID)), range(len(gammas))):
         decisions = oof[c_index, g_index]
-        fold_metrics = tuple(
+        fold_metrics = [
             classification_metrics(decisions[folds == f_id] >= 0.0, labels[folds == f_id])
             for f_id in range(k)
             if (folds == f_id).any()
+        ]
+        cv = ClassificationMetrics(
+            float(np.mean([m.precision for m in fold_metrics])),
+            float(np.mean([m.recall for m in fold_metrics])),
+            float(np.mean([m.f1 for m in fold_metrics])),
+            any(m.zero_division for m in fold_metrics),
         )
-        mean_f1 = float(np.mean([m.f1 for m in fold_metrics]))
-        if best is None or mean_f1 > best[0]:
-            best = (mean_f1, (c_index, g_index), fold_metrics)
+        if best is None or cv.f1 > best[0].f1:
+            best = (cv, (c_index, g_index))
 
-    _, (c_index, g_index), fold_metrics = best
+    cv_metrics, (c_index, g_index) = best
     C, gamma = DEFAULT_C_GRID[c_index], gammas[g_index]
     oof = oof[c_index, g_index]
     K = np.exp(-gamma * sq)
@@ -429,7 +420,7 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
         penalty=C,
         platt_a=platt_a,
         platt_b=platt_b,
-        cv_metrics=fold_metrics,
+        cv_metrics=cv_metrics,
         degenerate=degenerate,
         converged=bool(converged[0]) and cv_converged,
     )

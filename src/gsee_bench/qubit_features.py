@@ -39,14 +39,14 @@ _QUBIT_NAMES = FEATURE_NAMES[5:]
 
 
 def _stats(values: np.ndarray) -> tuple[float, float, float, float]:
-    """(max, min, mean, population std); zeros for an empty sample.
+    """(max, min, mean, population std) of values in ascending order; zeros
+    for an empty sample.
 
-    Values are sorted first so the statistics are exactly independent of
-    term order (floating-point summation is order sensitive).
+    The caller sorts, so the statistics are exactly independent of term
+    order (floating-point summation is order sensitive).
     """
     if values.size == 0:
         return 0.0, 0.0, 0.0, 0.0
-    values = np.sort(values)
     return (
         float(values[-1]),
         float(values[0]),
@@ -81,13 +81,14 @@ def compute_qubit_features(table: PauliTable) -> dict[str, float]:
     support = support[is_edge]
     if not support.size:
         log.warning("Pauli sum has no non-identity term; emitting zero features")
-    weights = np.abs(table.coeff[is_edge])
+    # Each column is sorted once; the sorted weights give the one-norm too.
+    weights = np.sort(np.abs(table.coeff[is_edge]))
     values = (
-        float(np.sort(weights).sum()),
+        float(weights.sum()),
         float(len(support)),
         float(table.n_qubits),
-        *_stats(np.bitwise_count(support).astype(float)),
-        *_stats(_vertex_degrees(support, table.n_qubits)),
+        *_stats(np.sort(np.bitwise_count(support).astype(float))),
+        *_stats(np.sort(_vertex_degrees(support, table.n_qubits))),
         *_stats(weights),
     )
     return dict(zip(_QUBIT_NAMES, values))

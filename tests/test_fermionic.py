@@ -68,6 +68,7 @@ def test_rank_one_tensor():
 
 def test_all_zero_tensor():
     assert double_factorize(FciDump(norb=2, nelec=2)) == (0, 0.0)
+    assert double_factorize(FciDump(norb=2, nelec=2), absolute=True) == (0, 0.0)
     df = reference_factorize(FciDump(norb=2, nelec=2))
     assert df.rank == 0
     assert df.lambdas.size == 0

@@ -18,6 +18,18 @@ def test_minmax_constant_column():
     assert np.allclose(scaled[:, 0], 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_minmax_finite_column_whose_range_overflows():
+    X = np.array([[-1.7e308, 1.0], [1.7e308, 2.0], [0.0, 3.0]])
+    scaled = minmax_scale(X)
+    assert scaled[:, 0].tolist() == [0.0, 1.0, 0.5]
+    assert scaled[:, 1].tolist() == [0.0, 0.5, 1.0]
+    # a column of subnormals keeps its order: 3 and 4 units of the least
+    # subnormal map to 0 and 1, not to a constant column
+    tiny = np.array([[3.0], [4.0]]) * 5e-324
+    assert minmax_scale(tiny)[:, 0].tolist() == [0.0, 1.0]
+
+
 def test_minmax_nonfinite_rejected():
     with pytest.raises(NonFiniteInput):
         minmax_scale(np.array([[1.0], [np.nan]]))

@@ -106,6 +106,9 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.fci", "_spectrum"),
         ("gsee_bench.cli", "SAMPLE_BLOCK"),
         ("gsee_bench.plots", "SAMPLE_BLOCK"),
+        ("gsee_bench.cli", "_inline_map"),
+        ("gsee_bench.ml.svm", "_decision"),
+        ("gsee_bench.ml.svm", "SvmModel.mean_cv_metrics"),
     ],
 )
 def test_reference_path_not_in_package(module, name):

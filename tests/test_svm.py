@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from gsee_bench.errors import (
 )
 from gsee_bench.ml import classification_metrics, predict_proba, svm_fit_cv
 from gsee_bench.ml import svm
-from gsee_bench.ml.svm import stratified_folds
+from gsee_bench.ml.svm import ClassificationMetrics, stratified_folds
 
 
 def blobs(rng, n_per_class=40, margin=2.0):
@@ -73,8 +75,7 @@ def test_planted_rbf_rule_recovery(rng):
     X = rng.uniform(-1.0, 1.0, size=(200, 2))
     labels = (X[:, 0] ** 2 + X[:, 1] ** 2) < 0.5
     model = svm_fit_cv(X, labels, seed=0)
-    cv = model.mean_cv_metrics()
-    assert cv.f1 >= 0.9
+    assert model.cv_metrics.f1 >= 0.9
 
 
 def test_predict_proba_range_and_monotonicity(rng):
@@ -129,7 +130,7 @@ def test_identical_rows_degenerate_flag(monkeypatch):
     model = svm_fit_cv(X, labels, seed=0)
     assert model.degenerate
     majority = max(labels.mean(), 1.0 - labels.mean())
-    assert model.mean_cv_metrics().f1 <= majority + 1e-9
+    assert model.cv_metrics.f1 <= majority + 1e-9
 
 
 def test_dimension_mismatch(rng, monkeypatch):
@@ -162,9 +163,29 @@ def test_cv_metrics_recorded(rng, monkeypatch):
     X, labels = blobs(rng, n_per_class=20)
     monkeypatch.setattr(svm, "K_FOLDS", 4)
     model = svm_fit_cv(X, labels, seed=0)
-    assert len(model.cv_metrics) == 4
-    for m in model.cv_metrics:
-        assert 0.0 <= m.f1 <= 1.0
+    # one set of fold means: the scores that chose (C, gamma)
+    cv = model.cv_metrics
+    assert isinstance(cv, ClassificationMetrics)
+    for rate in (cv.precision, cv.recall, cv.f1):
+        assert 0.0 <= rate <= 1.0
+
+
+def test_model_without_support_vectors_decides_by_its_bias(rng, monkeypatch):
+    X, labels = blobs(rng, n_per_class=10)
+    monkeypatch.setattr(svm, "K_FOLDS", 2)
+    fitted = svm_fit_cv(X, labels, seed=0)
+    query = rng.normal(size=(7, 2))
+    for bias in (0.75, -0.5, 0.0):
+        model = dataclasses.replace(
+            fitted, support_x=np.empty((0, 2)), dual_coef=np.empty(0), bias=bias
+        )
+        decisions = model.decision_function(query)
+        # An empty support is an (n, 0) kernel whose product with the empty
+        # dual_coef is zeros.  At bias 0 that is +0.0, not -0.0; the two
+        # compare equal and give the same probability.
+        assert np.array_equal(decisions, np.full(7, -bias))
+        expected = 1.0 / (1.0 + np.exp(model.platt_a * decisions + model.platt_b))
+        assert np.array_equal(predict_proba(model, query), expected)
 
 
 def test_classification_metrics_hand_computation():
