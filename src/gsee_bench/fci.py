@@ -6,7 +6,7 @@ matrix-free.  Its product H @ c, which Davidson iterates on, is the
 string-driven direct-CI sigma of Knowles and Handy (CPL 111, 315, 1984) and
 Olsen et al. (JCP 89, 2185, 1988): with H = sum k_pq E_pq
 + 1/2 sum (pq|rs) E_pq E_rs and k = h - 1/2 sum_r (pr|rq) (`pair_integrals`),
-it forms D_rs = E_rs c from the cached string tables, G = k c + 1/2 (pq|rs) D
+it forms D_rs = E_rs c from the string tables, G = k c + 1/2 (pq|rs) D
 as one matrix product, and sigma = sum E_pq G_pq as a gather over them.
 Dense sectors never apply sigma: `toarray` expands the same factorization,
 H = sum_rs W_rs E_r E_s + e_core with E_r = A_r (x) 1 + 1 (x) B_r over each
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import InconsistentBasis, InvalidOccupation, NonFiniteInput, TooLarge
-from .fcidump import FciDump, pair_integrals, pair_order
+from .fcidump import FciDump, norb_cache, pair_integrals, pair_order
 
 MAX_ORBITALS = 16
 # Cap on the Slater-Condon element count of a sector (`nnz`), checked on the
@@ -43,7 +43,7 @@ MAX_ORBITALS = 16
 # (dim 60,984, 63.9M elements, 78 pairs), took 9.3 s (75 iterations) at
 # 152 MB peak RSS; norb 10 with 5+5 (dim 63,504, 55.6M, 55 pairs) 5.0 s
 # (57 iterations) at 132 MB.  So a sector under the cap fits about 10 s and
-# 160 MB.
+# 160 MB.  String tables above norb 12 are not kept between sectors.
 MAX_NONZEROS = 64_000_000
 # Sectors of at most this many determinants are solved densely (`toarray`
 # and eigvalsh), larger ones by Davidson on sigma.  Medians on a 2-core
@@ -178,7 +178,7 @@ def _parity(bits: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(bits) & 1)
 
 
-@lru_cache(maxsize=32)
+@norb_cache
 def _strings(norb: int, n_occ: int) -> _Strings:
     n = math.comb(norb, n_occ)
     occupied = np.array(list(combinations(range(norb), n_occ)), dtype=np.int64).reshape(n, n_occ)
@@ -225,7 +225,7 @@ def build_basis(norb: int, n_alpha: int, n_beta: int) -> DeterminantBasis:
     return DeterminantBasis(norb, n_alpha, n_beta)
 
 
-@lru_cache(maxsize=32)
+@norb_cache
 def _interleave_phase(norb: int, n_alpha: int, n_beta: int) -> np.ndarray:
     """Per determinant, the sign taking the alpha-then-beta operator order to
     the interleaved one: -1 for an odd count of (alpha p, beta q < p) pairs."""

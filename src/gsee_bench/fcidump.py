@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain
 from typing import TextIO
 
@@ -33,6 +33,8 @@ DUPLICATE_TOL = 1e-10
 # V holds (norb (norb + 1) / 2)**2 floats, 34.6 MB at this cap: twice the
 # feature cap and four times the oracle cap, so no stage accepts a larger dump.
 MAX_NORB = 64
+# `norb_cache` keeps the per-norb tables of `pauli` and `fci` up to this norb.
+CACHED_NORB = 12
 
 
 def canonical_eri_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]:
@@ -94,7 +96,7 @@ class FciDump:
         if self.orbsym is None:
             object.__setattr__(self, "orbsym", (1,) * n)
         if len(self.orbsym) != n:
-            raise InvalidFciDump("orbsym length != norb")
+            raise InvalidFciDump(f"ORBSYM has {len(self.orbsym)} entries for NORB={n}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FciDump):
@@ -159,6 +161,18 @@ class FciDump:
         return dump
 
 
+def norb_cache(build):
+    """`build(norb, ...)`, with its results kept for norb <= CACHED_NORB."""
+    cached = lru_cache(maxsize=32)(build)
+
+    @wraps(build)
+    def table(norb: int, *args):
+        return (cached if norb <= CACHED_NORB else build)(norb, *args)
+
+    table.cache_info, table.cache_clear = cached.cache_info, cached.cache_clear
+    return table
+
+
 @lru_cache(maxsize=32)
 def pair_order(norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, q, index), read-only: the orbital pairs p <= q in packed
@@ -181,6 +195,7 @@ def pair_integrals(dump: FciDump) -> np.ndarray:
     return k[p, q]
 
 
+_NAMELIST = re.compile(r"\s*&FCI(.*?)(?:&END|/END|/)(.*)", re.IGNORECASE | re.DOTALL)
 _HEADER_ITEM = re.compile(
     r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*([^=]*?)(?=[,\s]*[A-Za-z_][A-Za-z0-9_]*\s*=|$)",
     re.DOTALL,
@@ -198,12 +213,8 @@ def _parse_number(token: str) -> float:
 
 
 def _parse_header(header: str) -> dict[str, list[int]]:
-    body = header.strip()
-    if not body.upper().startswith("&FCI"):
-        raise MalformedLine("file does not begin with an &FCI namelist header")
-    body = body[4:]
     fields: dict[str, list[int]] = {}
-    for match in _HEADER_ITEM.finditer(body):
+    for match in _HEADER_ITEM.finditer(header):
         key = match.group(1).upper()
         if key in fields:
             raise MalformedLine(f"header field {key} appears twice")
@@ -237,18 +248,18 @@ def _header_scalar(fields: dict[str, list[int]], key: str, default: int | None =
 
 
 def _split_header(text: str) -> tuple[str, str]:
-    """Split raw text into (namelist header, integral body)."""
-    for terminator in ("&END", "/END", "/"):
-        pos = text.find(terminator)
-        if pos >= 0:
-            return text[:pos], text[pos + len(terminator):]
-    raise MalformedLine("namelist terminator (&END or /) not found")
+    """Split raw text into (namelist fields, integral body); the group name
+    and terminator match in any case, and the earliest terminator wins."""
+    match = _NAMELIST.match(text)
+    if match is None:
+        raise MalformedLine("no &FCI namelist header ended by &END or /")
+    return match.group(1), match.group(2)
 
 
 def parse_fcidump(source: str | TextIO) -> FciDump:
     """Parse FCIDUMP text into an FciDump.
 
-    Accepts both &END and / namelist terminators and D-style exponents.
+    Accepts &END, /END and / namelist terminators and D-style exponents.
     External indices are 1-based; storage is 0-based.
     """
     text = source if isinstance(source, str) else source.read()
@@ -261,8 +272,6 @@ def parse_fcidump(source: str | TextIO) -> FciDump:
     isym = _header_scalar(fields, "ISYM", 1)
     if not 1 <= norb <= MAX_NORB:
         raise InvalidFciDump(f"NORB must be in [1, {MAX_NORB}], got {norb}")
-    if orbsym is not None and len(orbsym) != norb:
-        raise InvalidFciDump(f"ORBSYM has {len(orbsym)} entries for NORB={norb}")
 
     # A line is an h2 entry (no zero index), an h1 entry (i j 0 0) or the core
     # energy (0 0 0 0).  All are keyed by canonical_eri_index of the 1-based
@@ -328,9 +337,8 @@ def write_fcidump(dump: FciDump) -> str:
     keys = np.column_stack([p[a], q[a], p[b], q[b]]) + 1
     for (i, j, k, l), value in zip(keys.tolist(), dump.v[a, b].tolist()):
         out.write(f" {value!r} {i} {j} {k} {l}\n")
-    for i in range(dump.norb):
-        for j in range(i + 1):
-            if dump.h1[i, j] != 0.0:
-                out.write(f" {float(dump.h1[i, j])!r} {i + 1} {j + 1} 0 0\n")
+    rows, cols = np.nonzero(np.tril(dump.h1))
+    for i, j, value in zip(rows.tolist(), cols.tolist(), dump.h1[rows, cols].tolist()):
+        out.write(f" {value!r} {i + 1} {j + 1} 0 0\n")
     out.write(f" {float(dump.e_core)!r} 0 0 0 0\n")
     return out.getvalue()

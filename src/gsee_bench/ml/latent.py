@@ -71,9 +71,8 @@ def pca_fit(X, dim: int) -> LatentModel:
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered / max(n - 1, 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals, kind="stable")[::-1][:dim]
-    components = eigvecs[:, order].T.copy()
+    # eigh orders the eigenvalues ascending, so the top dim are its last columns
+    components = np.linalg.eigh(cov)[1][:, ::-1][:, :dim].T.copy()
     for row in components:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:

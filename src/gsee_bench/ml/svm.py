@@ -362,14 +362,12 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
     width = int(sizes.max(initial=0))
     K_train = np.zeros((len(sizes), width, width))
     y_train = np.zeros((len(sizes), width))
-    K_test = []
-    for g_index, gamma in enumerate(gammas):
-        K = np.exp(-gamma * sq)
+    kernels = [np.exp(-gamma * sq) for gamma in gammas]
+    for g_index, K in enumerate(kernels):
         for f, (test, train) in enumerate(zip(tests, trains)):
             p, n_p = g_index * len(trains) + f, sizes[f]
             K_train[p, :n_p, :n_p] = K[np.ix_(train, train)]
             y_train[p, :n_p] = y[train]
-            K_test.append(K[np.ix_(test, train)])
     alphas, C_prev = None, None
     cv_converged = True
     for c_index, C in enumerate(DEFAULT_C_GRID):
@@ -381,7 +379,8 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
         for p, n_p in enumerate(sizes.tolist()):
             g_index, f = divmod(p, len(trains))
             coef = _dual_coef(alphas[p, :n_p], y_train[p, :n_p])
-            oof[c_index, g_index, tests[f]] = K_test[p] @ coef - rho[p]
+            K_test = kernels[g_index][np.ix_(tests[f], trains[f])]
+            oof[c_index, g_index, tests[f]] = K_test @ coef - rho[p]
         C_prev = C
 
     best = None  # (mean fold metrics, (C index, gamma index))
@@ -404,8 +403,7 @@ def svm_fit_cv(X, labels, seed: int = 0) -> SvmModel:
     cv_metrics, (c_index, g_index) = best
     C, gamma = DEFAULT_C_GRID[c_index], gammas[g_index]
     oof = oof[c_index, g_index]
-    K = np.exp(-gamma * sq)
-    alphas, rho, converged = _smo_batch(K[None], y[None], np.array([n]), C)
+    alphas, rho, converged = _smo_batch(kernels[g_index][None], y[None], np.array([n]), C)
     platt_a, platt_b = fit_platt(oof, labels)
     coef = _dual_coef(alphas[0], y)
     # Every row equals row 0 (0.0 == -0.0, as np.unique(X, axis=0) counts rows).

@@ -16,12 +16,11 @@ spin-orbital of spatial orbital p and qubit 2p+1 the beta one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import TooLarge
-from .fcidump import FciDump, pair_integrals, pair_order
+from .fcidump import FciDump, norb_cache, pair_integrals, pair_order
 
 # Coefficients smaller than this are floating-point cancellation noise and are
 # pruned so term counts and weight statistics stay meaningful.
@@ -116,6 +115,7 @@ def _merge_order(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order.astype(np.int32), np.flatnonzero(first).astype(np.int32)
 
 
+@norb_cache
 def _jw_plan(norb: int) -> _JwPlan:
     """Build the plan with the symplectic product rule, in blocks of one
     first spatial index to bound memory; its arrays are read-only."""
@@ -161,11 +161,6 @@ def _jw_plan(norb: int) -> _JwPlan:
     return plan
 
 
-# Plans up to this norb are kept; the norb-12 plan holds about 1.4 MB.
-_CACHED_JW_NORB = 12
-_cached_jw_plan = lru_cache(maxsize=_CACHED_JW_NORB)(_jw_plan)
-
-
 def jordan_wigner_hamiltonian(dump: FciDump) -> PauliTable:
     """Encode the second-quantized Hamiltonian as a qubit operator.
 
@@ -181,14 +176,14 @@ def jordan_wigner_hamiltonian(dump: FciDump) -> PauliTable:
     of two Pauli strings is their product when they commute and zero
     otherwise, so every coefficient is real.  The strings, the order in which equal ones are summed and the
     factor each integral is scaled by depend on norb alone; `_jw_plan` holds
-    them, cached up to `_CACHED_JW_NORB`.  Per dump, the integrals are
+    them, cached up to `CACHED_NORB`.  Per dump, the integrals are
     gathered and scaled, summed by string within each first-index block and
     then across blocks, and terms below COEFF_PRUNE_TOL are dropped.
     """
     n = 2 * dump.norb
     if n > MAX_TABLE_QUBITS:
         raise TooLarge(f"{n} qubits exceeds the {MAX_TABLE_QUBITS}-bit masks")
-    plan = (_cached_jw_plan if dump.norb <= _CACHED_JW_NORB else _jw_plan)(dump.norb)
+    plan = _jw_plan(dump.norb)
     k = pair_integrals(dump)
     block_sums = np.add.reduceat(dump.v.ravel()[plan.source] * plan.factor, plan.block_starts)
     coeff = np.concatenate([[dump.e_core], (np.repeat(k, 2)[:, None] * plan.c_ops).ravel(),

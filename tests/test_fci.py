@@ -14,7 +14,7 @@ import scipy.sparse
 from gsee_bench import fci
 from gsee_bench.catalog import scan_catalog
 from gsee_bench.errors import InconsistentBasis, InvalidOccupation, NonFiniteInput, TooLarge
-from gsee_bench.fcidump import FciDump, parse_fcidump
+from gsee_bench.fcidump import CACHED_NORB, FciDump, parse_fcidump
 from gsee_bench.fermionic import log_fci_size
 from gsee_bench.fci import (
     DAVIDSON_MAX_SUBSPACE,
@@ -109,6 +109,15 @@ def test_sector_hamiltonian_binds_its_tables_once(rng, monkeypatch):
     assert calls == []
     build_fci_matrix(d, mat.basis)
     assert sorted(calls) == ["_interleave_phase", "_strings", "_strings"]
+
+
+def test_sector_above_the_cache_cap_leaves_no_table_cached(rng):
+    fci._strings.cache_clear()
+    fci._interleave_phase.cache_clear()
+    _, dim = solve_ground_state(random_fcidump(rng, CACHED_NORB + 1, 1, 1))
+    assert dim == CACHED_NORB + 1
+    assert fci._strings.cache_info().currsize == 0
+    assert fci._interleave_phase.cache_info().currsize == 0
 
 
 def test_interleave():

@@ -53,6 +53,23 @@ def test_slash_terminator_and_d_exponent():
     assert d.h1[0, 0] == pytest.approx(0.1)
 
 
+NAMELIST = "{group} NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,1,\n ISYM=1,\n{end}\n 0.5 1 1 1 1\n -1.0 1 1 0 0\n 0.7 0 0 0 0\n"
+
+
+@pytest.mark.parametrize("end", ["&END", "&end", "&End", "/", "/END", "/end"])
+@pytest.mark.parametrize("group", ["&FCI", "&fci", "&Fci"])
+def test_namelist_group_and_terminator_in_any_case(group, end):
+    plain = parse_fcidump(NAMELIST.format(group="&FCI", end="&END"))
+    assert plain.norb == 2 and plain.h1[0, 0] == -1.0 and plain.e_core == 0.7
+    assert parse_fcidump(NAMELIST.format(group=group, end=end)) == plain
+
+
+@pytest.mark.parametrize("group, end", [("", "&END"), ("&FCI", "")])
+def test_namelist_without_group_name_or_terminator_is_malformed(group, end):
+    with pytest.raises(MalformedLine):
+        parse_fcidump(NAMELIST.format(group=group, end=end))
+
+
 def test_exponent_forms():
     for token in ("1.0E-01", "1.0e-01", "1.0D-01", "1.0d-01"):
         d = parse_fcidump(f"&FCI NORB=1,NELEC=1,MS2=1,&END\n{token} 1 1 0 0\n")
@@ -180,6 +197,14 @@ def test_empty_header_value_is_malformed(field):
 def test_header_field_twice_or_scalar_with_many_values_is_malformed(header, message):
     with pytest.raises(MalformedLine, match=f"^{message}$"):
         parse_fcidump(f"&FCI {header},&END\n")
+
+
+def test_orbsym_length_is_checked_once_with_one_message():
+    message = "^ORBSYM has 1 entries for NORB=2$"
+    with pytest.raises(InvalidFciDump, match=message):
+        FciDump(norb=2, nelec=2, orbsym=(1,))
+    with pytest.raises(InvalidFciDump, match=message):
+        parse_fcidump("&FCI NORB=2,NELEC=2,ORBSYM=1,&END\n")
 
 
 def test_orbsym_stays_a_list():

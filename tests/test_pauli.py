@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsee_bench import pauli
+from gsee_bench import fci, pauli
 from gsee_bench.errors import TooLarge
-from gsee_bench.fcidump import FciDump, parse_fcidump
+from gsee_bench.fcidump import CACHED_NORB, FciDump, parse_fcidump
 from gsee_bench.fci import build_basis, build_fci_matrix
 from gsee_bench.pauli import PauliTable, jordan_wigner_hamiltonian
 
@@ -335,16 +335,18 @@ def test_jw_plan_matches_block_encoder_on_sparse_dumps(rng):
         _assert_same_table(jordan_wigner_hamiltonian(dump), jordan_wigner_blocks(dump), 1e-13)
 
 
-def test_jw_plan_cached_up_to_cap_and_read_only():
-    pauli._cached_jw_plan.cache_clear()
-    cap = pauli._CACHED_JW_NORB
-    for norb in (1, 2, cap + 1):
-        jordan_wigner_hamiltonian(random_fcidump(np.random.default_rng(norb), norb))
-    assert pauli._cached_jw_plan.cache_info().currsize == 2
-    plan = pauli._cached_jw_plan(2)
-    assert pauli._cached_jw_plan(2) is plan
-    assert pauli._cached_jw_plan.cache_info().currsize == 2
-    for name, array in vars(plan).items():
-        assert not array.flags.writeable, name
+def test_norb_tables_cached_up_to_cap_and_read_only():
+    """Plans, string tables and phases follow one rule: kept up to
+    CACHED_NORB, each a read-only object that a repeat call returns again."""
+    for table, args in [(pauli._jw_plan, ()), (fci._strings, (1,)), (fci._interleave_phase, (1, 1))]:
+        table.cache_clear()
+        for norb in (1, 2, CACHED_NORB + 1):
+            table(norb, *args)
+        assert table.cache_info().currsize == 2, table.__name__
+        kept = table(2, *args)
+        assert table(2, *args) is kept
+        assert table.cache_info().currsize == 2, table.__name__
+        for array in [kept] if isinstance(kept, np.ndarray) else vars(kept).values():
+            assert not array.flags.writeable, table.__name__
     with pytest.raises(ValueError):
-        plan.factor[0] = 0.0
+        pauli._jw_plan(2).factor[0] = 0.0

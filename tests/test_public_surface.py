@@ -109,6 +109,8 @@ def test_package_exports_exactly_the_public_names():
         ("gsee_bench.cli", "_inline_map"),
         ("gsee_bench.ml.svm", "_decision"),
         ("gsee_bench.ml.svm", "SvmModel.mean_cv_metrics"),
+        ("gsee_bench.pauli", "_CACHED_JW_NORB"),
+        ("gsee_bench.pauli", "_cached_jw_plan"),
     ],
 )
 def test_reference_path_not_in_package(module, name):
