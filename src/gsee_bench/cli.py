@@ -326,7 +326,9 @@ def run_solvability(
     features: tuple[list[str], np.ndarray],
 ) -> Path:
     """Train the solvability model for one solver on the (task_uuids, table)
-    pair of the feature stage and emit report/cloud/map."""
+    pair of the feature stage and write its files, each datum once: the JSON
+    summary, which names the two CSVs, the sampled cloud, the training tasks
+    (every latent axis and the label) and the latent map."""
     solver_uuid = solution.solver_uuid
     task_uuids, table = features
     verdict_by_task = {o.task_uuid: o.verdict for o in outcomes}
@@ -337,17 +339,35 @@ def run_solvability(
 
     report_path = config.output_dir / f"solvability_{solver_uuid}.json"
     cloud_name = f"latent_points_{solver_uuid}.csv"
-    _write_json(report_path, config, {**report.to_dict(), "latent_points_file": cloud_name})
+    train_name = f"training_points_{solver_uuid}.csv"
+    settings = report.config
+    _write_json(report_path, config, {
+        "solvability_ratio": report.solvability_ratio,
+        "n_samples": report.n_samples,
+        "threshold": settings.threshold,
+        "metrics": report.metrics,
+        "latent_kind": settings.latent,
+        "latent_dim": settings.latent_dim,
+        "bounds": report.bounds.tolist(),
+        "seed": settings.seed,
+        "grid_resolution": report.grid_resolution,
+        "best_params": report.best_params,
+        "attributions": report.attributions,
+        "flags": report.flags,
+        "latent_points_file": cloud_name,
+        "training_points_file": train_name,
+    })
 
     _write_cloud_csv(config.output_dir / cloud_name, config, report)
+    embedding = report.training_embedding.tolist()
     train_rows = [
-        [uuid, *map(float, row[:2]), "" if lab is None else str(bool(lab)).lower()]
-        for uuid, row, lab in zip(task_uuids, report.training_embedding, report.training_labels)
+        [uuid, *row, "" if lab is None else str(bool(lab)).lower()]
+        for uuid, row, lab in zip(task_uuids, embedding, report.training_labels)
     ]
     _write_csv(
-        config.output_dir / f"training_points_{solver_uuid}.csv",
+        config.output_dir / train_name,
         config,
-        ["task_uuid", "latent_0", "latent_1", "solved"],
+        ["task_uuid", *(f"latent_{i}" for i in range(settings.latent_dim)), "solved"],
         train_rows,
     )
 

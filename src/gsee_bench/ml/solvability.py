@@ -55,7 +55,7 @@ class SolvabilityConfig:
             raise ValueError("threshold must lie in [0, 1]")
         if self.latent not in ("pca", "nnmf"):
             raise ValueError("latent must be 'pca' or 'nnmf'")
-        # latent_dim: the latent map and the CLI's training CSV read two axes
+        # latent_dim: the latent map reads two axes
         for name, least in (("latent_dim", 2), ("n_samples", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
@@ -66,7 +66,7 @@ class SolvabilityConfig:
 @dataclass(frozen=True)
 class SolvabilityReport:
     """Trained-classifier summary plus the sampled latent map, under the
-    settings in `config`."""
+    settings in `config`.  The CLI writes its files (`cli.run_solvability`)."""
 
     config: SolvabilityConfig
     solvability_ratio: float
@@ -81,42 +81,12 @@ class SolvabilityReport:
     training_embedding: np.ndarray
     training_labels: tuple  # True / False / None per row
     attributions: dict
-    feature_names: tuple[str, ...]
     flags: dict = field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:
         """Samples scored: config.n_samples, or the r * r points of the 2-D grid."""
         return len(self.probabilities)
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary (deterministic float repr via json).
-
-        The sampled cloud (latent_points, probabilities) is left out: it is
-        large, and the CLI writes it once, to its own CSV.
-        """
-        return {
-            "solvability_ratio": self.solvability_ratio,
-            "n_samples": self.n_samples,
-            "threshold": self.config.threshold,
-            "metrics": self.metrics,
-            "latent_kind": self.config.latent,
-            "latent_dim": self.config.latent_dim,
-            "bounds": self.bounds.tolist(),
-            "seed": self.config.seed,
-            "grid_resolution": self.grid_resolution,
-            "best_params": self.best_params,
-            "attributions": self.attributions,
-            "feature_names": list(self.feature_names),
-            "flags": self.flags,
-            "training_points": [
-                {
-                    "latent": row.tolist(),
-                    "label": None if lab is None else bool(lab),
-                }
-                for row, lab in zip(self.training_embedding, self.training_labels)
-            ],
-        }
 
 
 def sample_blocks(n: int) -> list[slice]:
@@ -242,6 +212,5 @@ def estimate_solvability(
         training_embedding=latent.embedding,
         training_labels=tuple(labels),
         attributions=attributions,
-        feature_names=feature_names,
         flags=flags,
     )

@@ -255,7 +255,6 @@ def cloud_report(points, probabilities, r: int | None = None) -> SolvabilityRepo
         config=SolvabilityConfig(), solvability_ratio=0.0, metrics={}, latent_points=points,
         probabilities=np.asarray(probabilities, dtype=float), bounds=None, grid_resolution=r,
         best_params={}, training_embedding=None, training_labels=(), attributions={},
-        feature_names=(),
     )
 
 
@@ -472,8 +471,44 @@ def test_solvability_subcommand(tmp_path):
     svg = (tmp_path / "latent_map_size-limited.svg").read_text()
     assert svg.startswith("<svg")
     assert "polygon" in svg  # guidestar star marker
-    labels = [p["label"] for p in report["training_points"]]
-    assert labels.count(None) == 1
+    assert report["training_points_file"] == "training_points_size-limited.csv"
+    labels = [row[-1] for row in read_rows(tmp_path / report["training_points_file"])[1:]]
+    assert labels.count("") == 1
+
+
+SOLVABILITY_KEYS = [
+    "_meta", "solvability_ratio", "n_samples", "threshold", "metrics", "latent_kind",
+    "latent_dim", "bounds", "seed", "grid_resolution", "best_params", "attributions", "flags",
+    "latent_points_file", "training_points_file",
+]
+
+
+@pytest.mark.parametrize("latent_dim", [2, 3])
+def test_solvability_json_names_both_csvs_and_keeps_each_datum_once(tmp_path, monkeypatch,
+                                                                   latent_dim):
+    reports = []
+
+    def estimate(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    real = cli.estimate_solvability
+    monkeypatch.setattr(cli, "estimate_solvability", estimate)
+    assert main(["--catalog", str(CATALOG), "--out", str(tmp_path), "--samples", "400",
+                 "--latent-dim", str(latent_dim),
+                 "solvability", "--solutions", str(SOLUTIONS), "--solver", "size-limited"]) == 0
+    [report] = reports
+    payload = json.loads((tmp_path / "solvability_size-limited.json").read_text())
+    assert list(payload) == SOLVABILITY_KEYS
+    assert payload["latent_dim"] == latent_dim
+    assert list(payload["attributions"]) == list(FEATURE_NAMES)
+    rows = read_rows(tmp_path / payload["training_points_file"])
+    assert rows[0] == ["task_uuid", *(f"latent_{i}" for i in range(latent_dim)), "solved"]
+    uuids = [task.task_uuid for task in tasks_in(CATALOG)]
+    solved = ["" if lab is None else str(lab).lower() for lab in report.training_labels]
+    assert len(rows) - 1 == len(uuids) == 12
+    assert rows[1:] == [[uuid, *map(repr, point), lab] for uuid, point, lab
+                        in zip(uuids, report.training_embedding.tolist(), solved)]
 
 
 def test_solvability_single_class_solver_fails_cleanly(tmp_path):

@@ -211,6 +211,14 @@ def test_solvability_report_holds_its_config_not_copies():
         assert name not in fields and not hasattr(SolvabilityReport, name)
 
 
+def test_solvability_report_leaves_its_json_to_the_cli():
+    from gsee_bench.ml import SolvabilityReport
+
+    fields = [f.name for f in dataclasses.fields(SolvabilityReport)]
+    assert "feature_names" not in fields
+    assert not hasattr(SolvabilityReport, "to_dict")
+
+
 def test_sample_cap_is_owned_by_the_solvability_config():
     from gsee_bench import cli
     from gsee_bench.ml import SolvabilityConfig

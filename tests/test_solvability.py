@@ -158,23 +158,12 @@ def test_attributions_at_twenty_features(rng):
     n, d = 40, 20
     X = rng.uniform(size=(n, d))
     labels = (X[:, 0] > 0.5).tolist()
-    report = estimate_solvability(X, labels, quick_config())
-    assert list(report.attributions) == list(report.feature_names)
-    assert len(report.attributions) == d
+    names = tuple(f"x{i}" for i in range(d))
+    report = estimate_solvability(X, labels, quick_config(), feature_names=names)
+    assert tuple(report.attributions) == names
     assert all(np.isfinite(v) for v in report.attributions.values())
     assert report.flags["attributions_computed"]
     assert report.flags["attribution_target"] == "log_odds"
-
-
-def test_report_round_trips_to_json(rng):
-    import json
-
-    X, labels = planted_dataset(rng, 60, 0.5)
-    report = estimate_solvability(X, labels.tolist(), quick_config())
-    payload = json.loads(json.dumps(report.to_dict()))
-    assert payload["n_samples"] == report.n_samples
-    assert "latent_points" not in payload  # the CLI writes the cloud to its own CSV
-    assert len(payload["training_points"]) == 60
 
 
 def test_deterministic_given_seed(rng):
